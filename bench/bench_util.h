@@ -15,6 +15,7 @@
 #include "common/strutil.h"
 #include "engine/execution_sim.h"
 #include "layout/advisor.h"
+#include "obs/journal.h"
 #include "workload/analyzer.h"
 
 namespace dblayout::bench {
@@ -64,23 +65,6 @@ T Unwrap(Result<T> result, const char* what) {
     std::exit(1);
   }
   return std::move(result).value();
-}
-
-/// Minimal JSON string escaping for bench record fields.
-inline std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
 }
 
 /// Serializes a search's SearchTelemetry as a JSON object: moves considered
@@ -138,14 +122,14 @@ class BenchJson {
   explicit BenchJson(std::string name) : name_(std::move(name)) {}
 
   /// `fields` are (key, already-serialized JSON value) pairs — pass numbers
-  /// unquoted ("12.5") and use JsonQuote for strings.
+  /// unquoted ("12.5") and use obs::JsonString for strings.
   void Add(const std::string& case_name,
            const std::vector<std::pair<std::string, std::string>>& fields,
            const SearchTelemetry* telemetry = nullptr,
            const PhaseBreakdown* phases = nullptr) {
-    std::string rec = StrFormat("{\"case\":%s", JsonQuote(case_name).c_str());
+    std::string rec = StrFormat("{\"case\":%s", obs::JsonString(case_name).c_str());
     for (const auto& [key, value] : fields) {
-      rec += StrFormat(",%s:%s", JsonQuote(key).c_str(), value.c_str());
+      rec += StrFormat(",%s:%s", obs::JsonString(key).c_str(), value.c_str());
     }
     if (telemetry != nullptr) {
       rec += StrFormat(",\"telemetry\":%s", TelemetryJson(*telemetry).c_str());
@@ -165,7 +149,7 @@ class BenchJson {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return;
     }
-    out << StrFormat("{\"bench\":%s,\"records\":[", JsonQuote(name_).c_str());
+    out << StrFormat("{\"bench\":%s,\"records\":[", obs::JsonString(name_).c_str());
     for (size_t i = 0; i < records_.size(); ++i) {
       if (i > 0) out << ',';
       out << records_[i];

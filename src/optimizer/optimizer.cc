@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <set>
 
 #include "common/logging.h"
 #include "common/strutil.h"
@@ -26,12 +25,92 @@ std::string QualName(const std::string& bind, const std::string& col) {
   return bind + "." + col;
 }
 
-/// State of one input during join enumeration.
-struct JoinInput {
-  std::unique_ptr<PlanNode> plan;
-  double rows = 0;
-  std::set<size_t> tables;  ///< bound-table indices covered
+/// One leaf I/O of a plan: a node touching `blocks` blocks of `object_id`.
+struct PlanLeaf {
+  int object_id = -1;
+  double blocks = 0;
 };
+
+/// Appends the leaf I/Os of `node`'s subtree in DFS order.
+void CollectLeaves(const PlanNode& node, std::vector<PlanLeaf>* leaves) {
+  if (node.object_id >= 0 && node.blocks_accessed > 0) {
+    leaves->push_back(PlanLeaf{node.object_id, node.blocks_accessed});
+  }
+  for (const auto& child : node.children) CollectLeaves(*child, leaves);
+}
+
+/// What join enumeration keeps of a left-deep plan instead of the plan
+/// itself: enough to price joining one more table exactly as ImplCost prices
+/// the built tree.
+struct JoinSide {
+  double rows = 0;
+  double cost = 0;               ///< ImplCost of the plan
+  int sort_key = -1;             ///< interned sort_order[0]; -1 if unordered
+  std::vector<PlanLeaf> leaves;  ///< leaf I/Os in DFS order
+};
+
+/// Physical join alternatives, in tie-break order: on equal cost the
+/// earlier one wins.
+enum JoinImpl { kMergeImpl, kIndexNljImpl, kHashImpl, kNumJoinImpls };
+
+/// One side of a join predicate: a sort key for merge joins, and the seek
+/// an index nested-loops join would do into that side's table.
+struct JoinKey {
+  std::string name;               ///< "<bind>.<column>"
+  int id = -1;                    ///< interned `name`
+  bool clustered_seek = false;    ///< the clustered key leads with the column
+  const Index* index = nullptr;   ///< otherwise: a non-clustered index on it
+  int index_object = -1;
+  double index_blocks = 0;
+  double data_blocks = 0;         ///< the table's data blocks
+  double table_rows = 0;
+};
+
+/// PriceJoin's verdict on joining a left-deep plan with one more table:
+/// every feasible alternative's cost, the winner's JoinSide, and what
+/// BuildJoin needs to materialize any of them.
+struct JoinPrice {
+  JoinSide out;  ///< the winner (rows are the same for every alternative)
+  JoinImpl impl = kHashImpl;
+  bool feasible[kNumJoinImpls] = {};
+  double cost[kNumJoinImpls] = {};  ///< ImplCost of each feasible alternative
+  /// Sides of the first equi-join predicate; null when none connects.
+  const JoinKey* left_key = nullptr;
+  const JoinKey* right_key = nullptr;
+  bool left_sorted = false;   ///< merge: the left input needs no Sort
+  bool right_sorted = false;  ///< merge: the right input needs no Sort
+  bool left_builds = false;   ///< hash: the left input is the build side
+  double seek_blocks = 0;     ///< index NLJ: clustered or index seek I/O
+  double lookup_blocks = 0;   ///< index NLJ: RID-lookup I/O (index seek only)
+};
+
+/// ImplCost's merge-join surcharge for inputs reading the same object,
+/// added to `*cost` in ImplCost's order: shared objects by ascending id,
+/// each side's blocks of the object summed in DFS order.
+void AddSameObjectSurcharge(const std::vector<PlanLeaf>& left,
+                            const std::vector<PlanLeaf>& right, double* cost) {
+  for (int prev = -1;;) {
+    int obj = std::numeric_limits<int>::max();
+    for (const PlanLeaf& r : right) {
+      if (r.object_id > prev && r.object_id < obj) obj = r.object_id;
+    }
+    if (obj == std::numeric_limits<int>::max()) return;
+    prev = obj;
+    bool shared = false;
+    double left_blocks = 0.0;
+    for (const PlanLeaf& l : left) {
+      if (l.object_id != obj) continue;
+      left_blocks += l.blocks;
+      shared = true;
+    }
+    if (!shared) continue;
+    double right_blocks = 0.0;
+    for (const PlanLeaf& r : right) {
+      if (r.object_id == obj) right_blocks += r.blocks;
+    }
+    *cost += left_blocks + right_blocks;
+  }
+}
 
 /// Flattens [NOT] EXISTS and IN-subquery predicates into the outer query:
 /// the subquery's tables and conjuncts join the outer FROM list (an IN
@@ -83,25 +162,57 @@ class SelectPlanner {
   /// names search all bound tables; ambiguity resolves to the first match.
   Result<std::pair<size_t, const Column*>> Resolve(const ColumnRef& ref) const;
 
+  /// Interns a "<bind>.<column>" sort key: equal names, equal ids.
+  int InternKey(const std::string& name);
+  /// `column` of bound table `t` as a join key.
+  JoinKey MakeJoinKey(size_t t, const std::string& column);
+
   Result<std::unique_ptr<PlanNode>> BuildAccessPath(size_t t);
   Result<std::unique_ptr<PlanNode>> BuildJoinTree();
-  Result<std::unique_ptr<PlanNode>> BuildJoinTreeDp(
-      std::vector<JoinInput> inputs);
-  Result<std::unique_ptr<PlanNode>> BuildJoinTreeGreedy(
-      std::vector<JoinInput> inputs);
+  Result<std::unique_ptr<PlanNode>> BuildJoinTreeDp();
+  std::unique_ptr<PlanNode> BuildJoinTreeGreedy();
 
   /// Physical cost of a plan subtree in sequential-block-equivalents:
   /// leaf I/O (random blocks weighted by the random-I/O penalty) plus
   /// per-operator CPU/blocking surcharges. Used to pick join orders and
-  /// implementations, like a System-R cost function.
+  /// implementations, like a System-R cost function. The reference for
+  /// PriceJoin, which computes the same sums without a tree.
   double ImplCost(const PlanNode& node) const;
   std::unique_ptr<PlanNode> AddAggregation(std::unique_ptr<PlanNode> input);
   std::unique_ptr<PlanNode> AddOrderByAndTop(std::unique_ptr<PlanNode> input);
 
-  /// Joins `left` (multi-table) with single-table input `right`, choosing
-  /// the physical operator. `join_preds` connect the two sides.
-  Result<std::unique_ptr<PlanNode>> MakeJoin(JoinInput* left, JoinInput* right,
-                                             const std::vector<const Predicate*>& join_preds);
+  /// Sets `*preds` to the join predicates (indices into join_preds_, in
+  /// order) connecting bound table `t` to a table `u` with `in_left(u)`.
+  template <typename InLeft>
+  void ConnectingPreds(size_t t, InLeft in_left, std::vector<size_t>* preds) const;
+
+  /// Prices joining the plan summarized by `left` (outer) with bound table
+  /// `t`'s access path (inner) over the connecting predicates `preds`:
+  /// merge, index nested-loops and hash join, each costed exactly as
+  /// ImplCost would cost its tree. Allocates no plan nodes.
+  void PriceJoin(const JoinSide& left, size_t t, const std::vector<size_t>& preds,
+                 JoinPrice* price);
+
+  /// Materializes alternative `impl` of `price` on top of `left`.
+  std::unique_ptr<PlanNode> BuildJoin(std::unique_ptr<PlanNode> left, size_t t,
+                                      const std::vector<size_t>& preds,
+                                      const JoinPrice& price, JoinImpl impl) const;
+
+  /// Join-enumeration state of one table subset: its cheapest left-deep
+  /// plan, summarized, and the table joined last (-1 while unreached).
+  struct DpState {
+    JoinSide side;
+    int last = -1;
+  };
+  /// Builds the left-deep plan the DP chose for subset `mask` by following
+  /// `last` back to a single table and replaying the joins.
+  std::unique_ptr<PlanNode> BuildChain(const std::vector<DpState>& best, size_t mask);
+
+  /// DCHECK builds: builds every alternative `price` priced on top of
+  /// `left` and checks that ImplCost agrees bit for bit, and that the
+  /// winner's rows, sort key and leaves are the ones PriceJoin reported.
+  void AuditPrice(const PlanNode& left, size_t t, const std::vector<size_t>& preds,
+                  const JoinPrice& price) const;
 
   const Database& db_;
   const OptimizerOptions& options_;
@@ -116,8 +227,18 @@ class SelectPlanner {
     size_t lhs_table, rhs_table;
     const Column* lhs_col;
     const Column* rhs_col;
+    double sel;        ///< estimated selectivity
+    std::string text;  ///< "<lhs><op><rhs>", for join-node details
+    JoinKey lhs_key, rhs_key;
   };
   std::vector<JoinPred> join_preds_;
+  std::vector<std::vector<size_t>> incident_preds_;  // per bound table
+  std::map<std::string, int> key_ids_;
+
+  // Per bound table: its access path and that path's JoinSide.
+  std::vector<std::unique_ptr<PlanNode>> access_paths_;
+  std::vector<JoinSide> access_sides_;
+  std::vector<double> sel_scratch_;  // PriceJoin's predicate selectivities
 };
 
 Status SelectPlanner::Bind() {
@@ -133,6 +254,7 @@ Status SelectPlanner::Bind() {
   }
   local_preds_.assign(bound_.size(), {});
   local_sel_.assign(bound_.size(), 1.0);
+  incident_preds_.assign(bound_.size(), {});
 
   for (const auto& p : sel_.where) {
     if (p.kind == Predicate::Kind::kJoin) {
@@ -145,8 +267,17 @@ Status SelectPlanner::Bind() {
         local_preds_[lhs.value().first].push_back(&p);
         local_sel_[lhs.value().first] *= kDefaultRangeSelectivity;
       } else {
-        join_preds_.push_back(JoinPred{&p, lhs.value().first, rhs.value().first,
-                                       lhs.value().second, rhs.value().second});
+        const auto [lt, lcol] = lhs.value();
+        const auto [rt, rcol] = rhs.value();
+        const double sel = p.op == CompareOp::kEq
+                               ? JoinSelectivity(lcol->distinct_count, rcol->distinct_count)
+                               : kDefaultRangeSelectivity;
+        incident_preds_[lt].push_back(join_preds_.size());
+        incident_preds_[rt].push_back(join_preds_.size());
+        join_preds_.push_back(JoinPred{
+            &p, lt, rt, lcol, rcol, sel,
+            p.lhs.ToString() + CompareOpName(p.op) + p.rhs_column.ToString(),
+            MakeJoinKey(lt, p.lhs.column), MakeJoinKey(rt, p.rhs_column.column)});
       }
     } else {
       auto lhs = Resolve(p.lhs);
@@ -182,6 +313,30 @@ Result<std::pair<size_t, const Column*>> SelectPlanner::Resolve(
     if (col != nullptr) return std::make_pair(t, col);
   }
   return Status::NotFound(StrFormat("unresolved column '%s'", ref.column.c_str()));
+}
+
+int SelectPlanner::InternKey(const std::string& name) {
+  return key_ids_.emplace(name, static_cast<int>(key_ids_.size())).first->second;
+}
+
+JoinKey SelectPlanner::MakeJoinKey(size_t t, const std::string& column) {
+  const BoundTable& bt = bound_[t];
+  const Table& table = *bt.table;
+  JoinKey key;
+  key.name = QualName(bt.bind_name, column);
+  key.id = InternKey(key.name);
+  const std::string col_name = key.name.substr(key.name.find('.') + 1);
+  key.clustered_seek = !table.clustered_key.empty() && table.clustered_key[0] == col_name;
+  if (!key.clustered_seek) key.index = db_.IndexOnColumn(table.name, col_name);
+  if (key.index != nullptr) {
+    auto ix_id = db_.ObjectIdOfIndex(table.name, key.index->name);
+    DBLAYOUT_CHECK(ix_id.ok());
+    key.index_object = ix_id.value();
+    key.index_blocks = static_cast<double>(db_.IndexBlocks(*key.index));
+  }
+  key.data_blocks = static_cast<double>(table.DataBlocks());
+  key.table_rows = static_cast<double>(table.row_count);
+  return key;
 }
 
 Result<std::unique_ptr<PlanNode>> SelectPlanner::BuildAccessPath(size_t t) {
@@ -299,171 +454,262 @@ Result<std::unique_ptr<PlanNode>> SelectPlanner::BuildAccessPath(size_t t) {
   return Status::Internal("unreachable access path");
 }
 
-Result<std::unique_ptr<PlanNode>> SelectPlanner::MakeJoin(
-    JoinInput* left, JoinInput* right,
-    const std::vector<const Predicate*>& join_preds) {
+template <typename InLeft>
+void SelectPlanner::ConnectingPreds(size_t t, InLeft in_left,
+                                    std::vector<size_t>* preds) const {
+  preds->clear();
+  for (size_t p : incident_preds_[t]) {
+    const JoinPred& jp = join_preds_[p];
+    if (in_left(jp.lhs_table == t ? jp.rhs_table : jp.lhs_table)) preds->push_back(p);
+  }
+}
+
+void SelectPlanner::PriceJoin(const JoinSide& left, size_t t,
+                              const std::vector<size_t>& preds, JoinPrice* price) {
+  const JoinSide& right = access_sides_[t];
   // Estimate output cardinality. Multiple join predicates between the same
   // pair of inputs are usually correlated (e.g. composite foreign keys), so
   // independence would wildly underestimate; apply exponential backoff
   // (s1 * s2^1/2 * s3^1/4 ...) over the predicate selectivities, most
-  // selective first.
-  std::vector<double> pred_sels;
-  std::string detail;
-  std::string left_key, right_key;   // qualified join columns (first equi pred)
-  size_t right_table_idx = *right->tables.begin();
-  for (const JoinPred& jp : join_preds_) {
-    bool connects_lr = left->tables.count(jp.lhs_table) > 0 &&
-                       right->tables.count(jp.rhs_table) > 0;
-    bool connects_rl = left->tables.count(jp.rhs_table) > 0 &&
-                       right->tables.count(jp.lhs_table) > 0;
-    if (!connects_lr && !connects_rl) continue;
-    bool in_request = std::find(join_preds.begin(), join_preds.end(), jp.pred) !=
-                      join_preds.end();
-    if (!in_request) continue;
-    if (jp.pred->op == CompareOp::kEq) {
-      pred_sels.push_back(
-          JoinSelectivity(jp.lhs_col->distinct_count, jp.rhs_col->distinct_count));
-      if (left_key.empty()) {
-        const auto& lref = connects_lr ? jp.pred->lhs : jp.pred->rhs_column;
-        const auto& rref = connects_lr ? jp.pred->rhs_column : jp.pred->lhs;
-        size_t lt = connects_lr ? jp.lhs_table : jp.rhs_table;
-        size_t rt = connects_lr ? jp.rhs_table : jp.lhs_table;
-        left_key = QualName(bound_[lt].bind_name, lref.column);
-        right_key = QualName(bound_[rt].bind_name, rref.column);
-        right_table_idx = rt;
-      }
-    } else {
-      pred_sels.push_back(kDefaultRangeSelectivity);
+  // selective first. The first equi-join predicate supplies the merge keys
+  // and the index nested-loops seek column.
+  sel_scratch_.clear();
+  price->left_key = nullptr;
+  price->right_key = nullptr;
+  for (size_t p : preds) {
+    const JoinPred& jp = join_preds_[p];
+    sel_scratch_.push_back(jp.sel);
+    if (jp.pred->op == CompareOp::kEq && price->left_key == nullptr) {
+      const bool rhs_is_right = jp.rhs_table == t;
+      price->left_key = rhs_is_right ? &jp.lhs_key : &jp.rhs_key;
+      price->right_key = rhs_is_right ? &jp.rhs_key : &jp.lhs_key;
     }
-    if (!detail.empty()) detail += " AND ";
-    detail += jp.pred->lhs.ToString() + CompareOpName(jp.pred->op) +
-              jp.pred->rhs_column.ToString();
   }
-  std::sort(pred_sels.begin(), pred_sels.end());
+  std::sort(sel_scratch_.begin(), sel_scratch_.end());
   double sel = 1.0;
   double exponent = 1.0;
-  for (double s : pred_sels) {
+  for (double s : sel_scratch_) {
     sel *= std::pow(s, exponent);
     exponent /= 2;
   }
-  double out_rows = std::max(1.0, left->rows * right->rows * sel);
+  double out_rows = std::max(1.0, left.rows * right.rows * sel);
   // Semi-join semantics: a table flattened out of an EXISTS / IN subquery
   // can only filter the outer side, never multiply it.
-  if (sel_.from[right_table_idx].semi_join) {
-    out_rows = std::min(out_rows, std::max(1.0, left->rows));
+  if (sel_.from[t].semi_join) {
+    out_rows = std::min(out_rows, std::max(1.0, left.rows));
   }
 
-  // Build every feasible physical alternative, then keep the cheapest under
-  // ImplCost (cost-based implementation selection, like System R).
-  std::vector<std::unique_ptr<PlanNode>> candidates;
+  // Price every feasible physical alternative, then keep the cheapest
+  // (cost-based implementation selection, like System R). Each cost adds
+  // ImplCost's terms in ImplCost's order: the node's own surcharge, then
+  // its children left to right; a Sort costs its per-row charge, then its
+  // input.
+  const double penalty = options_.random_io_penalty;
+  auto sorted_cost = [&](const JoinSide& input, bool already_sorted) {
+    return already_sorted ? input.cost
+                          : options_.sort_cost_per_row * input.rows + input.cost;
+  };
+  price->feasible[kMergeImpl] = false;
+  price->feasible[kIndexNljImpl] = false;
+  price->feasible[kHashImpl] = true;
 
   // Merge join: directly when both inputs already arrive ordered on the
   // join keys; otherwise as a sort-merge join with explicit (blocking) Sort
   // operators under the merge. The sort-based variant rarely beats hash
   // join under default cost knobs — exactly as in real optimizers — but it
   // is a genuine alternative the cost comparison may pick.
-  const bool left_sorted = !left_key.empty() && !left->plan->sort_order.empty() &&
-                           left->plan->sort_order[0] == left_key;
-  const bool right_sorted = !right_key.empty() && !right->plan->sort_order.empty() &&
-                            right->plan->sort_order[0] == right_key;
-  if (!left_key.empty()) {
-    auto sorted_input = [&](const PlanNode& input, bool already_sorted,
-                            const std::string& key) -> std::unique_ptr<PlanNode> {
-      auto clone = ClonePlan(input);
-      if (already_sorted) return clone;
-      auto sort = std::make_unique<PlanNode>(PlanOp::kSort);
-      sort->out_rows = clone->out_rows;
-      sort->detail = "sort on " + key;
-      sort->sort_order = {key};
-      sort->AddChild(std::move(clone));
-      return sort;
-    };
-    auto node = std::make_unique<PlanNode>(PlanOp::kMergeJoin);
-    node->out_rows = out_rows;
-    node->detail = detail;
-    node->AddChild(sorted_input(*left->plan, left_sorted, left_key));
-    node->AddChild(sorted_input(*right->plan, right_sorted, right_key));
-    node->sort_order = node->children[0]->sort_order;
-    candidates.push_back(std::move(node));
+  if (price->left_key != nullptr) {
+    price->left_sorted = left.sort_key == price->left_key->id;
+    price->right_sorted = right.sort_key == price->right_key->id;
+    double c = 0.0;
+    AddSameObjectSurcharge(left.leaves, right.leaves, &c);
+    c += sorted_cost(left, price->left_sorted);
+    c += sorted_cost(right, price->right_sorted);
+    price->feasible[kMergeImpl] = true;
+    price->cost[kMergeImpl] = c;
   }
 
-  // Index nested loops when the inner (right) is a single base table with a
-  // usable index on the join column and the outer is small.
-  if (!right_key.empty() && right->tables.size() == 1 &&
-      left->rows <= options_.nlj_outer_rows_threshold) {
-    const BoundTable& bt = bound_[right_table_idx];
-    const Table& table = *bt.table;
-    const std::string col_name = right_key.substr(right_key.find('.') + 1);
-    const bool clustered_usable =
-        !table.clustered_key.empty() && table.clustered_key[0] == col_name;
-    const Index* nc = db_.IndexOnColumn(table.name, col_name);
-    if (clustered_usable || nc != nullptr) {
-      const double data_blocks = static_cast<double>(table.DataBlocks());
-      std::unique_ptr<PlanNode> inner;
-      if (clustered_usable) {
-        inner = std::make_unique<PlanNode>(PlanOp::kClusteredSeek);
-        inner->object_id = bt.object_id;
-        inner->object_name = table.name;
-        inner->blocks_accessed = YaoBlocks(
-            std::max(out_rows, left->rows), data_blocks,
-            static_cast<double>(table.row_count));
-        inner->random_access = true;
-        inner->detail = "seek " + right_key + " = outer";
-      } else {
-        auto seek = std::make_unique<PlanNode>(PlanOp::kIndexSeek);
-        auto ix_id = db_.ObjectIdOfIndex(table.name, nc->name);
-        DBLAYOUT_CHECK(ix_id.ok());
-        const double index_blocks = static_cast<double>(db_.IndexBlocks(*nc));
-        seek->object_id = ix_id.value();
-        seek->object_name = table.name + "." + nc->name;
-        seek->blocks_accessed =
-            YaoBlocks(left->rows, index_blocks, static_cast<double>(table.row_count));
-        seek->random_access = true;
-        seek->detail = "seek " + right_key + " = outer";
-        inner = std::make_unique<PlanNode>(PlanOp::kRidLookup);
-        inner->object_id = bt.object_id;
-        inner->object_name = table.name;
-        inner->blocks_accessed = YaoBlocks(out_rows, data_blocks,
-                                           static_cast<double>(table.row_count));
-        inner->random_access = true;
-        inner->AddChild(std::move(seek));
-      }
-      inner->out_rows = out_rows;
-      auto node = std::make_unique<PlanNode>(PlanOp::kNestedLoopsJoin);
-      node->out_rows = out_rows;
-      node->detail = detail;
-      node->sort_order = left->plan->sort_order;
-      node->AddChild(ClonePlan(*left->plan));
-      node->AddChild(std::move(inner));
-      candidates.push_back(std::move(node));
+  // Index nested loops when the inner (right) has a usable index on the
+  // join column and the outer is small.
+  const JoinKey* inner = price->right_key;
+  if (inner != nullptr && left.rows <= options_.nlj_outer_rows_threshold &&
+      (inner->clustered_seek || inner->index != nullptr)) {
+    double inner_cost;
+    if (inner->clustered_seek) {
+      price->seek_blocks = YaoBlocks(std::max(out_rows, left.rows), inner->data_blocks,
+                                     inner->table_rows);
+      price->lookup_blocks = 0;
+      inner_cost = price->seek_blocks * penalty;
+    } else {
+      price->seek_blocks = YaoBlocks(left.rows, inner->index_blocks, inner->table_rows);
+      price->lookup_blocks = YaoBlocks(out_rows, inner->data_blocks, inner->table_rows);
+      inner_cost = price->lookup_blocks * penalty + price->seek_blocks * penalty;
     }
+    double c = 0.0;
+    c += options_.nlj_cost_per_outer_row * left.rows;
+    c += left.cost;
+    c += inner_cost;
+    price->feasible[kIndexNljImpl] = true;
+    price->cost[kIndexNljImpl] = c;
   }
 
   // Hash join: build on the smaller input (first child = build).
+  price->left_builds = left.rows <= right.rows;
+  const JoinSide& build = price->left_builds ? left : right;
+  const JoinSide& probe = price->left_builds ? right : left;
   {
-    auto node = std::make_unique<PlanNode>(PlanOp::kHashJoin);
-    node->out_rows = out_rows;
-    node->detail = detail;
-    if (left->rows <= right->rows) {
-      node->AddChild(ClonePlan(*left->plan));
-      node->AddChild(ClonePlan(*right->plan));
-    } else {
-      node->AddChild(ClonePlan(*right->plan));
-      node->AddChild(ClonePlan(*left->plan));
-    }
-    candidates.push_back(std::move(node));
+    double c = 0.0;
+    c += options_.hash_build_cost_per_row * build.rows +
+         options_.hash_probe_cost_per_row * probe.rows;
+    c += build.cost;
+    c += probe.cost;
+    price->cost[kHashImpl] = c;
   }
 
-  size_t best = 0;
-  double best_cost = ImplCost(*candidates[0]);
-  for (size_t c = 1; c < candidates.size(); ++c) {
-    const double cost = ImplCost(*candidates[c]);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = c;
+  int best = -1;
+  for (int impl = 0; impl < kNumJoinImpls; ++impl) {
+    if (price->feasible[impl] && (best < 0 || price->cost[impl] < price->cost[best])) {
+      best = impl;
     }
   }
-  return std::move(candidates[best]);
+  price->impl = static_cast<JoinImpl>(best);
+
+  JoinSide& out = price->out;
+  out.rows = out_rows;
+  out.cost = price->cost[best];
+  out.leaves.clear();
+  auto append = [&out](const std::vector<PlanLeaf>& leaves) {
+    out.leaves.insert(out.leaves.end(), leaves.begin(), leaves.end());
+  };
+  switch (price->impl) {
+    case kMergeImpl:
+      out.sort_key = price->left_key->id;
+      append(left.leaves);
+      append(right.leaves);
+      break;
+    case kIndexNljImpl: {
+      out.sort_key = left.sort_key;
+      append(left.leaves);
+      const int base = bound_[t].object_id;
+      if (inner->clustered_seek) {
+        if (price->seek_blocks > 0) out.leaves.push_back(PlanLeaf{base, price->seek_blocks});
+      } else {
+        if (price->lookup_blocks > 0) {
+          out.leaves.push_back(PlanLeaf{base, price->lookup_blocks});
+        }
+        if (price->seek_blocks > 0) {
+          out.leaves.push_back(PlanLeaf{inner->index_object, price->seek_blocks});
+        }
+      }
+      break;
+    }
+    default:
+      out.sort_key = -1;
+      append(build.leaves);
+      append(probe.leaves);
+      break;
+  }
+}
+
+std::unique_ptr<PlanNode> SelectPlanner::BuildJoin(std::unique_ptr<PlanNode> left,
+                                                   size_t t,
+                                                   const std::vector<size_t>& preds,
+                                                   const JoinPrice& price,
+                                                   JoinImpl impl) const {
+  std::string detail;
+  for (size_t p : preds) {
+    if (!detail.empty()) detail += " AND ";
+    detail += join_preds_[p].text;
+  }
+  std::unique_ptr<PlanNode> node;
+  switch (impl) {
+    case kMergeImpl: {
+      auto sorted_input = [](std::unique_ptr<PlanNode> input, bool already_sorted,
+                             const std::string& key) {
+        if (already_sorted) return input;
+        auto sort = std::make_unique<PlanNode>(PlanOp::kSort);
+        sort->out_rows = input->out_rows;
+        sort->detail = "sort on " + key;
+        sort->sort_order = {key};
+        sort->AddChild(std::move(input));
+        return sort;
+      };
+      node = std::make_unique<PlanNode>(PlanOp::kMergeJoin);
+      node->AddChild(sorted_input(std::move(left), price.left_sorted, price.left_key->name));
+      node->AddChild(sorted_input(ClonePlan(*access_paths_[t]), price.right_sorted,
+                                  price.right_key->name));
+      node->sort_order = node->children[0]->sort_order;
+      break;
+    }
+    case kIndexNljImpl: {
+      const BoundTable& bt = bound_[t];
+      const JoinKey& key = *price.right_key;
+      std::unique_ptr<PlanNode> inner;
+      if (key.clustered_seek) {
+        inner = std::make_unique<PlanNode>(PlanOp::kClusteredSeek);
+        inner->object_id = bt.object_id;
+        inner->object_name = bt.table->name;
+        inner->blocks_accessed = price.seek_blocks;
+        inner->random_access = true;
+        inner->detail = "seek " + key.name + " = outer";
+      } else {
+        auto seek = std::make_unique<PlanNode>(PlanOp::kIndexSeek);
+        seek->object_id = key.index_object;
+        seek->object_name = bt.table->name + "." + key.index->name;
+        seek->blocks_accessed = price.seek_blocks;
+        seek->random_access = true;
+        seek->detail = "seek " + key.name + " = outer";
+        inner = std::make_unique<PlanNode>(PlanOp::kRidLookup);
+        inner->object_id = bt.object_id;
+        inner->object_name = bt.table->name;
+        inner->blocks_accessed = price.lookup_blocks;
+        inner->random_access = true;
+        inner->AddChild(std::move(seek));
+      }
+      inner->out_rows = price.out.rows;
+      node = std::make_unique<PlanNode>(PlanOp::kNestedLoopsJoin);
+      node->sort_order = left->sort_order;
+      node->AddChild(std::move(left));
+      node->AddChild(std::move(inner));
+      break;
+    }
+    default: {
+      node = std::make_unique<PlanNode>(PlanOp::kHashJoin);
+      std::unique_ptr<PlanNode> right = ClonePlan(*access_paths_[t]);
+      node->AddChild(price.left_builds ? std::move(left) : std::move(right));
+      node->AddChild(price.left_builds ? std::move(right) : std::move(left));
+      break;
+    }
+  }
+  node->out_rows = price.out.rows;
+  node->detail = std::move(detail);
+  return node;
+}
+
+void SelectPlanner::AuditPrice([[maybe_unused]] const PlanNode& left,
+                               [[maybe_unused]] size_t t,
+                               [[maybe_unused]] const std::vector<size_t>& preds,
+                               [[maybe_unused]] const JoinPrice& price) const {
+#if DBLAYOUT_DCHECK_IS_ON()
+  for (int impl = 0; impl < kNumJoinImpls; ++impl) {
+    if (!price.feasible[impl]) continue;
+    const std::unique_ptr<PlanNode> built =
+        BuildJoin(ClonePlan(left), t, preds, price, static_cast<JoinImpl>(impl));
+    DBLAYOUT_DCHECK_EQ(ImplCost(*built), price.cost[impl]);
+    DBLAYOUT_DCHECK_EQ(built->out_rows, price.out.rows);
+    if (impl != price.impl) continue;
+    const int sort_key =
+        built->sort_order.empty() ? -1 : key_ids_.at(built->sort_order[0]);
+    DBLAYOUT_DCHECK_EQ(sort_key, price.out.sort_key);
+    std::vector<PlanLeaf> leaves;
+    CollectLeaves(*built, &leaves);
+    DBLAYOUT_DCHECK_EQ(leaves.size(), price.out.leaves.size());
+    for (size_t i = 0; i < leaves.size() && i < price.out.leaves.size(); ++i) {
+      DBLAYOUT_DCHECK_EQ(leaves[i].object_id, price.out.leaves[i].object_id);
+      DBLAYOUT_DCHECK_EQ(leaves[i].blocks, price.out.leaves[i].blocks);
+    }
+  }
+#endif
 }
 
 namespace {
@@ -526,152 +772,139 @@ double SelectPlanner::ImplCost(const PlanNode& node) const {
 }
 
 Result<std::unique_ptr<PlanNode>> SelectPlanner::BuildJoinTree() {
-  std::vector<JoinInput> inputs;
-  for (size_t t = 0; t < bound_.size(); ++t) {
-    JoinInput in;
-    DBLAYOUT_ASSIGN_OR_RETURN(in.plan, BuildAccessPath(t));
-    in.rows = in.plan->out_rows;
-    in.tables = {t};
-    inputs.push_back(std::move(in));
+  const size_t n = bound_.size();
+  access_paths_.resize(n);
+  access_sides_.resize(n);
+  for (size_t t = 0; t < n; ++t) {
+    DBLAYOUT_ASSIGN_OR_RETURN(access_paths_[t], BuildAccessPath(t));
+    const PlanNode& path = *access_paths_[t];
+    JoinSide& side = access_sides_[t];
+    side.rows = path.out_rows;
+    side.cost = ImplCost(path);
+    side.sort_key = path.sort_order.empty() ? -1 : InternKey(path.sort_order[0]);
+    CollectLeaves(path, &side.leaves);
   }
-  if (inputs.size() == 1) return std::move(inputs[0].plan);
-  if (static_cast<int>(inputs.size()) <= options_.dp_join_table_limit) {
-    return BuildJoinTreeDp(std::move(inputs));
-  }
-  return BuildJoinTreeGreedy(std::move(inputs));
+  if (n == 1) return std::move(access_paths_[0]);
+  if (static_cast<int>(n) <= options_.dp_join_table_limit) return BuildJoinTreeDp();
+  return BuildJoinTreeGreedy();
 }
 
-Result<std::unique_ptr<PlanNode>> SelectPlanner::BuildJoinTreeDp(
-    std::vector<JoinInput> inputs) {
+Result<std::unique_ptr<PlanNode>> SelectPlanner::BuildJoinTreeDp() {
   // System-R-style left-deep dynamic programming over table subsets, scored
-  // by ImplCost. Cross joins are admitted only when a subset has no
-  // connected extension.
-  const size_t n = inputs.size();
-  struct State {
-    std::unique_ptr<PlanNode> plan;
-    double rows = 0;
-    double cost = 0;
-    bool valid = false;
-  };
-  std::vector<State> best(size_t{1} << n);
+  // by PriceJoin. Cross joins are admitted only when a subset has no
+  // connected extension. Only the winning plan is ever built.
+  const size_t n = bound_.size();
+  std::vector<DpState> best(size_t{1} << n);
   for (size_t t = 0; t < n; ++t) {
-    State& s = best[size_t{1} << t];
-    s.plan = ClonePlan(*inputs[t].plan);
-    s.rows = inputs[t].rows;
-    s.cost = ImplCost(*s.plan);
-    s.valid = true;
+    DpState& s = best[size_t{1} << t];
+    s.side = access_sides_[t];
+    s.last = static_cast<int>(t);
   }
 
-  // Predicates connecting table t to any table in `mask`.
-  auto preds_between = [&](size_t mask, size_t t) {
-    std::vector<const Predicate*> preds;
-    for (const JoinPred& jp : join_preds_) {
-      const bool lhs_in = (mask >> jp.lhs_table) & 1;
-      const bool rhs_in = (mask >> jp.rhs_table) & 1;
-      if ((lhs_in && jp.rhs_table == t) || (rhs_in && jp.lhs_table == t)) {
-        preds.push_back(jp.pred);
-      }
-    }
-    return preds;
-  };
-
+  std::vector<size_t> preds;
+  JoinPrice price;
   for (size_t mask = 1; mask < best.size(); ++mask) {
     if (__builtin_popcountll(mask) < 2) continue;
+    DpState& s = best[mask];
     // First pass: connected extensions only; second pass admits cross joins
     // if the subset would otherwise be unreachable.
     for (const bool allow_cross : {false, true}) {
-      if (allow_cross && best[mask].valid) break;
+      if (allow_cross && s.last >= 0) break;
       for (size_t t = 0; t < n; ++t) {
         if (!((mask >> t) & 1)) continue;
         const size_t rest = mask & ~(size_t{1} << t);
-        if (!best[rest].valid) continue;
-        std::vector<const Predicate*> preds = preds_between(rest, t);
+        if (best[rest].last < 0) continue;
+        ConnectingPreds(t, [rest](size_t u) { return ((rest >> u) & 1) != 0; }, &preds);
         if (preds.empty() && !allow_cross) continue;
 
-        JoinInput left;
-        left.plan = ClonePlan(*best[rest].plan);
-        left.rows = best[rest].rows;
-        for (size_t u = 0; u < n; ++u) {
-          if ((rest >> u) & 1) left.tables.insert(u);
-        }
-        JoinInput right;
-        right.plan = ClonePlan(*inputs[t].plan);
-        right.rows = inputs[t].rows;
-        right.tables = {t};
-
-        DBLAYOUT_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> joined,
-                                  MakeJoin(&left, &right, preds));
-        const double cost = ImplCost(*joined);
-        State& s = best[mask];
-        if (!s.valid || cost < s.cost) {
-          s.rows = joined->out_rows;
-          s.plan = std::move(joined);
-          s.cost = cost;
-          s.valid = true;
+        PriceJoin(best[rest].side, t, preds, &price);
+#if DBLAYOUT_DCHECK_IS_ON()
+        AuditPrice(*BuildChain(best, rest), t, preds, price);
+#endif
+        if (s.last < 0 || price.out.cost < s.side.cost) {
+          s.side = price.out;
+          s.last = static_cast<int>(t);
         }
       }
     }
-    if (!best[mask].valid && mask + 1 == best.size()) {
+    if (s.last < 0 && mask + 1 == best.size()) {
       return Status::Internal("join enumeration failed to cover all tables");
     }
   }
-  return std::move(best.back().plan);
+  std::unique_ptr<PlanNode> plan = BuildChain(best, best.size() - 1);
+  DBLAYOUT_DCHECK_EQ(ImplCost(*plan), best.back().side.cost);
+  return plan;
 }
 
-Result<std::unique_ptr<PlanNode>> SelectPlanner::BuildJoinTreeGreedy(
-    std::vector<JoinInput> inputs) {
+std::unique_ptr<PlanNode> SelectPlanner::BuildChain(const std::vector<DpState>& best,
+                                                    size_t mask) {
+  std::vector<size_t> order;  // last-joined table first
+  for (size_t m = mask; m != 0;) {
+    const auto t = static_cast<size_t>(best[m].last);
+    order.push_back(t);
+    m &= ~(size_t{1} << t);
+  }
+  size_t joined = size_t{1} << order.back();
+  std::unique_ptr<PlanNode> plan = ClonePlan(*access_paths_[order.back()]);
+  std::vector<size_t> preds;
+  JoinPrice price;
+  for (size_t k = order.size() - 1; k-- > 0;) {
+    const size_t t = order[k];
+    ConnectingPreds(t, [joined](size_t u) { return ((joined >> u) & 1) != 0; }, &preds);
+    PriceJoin(best[joined].side, t, preds, &price);
+    plan = BuildJoin(std::move(plan), t, preds, price, price.impl);
+    joined |= size_t{1} << t;
+  }
+  return plan;
+}
+
+std::unique_ptr<PlanNode> SelectPlanner::BuildJoinTreeGreedy() {
   // Greedy left-deep enumeration: start from the smallest input; repeatedly
   // add the connected table minimizing the estimated result size. Tables
   // with no join edge are cross-joined last.
+  const size_t n = bound_.size();
   size_t start = 0;
-  for (size_t i = 1; i < inputs.size(); ++i) {
-    if (inputs[i].rows < inputs[start].rows) start = i;
+  for (size_t i = 1; i < n; ++i) {
+    if (access_sides_[i].rows < access_sides_[start].rows) start = i;
   }
-  JoinInput current = std::move(inputs[start]);
-  std::vector<bool> used(inputs.size(), false);
+  std::unique_ptr<PlanNode> plan = ClonePlan(*access_paths_[start]);
+  JoinSide current = access_sides_[start];
+  std::vector<bool> used(n, false);
   used[start] = true;
+  auto in_current = [&used](size_t u) -> bool { return used[u]; };
 
-  for (size_t step = 1; step < inputs.size(); ++step) {
+  std::vector<size_t> preds;
+  std::vector<size_t> best_preds;
+  JoinPrice price;
+  for (size_t step = 1; step < n; ++step) {
     // Find the best next input.
     double best_rows = std::numeric_limits<double>::infinity();
-    size_t best_i = inputs.size();
+    size_t best_i = n;
     bool best_connected = false;
-    std::vector<const Predicate*> best_preds;
-    for (size_t i = 0; i < inputs.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       if (used[i]) continue;
-      std::vector<const Predicate*> preds;
+      ConnectingPreds(i, in_current, &preds);
       double sel = 1.0;
-      for (const JoinPred& jp : join_preds_) {
-        const bool connects =
-            (current.tables.count(jp.lhs_table) > 0 && inputs[i].tables.count(jp.rhs_table) > 0) ||
-            (current.tables.count(jp.rhs_table) > 0 && inputs[i].tables.count(jp.lhs_table) > 0);
-        if (!connects) continue;
-        preds.push_back(jp.pred);
-        sel *= jp.pred->op == CompareOp::kEq
-                   ? JoinSelectivity(jp.lhs_col->distinct_count, jp.rhs_col->distinct_count)
-                   : kDefaultRangeSelectivity;
-      }
+      for (size_t p : preds) sel *= join_preds_[p].sel;
       const bool connected = !preds.empty();
-      const double est = current.rows * inputs[i].rows * sel;
+      const double est = current.rows * access_sides_[i].rows * sel;
       // Prefer connected joins over cross products regardless of size.
       if ((connected && !best_connected) ||
           (connected == best_connected && est < best_rows)) {
         best_rows = est;
         best_i = i;
         best_connected = connected;
-        best_preds = std::move(preds);
+        best_preds.swap(preds);
       }
     }
-    DBLAYOUT_CHECK(best_i < inputs.size());
-    DBLAYOUT_ASSIGN_OR_RETURN(
-        std::unique_ptr<PlanNode> joined,
-        MakeJoin(&current, &inputs[best_i], best_preds));
-    current.rows = joined->out_rows;
-    current.plan = std::move(joined);
-    for (size_t t : inputs[best_i].tables) current.tables.insert(t);
+    DBLAYOUT_CHECK(best_i < n);
+    PriceJoin(current, best_i, best_preds, &price);
+    AuditPrice(*plan, best_i, best_preds, price);
+    plan = BuildJoin(std::move(plan), best_i, best_preds, price, price.impl);
+    current = price.out;
     used[best_i] = true;
   }
-  return std::move(current.plan);
+  return plan;
 }
 
 std::unique_ptr<PlanNode> SelectPlanner::AddAggregation(

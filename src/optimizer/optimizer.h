@@ -7,11 +7,21 @@
 // Design notes:
 //  - Access paths: heap/clustered scan, clustered-index seek, non-clustered
 //    index seek + RID lookup, chosen by estimated block cost.
-//  - Join order: greedy smallest-intermediate-result, left-deep.
+//  - Join order: left-deep dynamic programming over table subsets (System R)
+//    for up to OptimizerOptions::dp_join_table_limit tables; cross joins
+//    only when a subset has no connected extension. Longer FROM lists fall
+//    back to a greedy smallest-intermediate-result left-deep order.
+//  - Join pricing: each extension is priced, not built. The DP keeps one
+//    small state per subset (rows, cost, first sort key, the plan's
+//    (object, blocks) leaves, the table joined last), prices merge,
+//    index-NL and hash alternatives from it with the same sums a
+//    System-R-style cost function takes over the built tree, and builds
+//    only the winning chain at the end. The greedy path prices the same way.
 //  - Join algorithms: merge join when both inputs arrive sorted on the join
-//    key (the common TPC-H case with clustered PKs), index nested loops when
-//    the inner has a usable index and the outer is small, hash join
-//    otherwise (build = smaller input).
+//    key (the common TPC-H case with clustered PKs; otherwise with explicit
+//    Sorts when that is cheaper), index nested loops when the inner has a
+//    usable index and the outer is small, hash join otherwise (build =
+//    smaller input), chosen by cost.
 //  - Blocking operators (Sort, Hash Aggregate, hash-join build boundaries)
 //    are what the workload analyzer cuts at.
 

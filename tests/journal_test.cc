@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "layout/search.h"
 #include "obs/journal.h"
@@ -213,6 +217,38 @@ TEST(JournalTest, ValueSerializationIsDeterministicJson) {
     const std::string s = obs::JsonDouble(v);
     EXPECT_EQ(std::stod(s), v) << s;
   }
+}
+
+// Bench records carry case names and SQL text verbatim; a tab, CR or other
+// control character must come out escaped, or BENCH_*.json is invalid JSON.
+TEST(BenchJsonTest, ControlCharactersInNamesAreEscaped) {
+  const std::string name = "q1\tfilter\r\x01";
+  const std::string sql = "SELECT *\tFROM t\r\nWHERE a = 1";
+  const std::filesystem::path dir = testing::TempDir() + "/bench_json_escaping";
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  std::filesystem::current_path(dir);
+  bench::BenchJson bench("ctl");
+  bench.Add(name, {{"sql", obs::JsonString(sql)}});
+  bench.Write();
+  std::filesystem::current_path(cwd);
+
+  std::ifstream in(dir / "BENCH_ctl.json");
+  std::stringstream text;
+  text << in.rdbuf();
+  std::filesystem::remove_all(dir);
+  const std::string json = text.str();
+  ASSERT_FALSE(json.empty());
+  for (size_t i = 0; i + 1 < json.size(); ++i) {
+    EXPECT_GE(static_cast<unsigned char>(json[i]), 0x20) << "raw control byte at " << i;
+  }
+  auto parsed = obs::ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const obs::JsonValue* records = parsed->Find("records");
+  ASSERT_NE(records, nullptr);
+  ASSERT_EQ(records->array().size(), 1u);
+  EXPECT_EQ(records->array()[0].StringOr("case", ""), name);
+  EXPECT_EQ(records->array()[0].StringOr("sql", ""), sql);
 }
 
 TEST(JournalTest, AppendIsThreadSafeAndCounts) {

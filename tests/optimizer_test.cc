@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <set>
 
@@ -426,6 +427,79 @@ TEST(OptimizerTest, NestedSubqueriesFlatten) {
   EXPECT_TRUE(names.count("dim"));
   EXPECT_TRUE(names.count("fact"));
   EXPECT_TRUE(names.count("big2"));
+}
+
+/// Thirteen tables w0..w12 for FROM lists at and past the DP join limit
+/// (OptimizerOptions::dp_join_table_limit = 12). w<i> is clustered on
+/// w<i>_key and w<i>_next references w<i+1>_key; sizes vary from 500 to
+/// 32k rows so merge, index nested-loops and hash joins all compete, and
+/// w4_next carries a non-clustered index.
+Database MakeWideDb() {
+  Database db("widedb");
+  auto rows_of = [](int i) { return int64_t{500} << (i * 5 % 7); };
+  for (int i = 0; i < 13; ++i) {
+    const std::string w = "w" + std::to_string(i);
+    Table t;
+    t.name = w;
+    t.row_count = rows_of(i);
+    t.columns = {MakeKey(w + "_key", rows_of(i)), MakeKey(w + "_next", rows_of(i + 1)),
+                 MakeNum(w + "_val", 0, 100, 100)};
+    t.clustered_key = {w + "_key"};
+    EXPECT_TRUE(db.AddTable(t).ok());
+  }
+  EXPECT_TRUE(db.AddIndex(Index{"ix_w4_next", "w4", {"w4_next"}, false}).ok());
+  return db;
+}
+
+/// SELECT over w0..w<tables-1>: the w0..w11 chain of equi-joins, one
+/// non-equi join (w2_val < w5_val) and a filter on w0. A 13th table has no
+/// join predicate, so it can only be cross-joined.
+std::string WideJoinSql(int tables) {
+  std::string from;
+  std::string where = "w0_val < 5 AND w2_val < w5_val";
+  for (int i = 0; i < tables; ++i) {
+    from += (i > 0 ? ", w" : "w") + std::to_string(i);
+    if (i > 0 && i < 12) {
+      where += " AND w" + std::to_string(i - 1) + "_next = w" + std::to_string(i) + "_key";
+    }
+  }
+  return "SELECT COUNT(*) FROM " + from + " WHERE " + where;
+}
+
+/// Plans the wide join over `tables` tables and checks the plan reads every
+/// table, joins them with tables-1 join operators, and carries finite
+/// estimates throughout.
+void ExpectWideJoinPlansEveryTable(int tables) {
+  Database db = MakeWideDb();
+  auto plan = PlanFor(db, WideJoinSql(tables));
+  ASSERT_NE(plan, nullptr);
+  std::set<int> objects;
+  int joins = 0;
+  std::function<void(const PlanNode&)> walk = [&](const PlanNode& n) {
+    EXPECT_TRUE(std::isfinite(n.out_rows)) << PlanOpName(n.op);
+    EXPECT_TRUE(std::isfinite(n.blocks_accessed)) << PlanOpName(n.op);
+    if (n.object_id >= 0 && n.blocks_accessed > 0) objects.insert(n.object_id);
+    if (n.op == PlanOp::kMergeJoin || n.op == PlanOp::kNestedLoopsJoin ||
+        n.op == PlanOp::kHashJoin) {
+      ++joins;
+    }
+    for (const auto& c : n.children) walk(*c);
+  };
+  walk(*plan);
+  for (int i = 0; i < tables; ++i) {
+    EXPECT_EQ(objects.count(db.ObjectIdOfTable("w" + std::to_string(i)).value()), 1u)
+        << "w" << i << " missing from\n" << ExplainPlan(*plan);
+  }
+  EXPECT_EQ(joins, tables - 1) << ExplainPlan(*plan);
+  EXPECT_GT(plan->out_rows, 0);
+}
+
+TEST(OptimizerTest, TwelveTableJoinPlansEveryTableWithDp) {
+  ExpectWideJoinPlansEveryTable(12);
+}
+
+TEST(OptimizerTest, ThirteenTableJoinPlansEveryTableGreedily) {
+  ExpectWideJoinPlansEveryTable(13);
 }
 
 TEST(PlanTest, BlockingOps) {
