@@ -1,0 +1,209 @@
+// Search-identity golden: TS-GREEDY runs over the benchmark workloads with
+// an in-memory decision journal, hashed and compared against
+// tests/testdata/search_digests.txt. The journal holds every candidate's
+// exact score, every reject with its reason and every accept/reject
+// decision, so any change to enumeration, pruning, scoring arithmetic or
+// tie-breaking shows up as a digest mismatch; the result's cost and layout
+// matrix are recorded as hex floats next to it. Every case runs at 1 and 4
+// scoring threads against the same golden lines.
+//
+// Regenerate (only when a search change is intended):
+//   SEARCH_DIGEST_UPDATE_GOLDEN=1 build/tests/dblayout_tests --gtest_filter='SearchDigestTest.*'
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include "benchdata/sales.h"
+#include "benchdata/tpch.h"
+#include "layout/search.h"
+#include "obs/journal.h"
+#include "workload/analyzer.h"
+
+namespace dblayout {
+namespace {
+
+/// 64-bit FNV-1a.
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = 14695981039346656037ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::string Hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+std::string GoldenPath() {
+  return std::string(DBLAYOUT_TESTDATA_DIR) + "/search_digests.txt";
+}
+
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty()) lines.push_back(line);
+  }
+  return lines;
+}
+
+/// One search run rendered as golden lines, plus its journal for the
+/// coverage checks.
+struct Rendered {
+  std::vector<std::string> lines;
+  std::string journal;
+};
+
+Rendered RunSearch(const std::string& name, const Database& db,
+                   const DiskFleet& fleet, const WorkloadProfile& profile,
+                   const ResolvedConstraints& rc, int threads) {
+  obs::EventJournal journal;
+  SearchOptions options;
+  options.num_threads = threads;
+  options.journal = &journal;
+  Result<SearchResult> r = TsGreedySearch(db, fleet, options).Run(profile, rc);
+  EXPECT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+  Rendered out;
+  if (!r.ok()) return out;
+  out.journal = journal.Serialize();
+  char digest[17];
+  std::snprintf(digest, sizeof(digest), "%016llx",
+                static_cast<unsigned long long>(Fnv1a(out.journal)));
+  out.lines.push_back(name + " journal " + digest);
+  out.lines.push_back(name + " result cost=" + Hex(r->cost) +
+                      " iterations=" + std::to_string(r->greedy_iterations) +
+                      " layouts_evaluated=" + std::to_string(r->layouts_evaluated) +
+                      " delta_evals=" + std::to_string(r->telemetry.delta_evals));
+  for (int i = 0; i < r->layout.num_objects(); ++i) {
+    std::string row = name + " row " + std::to_string(i);
+    for (int j = 0; j < r->layout.num_disks(); ++j) row += " " + Hex(r->layout.x(i, j));
+    out.lines.push_back(std::move(row));
+  }
+  return out;
+}
+
+/// Runs the case at 1 and 4 threads, requires identical renderings, and
+/// compares them with the golden lines prefixed "<name> ". With
+/// SEARCH_DIGEST_UPDATE_GOLDEN set, rewrites this case's lines instead.
+/// Returns the 1-thread journal.
+std::string CheckCase(const std::string& name, const Database& db,
+                      const DiskFleet& fleet, const WorkloadProfile& profile,
+                      const ResolvedConstraints& rc) {
+  const Rendered one = RunSearch(name, db, fleet, profile, rc, 1);
+  const Rendered four = RunSearch(name, db, fleet, profile, rc, 4);
+  EXPECT_EQ(one.lines, four.lines) << name << ": 1 vs 4 scoring threads";
+
+  const std::string prefix = name + " ";
+  std::vector<std::string> golden = ReadLines(GoldenPath());
+  if (std::getenv("SEARCH_DIGEST_UPDATE_GOLDEN") != nullptr) {
+    std::vector<std::string> kept;
+    for (const std::string& line : golden) {
+      if (line.compare(0, prefix.size(), prefix) != 0) kept.push_back(line);
+    }
+    kept.insert(kept.end(), one.lines.begin(), one.lines.end());
+    std::ofstream out(GoldenPath());
+    for (const std::string& line : kept) out << line << '\n';
+    EXPECT_TRUE(out.good()) << "failed to regenerate " << GoldenPath();
+    return one.journal;
+  }
+
+  std::vector<std::string> expected;
+  for (const std::string& line : golden) {
+    if (line.compare(0, prefix.size(), prefix) == 0) expected.push_back(line);
+  }
+  EXPECT_EQ(expected.size(), one.lines.size())
+      << "golden " << GoldenPath() << " has " << expected.size() << " " << name
+      << " lines (run with SEARCH_DIGEST_UPDATE_GOLDEN=1 to create)";
+  for (size_t i = 0; i < std::min(expected.size(), one.lines.size()); ++i) {
+    EXPECT_EQ(expected[i], one.lines[i]) << "search changed for " << name;
+  }
+  return one.journal;
+}
+
+WorkloadProfile Analyze(const Database& db, const Result<Workload>& wl) {
+  EXPECT_TRUE(wl.ok()) << wl.status().ToString();
+  Result<WorkloadProfile> profile = AnalyzeWorkload(db, wl.value());
+  EXPECT_TRUE(profile.ok()) << profile.status().ToString();
+  return std::move(profile).value();
+}
+
+ResolvedConstraints Resolve(const Constraints& c, const Database& db,
+                            const DiskFleet& fleet) {
+  Result<ResolvedConstraints> rc = ResolveConstraints(c, db, fleet);
+  EXPECT_TRUE(rc.ok()) << rc.status().ToString();
+  return std::move(rc).value();
+}
+
+bool Contains(const std::string& haystack, const std::string& needle) {
+  return haystack.find(needle) != std::string::npos;
+}
+
+TEST(SearchDigestTest, Tpch22) {
+  const Database db = benchdata::MakeTpchDatabase();
+  const DiskFleet fleet = DiskFleet::Heterogeneous(8, 0.3, 42);
+  const WorkloadProfile profile = Analyze(db, benchdata::MakeTpch22Workload(db, 1));
+  CheckCase("tpch22", db, fleet, profile, Resolve({}, db, fleet));
+}
+
+TEST(SearchDigestTest, Sales45) {
+  const Database db = benchdata::MakeSalesDatabase();
+  const DiskFleet fleet = DiskFleet::Heterogeneous(8, 0.3, 42);
+  const WorkloadProfile profile =
+      Analyze(db, benchdata::MakeSales45Workload(db, 11));
+  CheckCase("sales45", db, fleet, profile, Resolve({}, db, fleet));
+}
+
+TEST(SearchDigestTest, Qgen88OnTpch1g4) {
+  const Database db = benchdata::MakeTpchDatabase(1.0, 4);
+  const DiskFleet fleet = DiskFleet::Heterogeneous(16, 0.3, 42);
+  const WorkloadProfile profile =
+      Analyze(db, benchdata::MakeTpchQgenWorkload(db, 88, 4, 3));
+  CheckCase("qgen88", db, fleet, profile, Resolve({}, db, fleet));
+}
+
+// Co-location, an availability requirement on RAID drives, and a movement
+// budget from a full-striping current layout small enough that the search
+// switches to migration and the budget rejects candidates.
+TEST(SearchDigestTest, ConstrainedTpch22) {
+  const Database db = benchdata::MakeTpchDatabase();
+  DiskFleet fleet = DiskFleet::Heterogeneous(8, 0.3, 42);
+  for (int j = 4; j < 8; ++j) {
+    fleet.disk(j).avail = j < 6 ? Availability::kMirroring : Availability::kParity;
+  }
+  const WorkloadProfile profile = Analyze(db, benchdata::MakeTpch22Workload(db, 1));
+  const Layout current =
+      Layout::FullStriping(static_cast<int>(db.Objects().size()), fleet);
+  Constraints c;
+  c.co_located = {{"part", "partsupp"}};
+  c.avail_requirements = {{"orders", Availability::kMirroring}};
+  c.max_movement_fraction = 0.3;
+  c.current_layout = &current;
+  const std::string journal =
+      CheckCase("constrained", db, fleet, profile, Resolve(c, db, fleet));
+  EXPECT_TRUE(Contains(journal, R"("phase":"migrate")"));
+  EXPECT_TRUE(Contains(journal, R"("reason":"movement_budget")"));
+}
+
+// Drives small enough that widening moves overflow them.
+TEST(SearchDigestTest, TightFleetTpch22) {
+  const Database db = benchdata::MakeTpchDatabase();
+  const DiskFleet fleet = DiskFleet::Heterogeneous(8, 0.3, 42, 0.25);
+  const WorkloadProfile profile = Analyze(db, benchdata::MakeTpch22Workload(db, 1));
+  const std::string journal =
+      CheckCase("tight", db, fleet, profile, Resolve({}, db, fleet));
+  EXPECT_TRUE(Contains(journal, R"("reason":"capacity")"));
+}
+
+}  // namespace
+}  // namespace dblayout
