@@ -6,12 +6,16 @@
 // candidate set (every object widened by one drive from full striping):
 //   full      — CostModel::WorkloadCost on a materialized candidate layout
 //   delta     — LayoutEvaluator::ScoreProportionalMove, 1 thread
-//   parallel  — same scoring fanned out over the shared pool
+//   parallel  — same scoring fanned out over the shared pool; the "par2" and
+//               "par8" columns request 2 and 8 threads, and the header and
+//               BENCH_eval.json (par2_threads, par8_threads) record the
+//               parallelism the pool actually gave them
 // Delta totals must be bit-identical to the full recomputation (that is the
 // evaluator's contract), so the speedup column is a pure wall-clock story.
 // A final case runs the whole TS-GREEDY search with 1 and 8 scoring threads
 // and checks the results are identical.
 
+#include <algorithm>
 #include <cmath>
 
 #include "bench/bench_util.h"
@@ -61,12 +65,22 @@ std::vector<Candidate> WidenByOneCandidates(const Layout& layout, int m) {
   return cands;
 }
 
+/// Requested scoring-thread counts of the two parallel columns, and the
+/// parallelism each one actually gets: the search clamps to the shared
+/// pool's workers plus the calling thread, so on a 4-core host "par8" runs
+/// 4 threads.
+constexpr int kParThreads[2] = {2, 8};
+
+int EffectiveThreads(int requested) {
+  return std::max(1, std::min(requested, ThreadPool::Shared().num_workers() + 1));
+}
+
 struct CaseResult {
   size_t candidates = 0;
   int subplans = 0;
   double full_s = 0;
   double delta_s = 0;
-  double par_s[2] = {0, 0};  // 2 and 8 threads
+  double par_s[2] = {0, 0};  // kParThreads
   double max_abs_diff = 0;   // full vs delta totals (must be 0)
 };
 
@@ -122,11 +136,8 @@ CaseResult RunCase(const Database& db, const DiskFleet& fleet,
   }
 
   // Parallel delta scoring across the shared pool.
-  const int thread_counts[2] = {2, 8};
   for (int t = 0; t < 2; ++t) {
-    const int threads = thread_counts[t];
-    const int parallelism = std::max(
-        1, std::min(threads, ThreadPool::Shared().num_workers() + 1));
+    const int parallelism = EffectiveThreads(kParThreads[t]);
     std::vector<LayoutEvaluator::Scratch> scratches(
         static_cast<size_t>(parallelism));
     r.par_s[t] = TimeSeconds([&] {
@@ -176,9 +187,12 @@ int main() {
 
   BenchJson json("eval");
   std::vector<std::vector<std::string>> rows;
+  const int par_threads[2] = {EffectiveThreads(kParThreads[0]),
+                              EffectiveThreads(kParThreads[1])};
   rows.push_back({"workload", "cands", "subplans", "full(ms)", "delta(ms)",
-                  "par2(ms)", "par8(ms)", "delta speedup", "par8 speedup",
-                  "max |full-delta|"});
+                  StrFormat("par2 [%d thr](ms)", par_threads[0]),
+                  StrFormat("par8 [%d thr](ms)", par_threads[1]),
+                  "delta speedup", "par8 speedup", "max |full-delta|"});
 
   struct Case {
     const char* name;
@@ -203,7 +217,9 @@ int main() {
               {"full_s", StrFormat("%.6f", r.full_s)},
               {"delta_s", StrFormat("%.6f", r.delta_s)},
               {"par2_s", StrFormat("%.6f", r.par_s[0])},
+              {"par2_threads", StrFormat("%d", par_threads[0])},
               {"par8_s", StrFormat("%.6f", r.par_s[1])},
+              {"par8_threads", StrFormat("%d", par_threads[1])},
               {"delta_speedup", StrFormat("%.2f", delta_speedup)},
               {"par8_speedup", StrFormat("%.2f", par8_speedup)},
               {"max_abs_diff", StrFormat("%.6g", r.max_abs_diff)}});

@@ -10,21 +10,45 @@
 // its inverted-index entry; every other cached sub-plan cost is still exact.
 // The LayoutEvaluator exploits this: it binds to one (profile, fleet) pair,
 // caches the per-sub-plan costs of the current layout, and scores a
-// candidate move by re-costing only the affected sub-plans and re-summing
-// the totals in the *same association order* as CostModel::WorkloadCost.
-// Because CostModel::SubplanCost is a pure function and the summation order
-// is identical, a delta-scored total is bit-identical to a full
-// recomputation of the candidate — which is what makes the greedy search's
-// results independent of whether the delta path, the full path, or parallel
-// scoring produced them. CostModel stays the thin ground-truth oracle: the
-// evaluator calls it per sub-plan and is DCHECK-audited against a
-// from-scratch recomputation (InvariantAuditor::AuditWorkloadTotal) after
-// every committed move.
+// candidate move by re-costing only the affected sub-plans. CostModel stays
+// the thin ground-truth oracle: the evaluator calls it per sub-plan and is
+// DCHECK-audited against a from-scratch recomputation
+// (InvariantAuditor::AuditWorkloadTotal) after every committed move.
 //
-// Thread model: Score* methods are const, touch shared state only read-only,
-// and confine all mutation to a caller-provided Scratch — one Scratch per
-// worker makes concurrent scoring of disjoint candidates race-free. The
-// staged Delta*/Commit/Revert mutation API is single-threaded.
+// Per-statement fold. The evaluator also caches each statement's weighted
+// term, w_Q * (sum of its sub-plan costs), for the bound layout. A candidate
+// re-folds only the statements that contain an affected sub-plan — their
+// sub-plan costs summed left to right, then multiplied by the weight — and
+// adds every statement's term to a running total in statement order,
+// reusing the cached term of each unaffected statement. That is exactly
+// CostModel::WorkloadCost's association order, and a cached term is the
+// same product WorkloadCost would compute, so with CostModel::SubplanCost
+// pure a scored total is bit-identical to a full recomputation of the
+// candidate — which is what makes the greedy search's results independent
+// of whether the delta path, the full path, the memo, or parallel scoring
+// produced them. (The build pins -ffp-contract=off: a fused multiply-add
+// would round the cached term and the recomputed one differently.)
+//
+// Score memo. A caller that scores the same candidate move again after other
+// moves were committed can pass a Memo: the candidate's re-costed sub-plan
+// costs, kept across Commits. Commit() bumps a per-object generation for
+// every object of every sub-plan it re-costs, so a Memo filled at generation
+// G for moving objects O is reused only if no object of O has a later
+// generation — i.e. no Commit since G re-costed a sub-plan containing an
+// object of O. The inputs of each memoized cost (the rows of its sub-plan's
+// objects, O at the candidate's rows) have then not moved, so the cost is
+// exactly what SubplanCost would return now. DCHECK builds re-cost every
+// memo hit and require each cost and the total to match bit for bit. A hit
+// still counts one delta evaluation; `evaluator/memo_hits` counts the hits
+// and `evaluator/subplans_recosted` only real re-costs. The caller keys its
+// memos so that one Memo always stands for the same candidate rows.
+//
+// Thread model: Score* methods are const, touch shared state only read-only
+// (memo freshness reads the generations, which only Bind/Commit write),
+// and confine all mutation to a caller-provided Scratch and Memo — one
+// Scratch per worker and one Memo slot per candidate make concurrent
+// scoring of disjoint candidates race-free. The staged Delta*/Commit/Revert
+// mutation API is single-threaded.
 
 #ifndef DBLAYOUT_LAYOUT_EVALUATOR_H_
 #define DBLAYOUT_LAYOUT_EVALUATOR_H_
@@ -56,9 +80,17 @@ class LayoutEvaluator {
     Layout layout;
     std::vector<double> override_cost;  ///< per flat sub-plan, current epoch
     std::vector<int64_t> stamp;         ///< epoch that wrote override_cost
+    std::vector<int64_t> statement_stamp;  ///< epoch that affected a statement
     int64_t epoch = 0;
     std::vector<int32_t> affected;      ///< flat ids touched by this score
     std::vector<double> saved_rows;     ///< row backup while scoring
+  };
+
+  /// One candidate move's re-costed sub-plan costs, owned by the caller and
+  /// kept across Commits (see the header comment). A default Memo is empty.
+  struct Memo {
+    int64_t generation = -1;    ///< Bind/Commit count when `costs` was filled
+    std::vector<double> costs;  ///< per affected sub-plan, inverted-index order
   };
 
   /// Full recomputation: copies `layout`, re-costs every sub-plan through
@@ -82,6 +114,11 @@ class LayoutEvaluator {
 
   Scratch MakeScratch() const;
 
+  /// An empty Memo for moves of `objects` with its cost storage already
+  /// sized, so filling it allocates nothing: scoring workers then never
+  /// touch the heap for memos.
+  Memo MakeMemo(const std::vector<int>& objects) const;
+
   // -- Thread-safe candidate scoring -----------------------------------------
   // Pure w.r.t. the evaluator: the candidate is "the bound layout with every
   // object of `objects` re-assigned", applied inside `scratch` and undone
@@ -89,9 +126,12 @@ class LayoutEvaluator {
 
   /// Candidate rows: every object of `objects` assigned proportionally
   /// across `disks` (Layout::AssignProportional arithmetic, bit-identical).
+  /// With a `memo`, reuses its costs when still fresh and refills it
+  /// otherwise; the caller must pass the same Memo only for the same
+  /// (objects, disks).
   double ScoreProportionalMove(const std::vector<int>& objects,
-                               const std::vector<int>& disks,
-                               Scratch* scratch) const;
+                               const std::vector<int>& disks, Scratch* scratch,
+                               Memo* memo = nullptr) const;
 
   /// Candidate rows: every object of `objects` takes its row from `rows`
   /// (used by migration toward a target layout).
@@ -144,20 +184,30 @@ class LayoutEvaluator {
   /// order.
   struct FlatSubplan {
     const SubplanAccess* subplan = nullptr;
+    int32_t statement = 0;  ///< index into statements_
   };
   /// One statement's weight and its contiguous span in flat_ order.
   struct StatementSpan {
     double weight = 1.0;
-    int count = 0;
+    int32_t begin = 0;
+    int32_t count = 0;
   };
 
-  /// Applies rows via `apply`, re-costs affected sub-plans into `scratch`,
-  /// and returns the candidate total summed in WorkloadCost order. When
-  /// `restore` is true, the scratch layout is put back before returning;
-  /// the staging path passes false so it can capture the applied rows first.
+  /// Scores one candidate: stamps the affected sub-plans and statements of
+  /// `objects`, takes their costs from a fresh `memo` or re-costs them with
+  /// the rows `apply` writes (refilling `memo` when given), and returns the
+  /// per-statement fold. Every path — memo hit or miss, parallel scoring,
+  /// staging — goes through here. When `restore` is true, the scratch
+  /// layout is put back before returning; the staging path passes false so
+  /// it can capture the applied rows first.
   template <typename ApplyFn>
   double ScoreCore(const std::vector<int>& objects, const ApplyFn& apply,
-                   Scratch* scratch, bool restore) const;
+                   Scratch* scratch, bool restore, Memo* memo) const;
+
+  /// Backs up `scratch`'s rows for `objects`, then applies the candidate's.
+  template <typename ApplyFn>
+  void ApplyScratchRows(const std::vector<int>& objects, const ApplyFn& apply,
+                        Scratch* scratch) const;
 
   /// Puts `scratch`'s rows for `objects` back from its saved_rows backup.
   void RestoreScratchRows(const std::vector<int>& objects, Scratch* scratch) const;
@@ -167,10 +217,19 @@ class LayoutEvaluator {
   template <typename ApplyFn>
   double DeltaCore(const std::vector<int>& objects, const ApplyFn& apply);
 
-  /// Total over the cached per-sub-plan costs, in WorkloadCost's exact
-  /// association order; `scratch` (optional) substitutes current-epoch
-  /// overrides.
-  double SumTotal(const Scratch* scratch) const;
+  /// True when no Commit since `memo` was filled re-costed a sub-plan that
+  /// contains an object of `objects`.
+  bool MemoFresh(const Memo& memo, const std::vector<int>& objects) const;
+
+  /// Statement `st`'s weighted term, w * (its sub-plan costs summed left to
+  /// right); `scratch` (optional) substitutes current-epoch overrides.
+  double StatementTerm(size_t st, const Scratch* scratch) const;
+
+  /// Workload total: statement terms added left to right in statement
+  /// order, re-folding the statements `scratch` stamped (optional) and
+  /// reusing the cached terms of the rest — WorkloadCost's exact
+  /// association order.
+  double FoldTotal(const Scratch* scratch) const;
 
   /// Debug-build parity audit of total_ against a from-scratch §5
   /// recomputation.
@@ -185,8 +244,14 @@ class LayoutEvaluator {
 
   Layout layout_;                    ///< currently bound layout
   std::vector<double> subplan_cost_; ///< cached cost per flat sub-plan
+  std::vector<double> statement_term_;  ///< cached weighted term per statement
   double total_ = 0;
   bool bound_ = false;               ///< Bind() has been called
+
+  /// Memo clock: bumped by every Bind/Commit. object_generation_[o] is the
+  /// last generation that re-costed a sub-plan containing object o.
+  int64_t generation_ = 0;
+  std::vector<int64_t> object_generation_;
 
   // Staged move (Delta* -> Commit/Revert).
   mutable Scratch staging_;

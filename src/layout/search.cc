@@ -124,18 +124,18 @@ std::vector<double> FractionalUsed(const Layout& layout,
   return used;
 }
 
-/// The row Layout::AssignProportional(i, disks, fleet) writes, as a dense
-/// m-entry vector. The rate summation runs in the same order, so the
-/// fractions are bit-equal to applying the move to a layout copy.
-std::vector<double> ProportionalRow(const std::vector<int>& disks,
-                                    const DiskFleet& fleet, int m) {
+/// Writes the row Layout::AssignProportional(i, disks, fleet) writes into
+/// `row`, a dense m-entry buffer reused across candidates. The rate
+/// summation runs in the same order, so the fractions are bit-equal to
+/// applying the move to a layout copy.
+void ProportionalRow(const std::vector<int>& disks, const DiskFleet& fleet,
+                     std::vector<double>* row) {
   double total_rate = 0;
   for (int j : disks) total_rate += fleet.disk(j).read_mb_s;
-  std::vector<double> row(static_cast<size_t>(m), 0.0);
+  std::fill(row->begin(), row->end(), 0.0);
   for (int j : disks) {
-    row[static_cast<size_t>(j)] = fleet.disk(j).read_mb_s / total_rate;
+    (*row)[static_cast<size_t>(j)] = fleet.disk(j).read_mb_s / total_rate;
   }
-  return row;
 }
 
 /// Layout::DataMovementBlocks(from, base-with-`row`-substituted-for-the-
@@ -416,6 +416,40 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
 
   std::vector<double> used = FractionalUsed(layout, sizes);
 
+  // Per-group state of this call. The allowed drives and the jump targets
+  // depend only on the constraints and the fleet. The memos hold each
+  // candidate's re-costed sub-plan costs across iterations (see
+  // LayoutEvaluator::Memo), keyed by the candidate's ordinal in its group's
+  // enumeration: every consider_set call, rejected or not, in emission
+  // order. That order is a function of the group's current drives alone, so
+  // an ordinal names the same disk set until the group itself moves, which
+  // drops its memos.
+  struct GroupState {
+    std::vector<int> allowed;
+    /// The allowed drives ordered fastest sequential read first, and
+    /// smallest write penalty first (so write-hot objects can skip RAID 5
+    /// drives in a single move); jump moves take their prefixes.
+    std::vector<int> jump_orders[2];
+    std::vector<LayoutEvaluator::Memo> memos;
+  };
+  std::vector<GroupState> group_state(groups.size());
+  for (size_t gi = 0; gi < groups.size(); ++gi) {
+    GroupState& gs = group_state[gi];
+    gs.allowed = constraints.AllowedDisks(groups[gi], fleet_);
+    for (const bool write_friendly : {false, true}) {
+      std::vector<int>& order = gs.jump_orders[write_friendly ? 1 : 0];
+      order = gs.allowed;
+      std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+        const DiskDrive& da = fleet_.disk(a);
+        const DiskDrive& db = fleet_.disk(b);
+        if (write_friendly && da.WritePenalty() != db.WritePenalty()) {
+          return da.WritePenalty() < db.WritePenalty();
+        }
+        return da.read_mb_s > db.read_mb_s;
+      });
+    }
+  }
+
   // One candidate of one iteration: a whole group re-assigned to `disks`
   // (proportional fill). Enumeration and winner selection are sequential
   // and deterministic; only the scoring in between may run on the pool.
@@ -423,6 +457,7 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
     int group = 0;
     std::vector<int> disks;
     MoveKind kind = MoveKind::kWiden;
+    int ordinal = 0;  ///< index into the group's memos
   };
   std::vector<Candidate> cands;
   std::vector<double> costs;
@@ -430,6 +465,7 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
       1, std::min(options_.num_threads, ThreadPool::Shared().num_workers() + 1));
   std::vector<LayoutEvaluator::Scratch> scratches;
   std::vector<bool> in_group(db_.Objects().size(), false);
+  std::vector<double> row(static_cast<size_t>(m), 0.0);
 
   for (int iter = 0; iter < options_.max_greedy_iterations; ++iter) {
     DBLAYOUT_TRACE_SPAN("search/greedy_iteration");
@@ -447,31 +483,31 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
     cands.clear();
     for (int gi = 0; gi < static_cast<int>(groups.size()); ++gi) {
       const auto& group = groups[static_cast<size_t>(gi)];
+      GroupState& gs = group_state[static_cast<size_t>(gi)];
       const std::vector<int> current = base.DisksOf(group[0]);
-      const std::vector<int> allowed = constraints.AllowedDisks(group, fleet_);
       std::vector<int> extras;
-      for (int j : allowed) {
+      for (int j : gs.allowed) {
         if (std::find(current.begin(), current.end(), j) == current.end()) {
           extras.push_back(j);
         }
       }
       for (int i : group) in_group[static_cast<size_t>(i)] = true;
 
+      int ordinal = 0;
       auto consider_set = [&](const std::vector<int>& disk_set, MoveKind kind) {
-        const std::vector<double> row = ProportionalRow(disk_set, fleet_, m);
-        // Incremental fractional capacity check.
-        std::vector<double> cand_used = used;
-        for (int i : group) {
-          const double size = static_cast<double>(sizes[static_cast<size_t>(i)]);
-          for (int j = 0; j < m; ++j) {
-            cand_used[static_cast<size_t>(j)] +=
-                (row[static_cast<size_t>(j)] - base.x(i, j)) * size;
-          }
-        }
+        const int cand_ordinal = ordinal++;
+        ProportionalRow(disk_set, fleet_, &row);
+        // Incremental fractional capacity check, drive by drive: each
+        // drive's load adds the members' changes in group order, as
+        // applying the move to a copy of `used` would.
         for (int j = 0; j < m; ++j) {
-          if (cand_used[static_cast<size_t>(j)] >
-              static_cast<double>(fleet_.disk(j).capacity_blocks) *
-                  options_.capacity_margin) {
+          double drive_used = used[static_cast<size_t>(j)];
+          for (int i : group) {
+            drive_used += (row[static_cast<size_t>(j)] - base.x(i, j)) *
+                          static_cast<double>(sizes[static_cast<size_t>(i)]);
+          }
+          if (drive_used > static_cast<double>(fleet_.disk(j).capacity_blocks) *
+                               options_.capacity_margin) {
             ++telemetry.capacity_rejected;
             if (journal != nullptr) {
               journal->Append("reject",
@@ -501,7 +537,7 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
             return;
           }
         }
-        cands.push_back(Candidate{gi, disk_set, kind});
+        cands.push_back(Candidate{gi, disk_set, kind, cand_ordinal});
       };
       auto consider_add = [&](const std::vector<int>& add) {
         std::vector<int> wider = current;
@@ -513,26 +549,12 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
         ForEachSubsetUpToK(extras, options_.greedy_k, consider_add);
       }
       if (options_.consider_jump_moves) {
-        // Prefix jumps: any prefix of the allowed drives under two
-        // orderings — fastest sequential read first, and smallest write
-        // penalty first (so write-hot objects can skip RAID 5 drives in a
-        // single move).
-        for (const bool write_friendly : {false, true}) {
-          std::vector<int> order = allowed;
-          std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-            const DiskDrive& da = fleet_.disk(a);
-            const DiskDrive& db = fleet_.disk(b);
-            if (write_friendly && da.WritePenalty() != db.WritePenalty()) {
-              return da.WritePenalty() < db.WritePenalty();
-            }
-            return da.read_mb_s > db.read_mb_s;
-          });
+        // Prefix jumps: every prefix of either ordering, as a sorted set.
+        for (const std::vector<int>& order : gs.jump_orders) {
           std::vector<int> prefix;
           for (int j : order) {
-            prefix.push_back(j);
-            std::vector<int> sorted_prefix = prefix;
-            std::sort(sorted_prefix.begin(), sorted_prefix.end());
-            if (sorted_prefix != current) consider_set(sorted_prefix, MoveKind::kJump);
+            prefix.insert(std::upper_bound(prefix.begin(), prefix.end(), j), j);
+            if (prefix != current) consider_set(prefix, MoveKind::kJump);
           }
         }
       }
@@ -546,6 +568,9 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
         }
       }
       for (int i : group) in_group[static_cast<size_t>(i)] = false;
+      if (gs.memos.size() < static_cast<size_t>(ordinal)) {
+        gs.memos.resize(static_cast<size_t>(ordinal), evaluator.MakeMemo(group));
+      }
     }
 
     // Phase 2: score the candidates (delta costing). Each score lands in a
@@ -575,15 +600,19 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
     if (parallelism > 1 && cands.size() > 1) {
       scratches.resize(static_cast<size_t>(parallelism));
       for (auto& s : scratches) s = evaluator.MakeScratch();
+      // Each candidate owns its memo slot, so workers write disjoint slots
+      // (the same fixed-slot discipline as `costs`).
       ThreadPool::Shared().ParallelFor(
           static_cast<int64_t>(cands.size()), parallelism,
-          [&cands, &costs, &groups, &evaluator, &scratches, &shards,
-           &buffer_eval, journal_wall](int64_t idx, int worker) {
+          [&cands, &costs, &groups, &group_state, &evaluator, &scratches,
+           &shards, &buffer_eval, journal_wall](int64_t idx, int worker) {
             const Candidate& c = cands[static_cast<size_t>(idx)];
             const uint64_t t0 = JournalNowNs(journal_wall);
             costs[static_cast<size_t>(idx)] = evaluator.ScoreProportionalMove(
                 groups[static_cast<size_t>(c.group)], c.disks,
-                &scratches[static_cast<size_t>(worker)]);
+                &scratches[static_cast<size_t>(worker)],
+                &group_state[static_cast<size_t>(c.group)]
+                     .memos[static_cast<size_t>(c.ordinal)]);
             if (!shards.empty()) {
               buffer_eval(static_cast<size_t>(idx), t0, worker);
             }
@@ -605,7 +634,9 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
         const Candidate& c = cands[idx];
         const uint64_t t0 = JournalNowNs(journal_wall);
         costs[idx] = evaluator.ScoreProportionalMove(
-            groups[static_cast<size_t>(c.group)], c.disks, &scratches[0]);
+            groups[static_cast<size_t>(c.group)], c.disks, &scratches[0],
+            &group_state[static_cast<size_t>(c.group)]
+                 .memos[static_cast<size_t>(c.ordinal)]);
         if (!shards.empty()) buffer_eval(idx, t0, /*worker=*/0);
       }
     }
@@ -664,7 +695,7 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
     // Phase 4: commit the winner through the evaluator (delta re-cost of
     // the affected sub-plans; debug builds audit the committed total
     // against a from-scratch recomputation).
-    const std::vector<double> row = ProportionalRow(best.disks, fleet_, m);
+    ProportionalRow(best.disks, fleet_, &row);
     for (int i : group) {
       const double size = static_cast<double>(sizes[static_cast<size_t>(i)]);
       for (int j = 0; j < m; ++j) {
@@ -674,6 +705,8 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
     }
     evaluator.DeltaForProportionalMove(group, best.disks);
     evaluator.Commit();
+    // The group's enumeration now starts from other drives.
+    group_state[static_cast<size_t>(best.group)].memos.clear();
     cost = evaluator.TotalCost();
     ++stats->greedy_iterations;
     ++AcceptedSlot(telemetry, best.kind);

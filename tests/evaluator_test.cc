@@ -11,6 +11,7 @@
 #include <numeric>
 #include <vector>
 
+#include "benchdata/tpch.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "layout/evaluator.h"
@@ -94,20 +95,36 @@ TEST(EvaluatorTest, BindMatchesWorkloadCost) {
   }
 }
 
-TEST(EvaluatorTest, DeltaAccumulatedCostMatchesFreshRecomputation) {
-  // Property test: after any random sequence of committed moves, the
-  // delta-maintained total equals a from-scratch CostModel::WorkloadCost of
-  // the same layout. The evaluator's contract is bit-identity; the assert
-  // uses the layout-tolerance bound the satellite requires, plus exact
-  // equality, so a future drift fails loudly.
-  Database db = MicroDb();
-  DiskFleet fleet = DiskFleet::Heterogeneous(4, 0.3, 17);
-  WorkloadProfile profile = MicroProfile(db);
+/// TPC-H-22 with non-unit, non-integer statement weights: multi-sub-plan
+/// statements whose weighted terms `1.0 * x` would not exercise (a fused
+/// multiply-add rounds w * s + t differently from the cached product).
+WorkloadProfile WeightedTpch22Profile(const Database& db) {
+  auto wl = benchdata::MakeTpch22Workload(db, 1);
+  EXPECT_TRUE(wl.ok()) << wl.status().ToString();
+  auto profile = AnalyzeWorkload(db, wl.value());
+  EXPECT_TRUE(profile.ok()) << profile.status().ToString();
+  for (size_t q = 0; q < profile->statements.size(); ++q) {
+    profile->statements[q].weight = 0.37 + 0.113 * static_cast<double>(q);
+  }
+  return std::move(profile).value();
+}
+
+/// Property test: after any random sequence of committed moves, the
+/// delta-maintained total equals a from-scratch CostModel::WorkloadCost of
+/// the same layout, and so does the score of every candidate (each object
+/// re-assigned to the first w drives, w = 1..m) against the materialized
+/// candidate. The evaluator's contract is bit-identity; the assert uses the
+/// layout-tolerance bound plus exact equality, so a future drift fails
+/// loudly.
+void CheckDeltaMatchesFreshRecomputation(const Database& db,
+                                         const DiskFleet& fleet,
+                                         const WorkloadProfile& profile,
+                                         uint64_t seed) {
   const CostModel cm(fleet);
   const int n = static_cast<int>(db.Objects().size());
   const int m = fleet.num_disks();
 
-  Rng rng(99);
+  Rng rng(seed);
   for (int instance = 0; instance < 3; ++instance) {
     LayoutEvaluator evaluator(profile, cm);
     Layout start = RandomLayout(db, fleet, &rng).value();
@@ -125,7 +142,105 @@ TEST(EvaluatorTest, DeltaAccumulatedCostMatchesFreshRecomputation) {
           << "delta total drifted from the oracle (instance " << instance
           << ", move " << move << ")";
     }
+    LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
+    std::vector<int> disks;
+    for (int width = 1; width <= m; ++width) {
+      disks.push_back(width - 1);
+      for (int object = 0; object < n; ++object) {
+        Layout candidate = evaluator.layout();
+        candidate.AssignProportional(object, disks, fleet);
+        ASSERT_EQ(evaluator.ScoreProportionalMove({object}, disks, &scratch),
+                  cm.WorkloadCost(profile, candidate))
+            << "instance " << instance << " object " << object << " on "
+            << width << " drives";
+      }
+    }
   }
+}
+
+TEST(EvaluatorTest, DeltaAccumulatedCostMatchesFreshRecomputation) {
+  {
+    Database db = MicroDb();
+    CheckDeltaMatchesFreshRecomputation(db, DiskFleet::Heterogeneous(4, 0.3, 17),
+                                        MicroProfile(db), 99);
+  }
+  const Database db = benchdata::MakeTpchDatabase();
+  CheckDeltaMatchesFreshRecomputation(db, DiskFleet::Heterogeneous(8, 0.3, 42),
+                                      WeightedTpch22Profile(db), 5);
+}
+
+/// Objects A, B, C, D: A and B share a sub-plan, C shares a statement with
+/// A but no sub-plan, D appears in no sub-plan. Non-unit weights.
+WorkloadProfile MemoProfile() {
+  auto access = [](int object, double blocks) {
+    ObjectAccess a;
+    a.object_id = object;
+    a.blocks = blocks;
+    return a;
+  };
+  auto statement = [](double weight, std::vector<SubplanAccess> subplans) {
+    StatementProfile s;
+    s.weight = weight;
+    s.subplans = std::move(subplans);
+    return s;
+  };
+  WorkloadProfile profile;
+  profile.num_objects = 4;
+  profile.statements.push_back(statement(
+      1.7, {SubplanAccess{{access(0, 900), access(1, 350)}},
+            SubplanAccess{{access(2, 610)}}}));
+  profile.statements.push_back(statement(0.45, {SubplanAccess{{access(1, 220)}}}));
+  profile.statements.push_back(statement(
+      2.3, {SubplanAccess{{access(2, 130)}}, SubplanAccess{{access(0, 75)}}}));
+  return profile;
+}
+
+TEST(EvaluatorTest, MemoIsReusedUntilACommitRecostsOneOfItsSubplans) {
+  constexpr int kA = 0, kB = 1, kC = 2, kD = 3;
+  const DiskFleet fleet = DiskFleet::Heterogeneous(4, 0.3, 11);
+  const WorkloadProfile profile = MemoProfile();
+  const CostModel cm(fleet);
+  LayoutEvaluator evaluator(profile, cm);
+  Layout start(4, fleet.num_disks());
+  for (int i = 0; i < 4; ++i) start.AssignProportional(i, {0, 1}, fleet);
+  evaluator.Bind(start);
+
+  const std::vector<int> b_disks = {2, 3}, c_disks = {1, 3}, d_disks = {0};
+  LayoutEvaluator::Memo b_memo, c_memo, d_memo;
+  LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
+  evaluator.ScoreProportionalMove({kB}, b_disks, &scratch, &b_memo);
+  evaluator.ScoreProportionalMove({kC}, c_disks, &scratch, &c_memo);
+  EXPECT_EQ(evaluator.ScoreProportionalMove({kD}, d_disks, &scratch, &d_memo),
+            evaluator.TotalCost());
+  const int64_t filled = b_memo.generation;
+  EXPECT_GE(filled, 0);
+  EXPECT_EQ(c_memo.generation, filled);
+  EXPECT_EQ(d_memo.generation, filled);
+  EXPECT_TRUE(d_memo.costs.empty());
+
+  evaluator.DeltaForProportionalMove({kA}, {0, 2, 3});
+  evaluator.Commit();
+  const int64_t evals_before = evaluator.delta_evaluations();
+  scratch = evaluator.MakeScratch();
+  const double b = evaluator.ScoreProportionalMove({kB}, b_disks, &scratch, &b_memo);
+  const double c = evaluator.ScoreProportionalMove({kC}, c_disks, &scratch, &c_memo);
+  const double d = evaluator.ScoreProportionalMove({kD}, d_disks, &scratch, &d_memo);
+  // B shares A's first sub-plan: re-costed (refilled at a later
+  // generation). C shares only a statement with A and D nothing: both
+  // reused, and still counted as evaluations.
+  EXPECT_GT(b_memo.generation, filled);
+  EXPECT_EQ(c_memo.generation, filled);
+  EXPECT_EQ(d_memo.generation, filled);
+  EXPECT_EQ(evaluator.delta_evaluations() - evals_before, 3);
+
+  Layout b_candidate = evaluator.layout();
+  b_candidate.AssignProportional(kB, b_disks, fleet);
+  EXPECT_EQ(b, cm.WorkloadCost(profile, b_candidate));
+  Layout c_candidate = evaluator.layout();
+  c_candidate.AssignProportional(kC, c_disks, fleet);
+  EXPECT_EQ(c, cm.WorkloadCost(profile, c_candidate));
+  EXPECT_EQ(d, evaluator.TotalCost());
+  EXPECT_EQ(d, cm.WorkloadCost(profile, evaluator.layout()));
 }
 
 TEST(EvaluatorTest, ScoreIsPureAndMatchesMaterializedCandidate) {
