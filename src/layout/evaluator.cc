@@ -1,7 +1,10 @@
 #include "layout/evaluator.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <unordered_map>
+#include <utility>
 
 #include "analysis/invariant_auditor.h"
 #include "common/logging.h"
@@ -9,86 +12,215 @@
 #include "obs/metrics.h"
 
 namespace dblayout {
+namespace {
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// Folds `v` into the running key hash `h`.
+uint64_t HashMix(uint64_t h, uint64_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+/// The sub-plan class key: equal access lists, element by element and in
+/// order, with `blocks` compared by bit pattern.
+bool SameAccesses(const SubplanAccess& a, const SubplanAccess& b) {
+  return std::equal(a.accesses.begin(), a.accesses.end(), b.accesses.begin(),
+                    b.accesses.end(),
+                    [](const ObjectAccess& x, const ObjectAccess& y) {
+                      return x.object_id == y.object_id &&
+                             Bits(x.blocks) == Bits(y.blocks) &&
+                             x.is_write == y.is_write && x.random == y.random &&
+                             x.read_modify_write == y.read_modify_write;
+                    });
+}
+
+uint64_t AccessesHash(const SubplanAccess& subplan) {
+  uint64_t h = subplan.accesses.size();
+  for (const ObjectAccess& a : subplan.accesses) {
+    h = HashMix(h, static_cast<uint64_t>(a.object_id));
+    h = HashMix(h, Bits(a.blocks));
+    h = HashMix(h, (a.is_write ? 1U : 0U) | (a.random ? 2U : 0U) |
+                       (a.read_modify_write ? 4U : 0U));
+  }
+  return h;
+}
+
+/// LayoutEvaluator::kLanes as a size.
+constexpr auto kLaneCount = static_cast<size_t>(LayoutEvaluator::kLanes);
+
+/// acc[k] += row[k] for every lane k.
+template <size_t... K>
+void AddLanes(std::array<double, kLaneCount>* acc, const double* row,
+              std::index_sequence<K...> /*lanes*/) {
+  (((*acc)[K] += row[K]), ...);
+}
+
+/// The lockstep fold: for each entry of `order`, in order, adds that row of
+/// the [row][lane] buffer `terms` to every lane's accumulator. The lane adds
+/// use constant indices so the accumulators stay in registers (an index
+/// loop at -O2 keeps them in memory, and each add then waits on a store).
+std::array<double, kLaneCount> FoldLanes(const std::vector<int32_t>& order,
+                                         const std::vector<double>& terms) {
+  std::array<double, kLaneCount> acc{};
+  for (const int32_t row : order) {
+    AddLanes(&acc, terms.data() + static_cast<size_t>(row) * kLaneCount,
+             std::make_index_sequence<kLaneCount>());
+  }
+  return acc;
+}
+
+/// Hash-consing of class keys; ids are dense, in first-appearance order.
+class KeyInterner {
+ public:
+  /// Returns the id of an interned key equal to the new one (`same_as(id)`
+  /// decides equality), or else interns the new key under `hash` and
+  /// returns the next id, the number of keys interned before it.
+  template <typename SameAs>
+  int32_t Intern(uint64_t hash, const SameAs& same_as) {
+    const auto next_id = static_cast<int32_t>(older_.size());
+    auto [it, inserted] = heads_.try_emplace(hash, next_id);
+    if (!inserted) {
+      for (int32_t id = it->second; id >= 0;
+           id = older_[static_cast<size_t>(id)]) {
+        if (same_as(id)) return id;
+      }
+    }
+    older_.push_back(inserted ? -1 : it->second);
+    it->second = next_id;
+    return next_id;
+  }
+
+ private:
+  std::unordered_map<uint64_t, int32_t> heads_;  ///< hash -> newest id
+  std::vector<int32_t> older_;  ///< id -> next older id with its hash, or -1
+};
+
+}  // namespace
 
 LayoutEvaluator::LayoutEvaluator(const WorkloadProfile& profile,
                                  const CostModel& cost_model)
     : profile_(profile), cost_model_(cost_model) {
-  // Flatten (statement, sub-plan) in WorkloadCost's iteration order and
-  // build the object -> flat-sub-plan inverted index.
+  // Intern every sub-plan's access list and every statement's (weight,
+  // sub-plan class sequence), in WorkloadCost's iteration order.
   size_t num_objects = profile.num_objects;
-  statements_.reserve(profile.statements.size());
+  KeyInterner subplan_keys;
+  KeyInterner statement_keys;
+  std::vector<int32_t> seq;
+  statement_class_.reserve(profile.statements.size());
   for (const StatementProfile& s : profile.statements) {
-    const auto st = static_cast<int32_t>(statements_.size());
-    statements_.push_back(StatementSpan{s.weight,
-                                        static_cast<int32_t>(flat_.size()),
-                                        static_cast<int32_t>(s.subplans.size())});
+    seq.clear();
     for (const SubplanAccess& sp : s.subplans) {
-      flat_.push_back(FlatSubplan{&sp, st});
       for (const ObjectAccess& a : sp.accesses) {
         num_objects = std::max(num_objects, static_cast<size_t>(a.object_id) + 1);
       }
+      const int32_t c = subplan_keys.Intern(AccessesHash(sp), [&](int32_t id) {
+        return SameAccesses(*subplan_rep_[static_cast<size_t>(id)], sp);
+      });
+      if (static_cast<size_t>(c) == subplan_rep_.size()) subplan_rep_.push_back(&sp);
+      subplan_class_.push_back(c);
+      seq.push_back(c);
     }
+    uint64_t hash = HashMix(Bits(s.weight), seq.size());
+    for (int32_t c : seq) hash = HashMix(hash, static_cast<uint64_t>(c));
+    const int32_t sc = statement_keys.Intern(hash, [&](int32_t id) {
+      const StatementClass& cls = statement_classes_[static_cast<size_t>(id)];
+      const auto begin = class_seq_.begin() + cls.begin;
+      return Bits(cls.weight) == Bits(s.weight) &&
+             std::equal(seq.begin(), seq.end(), begin, begin + cls.count);
+    });
+    if (static_cast<size_t>(sc) == statement_classes_.size()) {
+      statement_classes_.push_back(
+          StatementClass{s.weight, static_cast<int32_t>(class_seq_.size()),
+                         static_cast<int32_t>(seq.size())});
+      class_seq_.insert(class_seq_.end(), seq.begin(), seq.end());
+    }
+    statement_class_.push_back(sc);
   }
-  object_subplans_.resize(num_objects);
+
+  // The inverted indexes, each list ascending and deduplicated: an object
+  // read twice by one class (a self-join), or a class listed twice in one
+  // statement class, still appears once.
+  object_classes_.resize(num_objects);
   object_generation_.assign(num_objects, 0);
-  int32_t flat_id = 0;
-  for (const StatementProfile& s : profile.statements) {
-    for (const SubplanAccess& sp : s.subplans) {
-      // Dedup per sub-plan: an object accessed twice in one sub-plan (e.g.
-      // a self-join) still invalidates it once.
-      for (const ObjectAccess& a : sp.accesses) {
-        std::vector<int32_t>& list =
-            object_subplans_[static_cast<size_t>(a.object_id)];
-        if (list.empty() || list.back() != flat_id) list.push_back(flat_id);
+  for (size_t c = 0; c < subplan_rep_.size(); ++c) {
+    for (const ObjectAccess& a : subplan_rep_[c]->accesses) {
+      std::vector<int32_t>& list =
+          object_classes_[static_cast<size_t>(a.object_id)];
+      if (list.empty() || list.back() != static_cast<int32_t>(c)) {
+        list.push_back(static_cast<int32_t>(c));
       }
-      ++flat_id;
     }
   }
+  class_statements_.resize(subplan_rep_.size());
+  for (size_t sc = 0; sc < statement_classes_.size(); ++sc) {
+    const StatementClass& cls = statement_classes_[sc];
+    for (int32_t i = cls.begin; i < cls.begin + cls.count; ++i) {
+      std::vector<int32_t>& list = class_statements_[static_cast<size_t>(
+          class_seq_[static_cast<size_t>(i)])];
+      if (list.empty() || list.back() != static_cast<int32_t>(sc)) {
+        list.push_back(static_cast<int32_t>(sc));
+      }
+    }
+  }
+  AuditClasses();
 }
 
-double LayoutEvaluator::StatementTerm(size_t st, const Scratch* scratch) const {
+double LayoutEvaluator::ClassCost(int32_t c, const Scratch* scratch) const {
+  const auto i = static_cast<size_t>(c);
+  return (scratch != nullptr && scratch->stamp[i] == scratch->epoch)
+             ? scratch->override_cost[i]
+             : class_cost_[i];
+}
+
+double LayoutEvaluator::StatementTerm(size_t sc, const Scratch* scratch) const {
   // CostModel::StatementCost's order: sub-plan costs summed left to right
   // from 0, then (in WorkloadCost) one multiplication by the weight.
-  const StatementSpan& span = statements_[st];
+  const StatementClass& cls = statement_classes_[sc];
   double statement_cost = 0;
-  for (auto f = static_cast<size_t>(span.begin);
-       f < static_cast<size_t>(span.begin + span.count); ++f) {
-    statement_cost += (scratch != nullptr && scratch->stamp[f] == scratch->epoch)
-                          ? scratch->override_cost[f]
-                          : subplan_cost_[f];
+  for (auto i = static_cast<size_t>(cls.begin);
+       i < static_cast<size_t>(cls.begin + cls.count); ++i) {
+    statement_cost += ClassCost(class_seq_[i], scratch);
   }
-  return span.weight * statement_cost;
+  return cls.weight * statement_cost;
 }
 
-double LayoutEvaluator::FoldTotal(const Scratch* scratch) const {
-  // CostModel::WorkloadCost's order: each statement's term added to the
-  // running total in statement order. A cached term is the product
-  // StatementTerm computed from the same sub-plan costs, so with
-  // SubplanCost pure the total is bit-identical to a full recomputation —
-  // the invariant the greedy search's determinism rests on.
+double LayoutEvaluator::FoldTotal() const {
   double total = 0;
-  for (size_t st = 0; st < statements_.size(); ++st) {
-    total += (scratch != nullptr && scratch->statement_stamp[st] == scratch->epoch)
-                 ? StatementTerm(st, scratch)
-                 : statement_term_[st];
+  for (const int32_t sc : statement_class_) {
+    total += statement_term_[static_cast<size_t>(sc)];
+  }
+  return total;
+}
+
+double LayoutEvaluator::ReferenceTotal(const Scratch* scratch) const {
+  // The fold without classes: every statement's own weight times its own
+  // sub-plans' costs summed left to right, added in statement order.
+  double total = 0;
+  size_t flat = 0;
+  for (const StatementProfile& s : profile_.statements) {
+    double statement_cost = 0;
+    for (size_t p = 0; p < s.subplans.size(); ++p, ++flat) {
+      statement_cost += ClassCost(subplan_class_[flat], scratch);
+    }
+    total += s.weight * statement_cost;
   }
   return total;
 }
 
 double LayoutEvaluator::Bind(const Layout& layout) {
   DBLAYOUT_CHECK(layout.num_objects() >=
-                 static_cast<int>(object_subplans_.size()));
+                 static_cast<int>(object_classes_.size()));
   layout_ = layout;
-  subplan_cost_.resize(flat_.size());
-  for (size_t f = 0; f < flat_.size(); ++f) {
-    subplan_cost_[f] = cost_model_.SubplanCost(*flat_[f].subplan, layout_);
+  class_cost_.resize(subplan_rep_.size());
+  for (size_t c = 0; c < subplan_rep_.size(); ++c) {
+    class_cost_[c] = cost_model_.SubplanCost(*subplan_rep_[c], layout_);
   }
-  statement_term_.resize(statements_.size());
-  for (size_t st = 0; st < statements_.size(); ++st) {
-    statement_term_[st] = StatementTerm(st, nullptr);
+  statement_term_.resize(statement_classes_.size());
+  for (size_t sc = 0; sc < statement_classes_.size(); ++sc) {
+    statement_term_[sc] = StatementTerm(sc, nullptr);
   }
-  total_ = FoldTotal(nullptr);
-  // Every sub-plan was re-costed: no memo filled before survives.
+  total_ = FoldTotal();
+  // Every class was re-costed: no memo filled before survives.
   ++generation_;
   std::fill(object_generation_.begin(), object_generation_.end(), generation_);
   bound_ = true;
@@ -101,7 +233,7 @@ double LayoutEvaluator::Bind(const Layout& layout) {
     journal_->Append("bind",
                      {{"cost", obs::JsonDouble(total_)},
                       {"subplans", obs::JsonInt(static_cast<int64_t>(
-                                       flat_.size()))}});
+                                       subplan_class_.size()))}});
   }
   AuditParity();
   return total_;
@@ -111,21 +243,26 @@ LayoutEvaluator::Scratch LayoutEvaluator::MakeScratch() const {
   DBLAYOUT_DCHECK(bound_);
   Scratch s;
   s.layout = layout_;
-  s.override_cost.assign(flat_.size(), 0.0);
-  s.stamp.assign(flat_.size(), 0);
-  s.statement_stamp.assign(statements_.size(), 0);
+  s.override_cost.assign(subplan_rep_.size(), 0.0);
+  s.stamp.assign(subplan_rep_.size(), 0);
+  s.statement_stamp.assign(statement_classes_.size(), 0);
   s.epoch = 0;
+  s.terms.resize(statement_classes_.size() * kLaneCount);
+  for (size_t sc = 0; sc < statement_classes_.size(); ++sc) {
+    std::fill_n(s.terms.begin() + static_cast<std::ptrdiff_t>(sc * kLaneCount),
+                kLaneCount, statement_term_[sc]);
+  }
   return s;
 }
 
 LayoutEvaluator::Memo LayoutEvaluator::MakeMemo(
     const std::vector<int>& objects) const {
-  // The sub-plans a move of `objects` re-costs: their inverted-index
+  // The classes a move of `objects` re-costs: their inverted-index
   // entries, deduplicated.
   std::vector<int32_t> ids;
   for (int obj : objects) {
-    if (static_cast<size_t>(obj) >= object_subplans_.size()) continue;
-    const std::vector<int32_t>& list = object_subplans_[static_cast<size_t>(obj)];
+    if (static_cast<size_t>(obj) >= object_classes_.size()) continue;
+    const std::vector<int32_t>& list = object_classes_[static_cast<size_t>(obj)];
     ids.insert(ids.end(), list.begin(), list.end());
   }
   std::sort(ids.begin(), ids.end());
@@ -162,83 +299,6 @@ void LayoutEvaluator::ApplyScratchRows(const std::vector<int>& objects,
   apply(scratch->layout);
 }
 
-template <typename ApplyFn>
-double LayoutEvaluator::ScoreCore(const std::vector<int>& objects,
-                                  const ApplyFn& apply, Scratch* scratch,
-                                  bool restore, Memo* memo) const {
-  DBLAYOUT_DCHECK(bound_);
-  Scratch& s = *scratch;
-  ++s.epoch;
-
-  // Affected sub-plans: the union of the moved objects' inverted-index
-  // entries, deduped by epoch stamp; their statements are stamped for the
-  // fold to re-fold.
-  s.affected.clear();
-  for (int obj : objects) {
-    if (static_cast<size_t>(obj) >= object_subplans_.size()) continue;
-    for (int32_t id : object_subplans_[static_cast<size_t>(obj)]) {
-      if (s.stamp[static_cast<size_t>(id)] == s.epoch) continue;
-      s.stamp[static_cast<size_t>(id)] = s.epoch;
-      s.affected.push_back(id);
-      const auto st = static_cast<size_t>(flat_[static_cast<size_t>(id)].statement);
-      s.statement_stamp[st] = s.epoch;
-    }
-  }
-
-  const bool hit = memo != nullptr && MemoFresh(*memo, objects);
-  if (hit) {
-    DBLAYOUT_DCHECK_EQ(memo->costs.size(), s.affected.size());
-    for (size_t k = 0; k < s.affected.size(); ++k) {
-      s.override_cost[static_cast<size_t>(s.affected[k])] = memo->costs[k];
-    }
-  } else {
-    ApplyScratchRows(objects, apply, &s);
-    for (int32_t id : s.affected) {
-      s.override_cost[static_cast<size_t>(id)] = cost_model_.SubplanCost(
-          *flat_[static_cast<size_t>(id)].subplan, s.layout);
-    }
-    if (memo != nullptr) {
-      memo->generation = generation_;
-      memo->costs.resize(s.affected.size());
-      for (size_t k = 0; k < s.affected.size(); ++k) {
-        memo->costs[k] = s.override_cost[static_cast<size_t>(s.affected[k])];
-      }
-    }
-    if (restore) RestoreScratchRows(objects, &s);
-  }
-  const double total = FoldTotal(&s);
-
-#if DBLAYOUT_DCHECK_IS_ON()
-  if (hit) {
-    // Memo audit: re-cost the hit through the oracle; every cost and the
-    // folded total must match the memoized ones bit for bit.
-    ApplyScratchRows(objects, apply, &s);
-    for (int32_t id : s.affected) {
-      const double fresh = cost_model_.SubplanCost(
-          *flat_[static_cast<size_t>(id)].subplan, s.layout);
-      DBLAYOUT_DCHECK(std::bit_cast<uint64_t>(fresh) ==
-                      std::bit_cast<uint64_t>(
-                          s.override_cost[static_cast<size_t>(id)]));
-      s.override_cost[static_cast<size_t>(id)] = fresh;
-    }
-    RestoreScratchRows(objects, &s);
-    DBLAYOUT_DCHECK(std::bit_cast<uint64_t>(FoldTotal(&s)) ==
-                    std::bit_cast<uint64_t>(total));
-  }
-#endif
-
-  delta_evals_.fetch_add(1, std::memory_order_relaxed);
-  cost_model_.NoteExternalWorkloadEvaluation();
-  DBLAYOUT_OBS_COUNT("evaluator/delta_evals", 1);
-  if (hit) {
-    DBLAYOUT_OBS_COUNT("evaluator/memo_hits", 1);
-  } else {
-    DBLAYOUT_OBS_COUNT("evaluator/subplans_recosted",
-                       static_cast<int64_t>(s.affected.size()));
-  }
-  return total;
-}
-
 void LayoutEvaluator::RestoreScratchRows(const std::vector<int>& objects,
                                          Scratch* scratch) const {
   const int m = layout_.num_disks();
@@ -251,41 +311,188 @@ void LayoutEvaluator::RestoreScratchRows(const std::vector<int>& objects,
   }
 }
 
+template <typename ApplyFn>
+void LayoutEvaluator::ScoreCore(std::span<const Lane> lanes, const ApplyFn& apply,
+                                Scratch* scratch, double* totals) const {
+  DBLAYOUT_DCHECK(bound_);
+  DBLAYOUT_DCHECK_LE(lanes.size(), kLaneCount);
+  Scratch& s = *scratch;
+  int64_t memo_hits = 0;
+  int64_t misses = 0;
+  int64_t recosted = 0;
+#if DBLAYOUT_DCHECK_IS_ON()
+  std::array<double, kLaneCount> reference{};
+#endif
+
+  for (size_t k = 0; k < lanes.size(); ++k) {
+    const std::vector<int>& objects = *lanes[k].objects;
+    Memo* const memo = lanes[k].memo;
+    const auto apply_lane = [&apply, k](Layout& l) { apply(k, l); };
+    ++s.epoch;
+
+    // Affected sub-plan classes: the union of the moved objects'
+    // inverted-index entries, deduped by epoch stamp.
+    s.affected.clear();
+    for (int obj : objects) {
+      if (static_cast<size_t>(obj) >= object_classes_.size()) continue;
+      for (int32_t c : object_classes_[static_cast<size_t>(obj)]) {
+        if (s.stamp[static_cast<size_t>(c)] == s.epoch) continue;
+        s.stamp[static_cast<size_t>(c)] = s.epoch;
+        s.affected.push_back(c);
+      }
+    }
+
+    const bool hit = memo != nullptr && MemoFresh(*memo, objects);
+    if (hit) {
+      DBLAYOUT_DCHECK_EQ(memo->costs.size(), s.affected.size());
+      for (size_t a = 0; a < s.affected.size(); ++a) {
+        s.override_cost[static_cast<size_t>(s.affected[a])] = memo->costs[a];
+      }
+      ++memo_hits;
+    } else {
+      ApplyScratchRows(objects, apply_lane, &s);
+      for (int32_t c : s.affected) {
+        s.override_cost[static_cast<size_t>(c)] = cost_model_.SubplanCost(
+            *subplan_rep_[static_cast<size_t>(c)], s.layout);
+      }
+      RestoreScratchRows(objects, &s);
+      if (memo != nullptr) {
+        memo->generation = generation_;
+        memo->costs.resize(s.affected.size());
+        for (size_t a = 0; a < s.affected.size(); ++a) {
+          memo->costs[a] = s.override_cost[static_cast<size_t>(s.affected[a])];
+        }
+      }
+      ++misses;
+      recosted += static_cast<int64_t>(s.affected.size());
+    }
+
+#if DBLAYOUT_DCHECK_IS_ON()
+    if (hit) {
+      // Memo audit: re-cost the hit through the oracle; every class cost
+      // must match the memoized one bit for bit.
+      ApplyScratchRows(objects, apply_lane, &s);
+      for (int32_t c : s.affected) {
+        DBLAYOUT_DCHECK(Bits(cost_model_.SubplanCost(
+                            *subplan_rep_[static_cast<size_t>(c)], s.layout)) ==
+                        Bits(s.override_cost[static_cast<size_t>(c)]));
+      }
+      RestoreScratchRows(objects, &s);
+    }
+    // This lane's overrides are overwritten by later lanes: take its
+    // reference total now.
+    reference[k] = ReferenceTotal(&s);
+#endif
+
+    // Re-fold the lane's affected statement classes into its lane.
+    for (int32_t c : s.affected) {
+      for (int32_t sc : class_statements_[static_cast<size_t>(c)]) {
+        if (s.statement_stamp[static_cast<size_t>(sc)] == s.epoch) continue;
+        s.statement_stamp[static_cast<size_t>(sc)] = s.epoch;
+        const size_t slot = static_cast<size_t>(sc) * kLaneCount + k;
+        s.terms[slot] = StatementTerm(static_cast<size_t>(sc), &s);
+        s.patched.push_back(static_cast<int32_t>(slot));
+      }
+    }
+  }
+
+  // Lockstep fold: one term per statement, in statement order, into each
+  // lane's own accumulator — WorkloadCost's association order, per lane.
+  // Unused lanes fold cached terms and are ignored.
+  const std::array<double, kLaneCount> acc = FoldLanes(statement_class_, s.terms);
+  std::copy_n(acc.begin(), lanes.size(), totals);
+  // Back to the cached terms for the next pass.
+  for (const int32_t slot : s.patched) {
+    s.terms[static_cast<size_t>(slot)] =
+        statement_term_[static_cast<size_t>(slot) / kLaneCount];
+  }
+  s.patched.clear();
+
+#if DBLAYOUT_DCHECK_IS_ON()
+  for (size_t k = 0; k < lanes.size(); ++k) {
+    DBLAYOUT_DCHECK(Bits(totals[k]) == Bits(reference[k]));
+  }
+#endif
+
+  const auto n = static_cast<int64_t>(lanes.size());
+  delta_evals_.fetch_add(n, std::memory_order_relaxed);
+  for (int64_t k = 0; k < n; ++k) cost_model_.NoteExternalWorkloadEvaluation();
+  DBLAYOUT_OBS_COUNT("evaluator/delta_evals", n);
+  if (memo_hits > 0) {
+    DBLAYOUT_OBS_COUNT("evaluator/memo_hits", memo_hits);
+  }
+  if (misses > 0) {
+    DBLAYOUT_OBS_COUNT("evaluator/subplans_recosted", recosted);
+  }
+}
+
+void LayoutEvaluator::ScoreProportionalMoves(
+    std::span<const ProportionalMove> moves, Scratch* scratch,
+    std::span<double> totals) const {
+  DBLAYOUT_CHECK(totals.size() == moves.size());
+  for (size_t begin = 0; begin < moves.size(); begin += kLaneCount) {
+    const size_t n = std::min(moves.size() - begin, kLaneCount);
+    std::array<Lane, kLaneCount> lanes;
+    for (size_t k = 0; k < n; ++k) {
+      lanes[k] = Lane{moves[begin + k].objects, moves[begin + k].memo};
+    }
+    ScoreCore(
+        std::span<const Lane>(lanes.data(), n),
+        [&](size_t k, Layout& l) {
+          const ProportionalMove& move = moves[begin + k];
+          for (int i : *move.objects) {
+            l.AssignProportional(i, *move.disks, cost_model_.fleet());
+          }
+        },
+        scratch, totals.data() + begin);
+  }
+}
+
 double LayoutEvaluator::ScoreProportionalMove(const std::vector<int>& objects,
                                               const std::vector<int>& disks,
                                               Scratch* scratch, Memo* memo) const {
-  return ScoreCore(
-      objects,
-      [&](Layout& l) {
-        for (int i : objects) l.AssignProportional(i, disks, cost_model_.fleet());
-      },
-      scratch, /*restore=*/true, memo);
+  const ProportionalMove move{&objects, &disks, memo};
+  double total = 0;
+  ScoreProportionalMoves({&move, 1}, scratch, {&total, 1});
+  return total;
 }
 
 double LayoutEvaluator::ScoreRowsFromMove(const std::vector<int>& objects,
                                           const Layout& rows,
                                           Scratch* scratch) const {
-  return ScoreCore(
-      objects,
-      [&](Layout& l) {
+  const Lane lane{&objects, nullptr};
+  double total = 0;
+  ScoreCore(
+      {&lane, 1},
+      [&](size_t, Layout& l) {
         for (int i : objects) {
           for (int j = 0; j < l.num_disks(); ++j) l.set_x(i, j, rows.x(i, j));
         }
       },
-      scratch, /*restore=*/true, /*memo=*/nullptr);
+      scratch, &total);
+  return total;
 }
 
 template <typename ApplyFn>
 double LayoutEvaluator::DeltaCore(const std::vector<int>& objects,
                                   const ApplyFn& apply) {
   staged_valid_ = false;
-  const double total =
-      ScoreCore(objects, apply, &staging_, /*restore=*/false, /*memo=*/nullptr);
+  const Lane lane{&objects, nullptr};
+  double total = 0;
+  ScoreCore({&lane, 1}, [&apply](size_t, Layout& l) { apply(l); }, &staging_,
+            &total);
 
-  // Capture the candidate (rows, re-costed sub-plans, total) while the
-  // staging scratch still holds the applied rows, then put the scratch back
-  // in sync with the bound layout.
+  // Capture the candidate: its re-costed classes (still in the staging
+  // scratch's overrides), its rows (applied once more, then put back), and
+  // its total.
+  staged_affected_.assign(staging_.affected.begin(), staging_.affected.end());
+  staged_costs_.resize(staged_affected_.size());
+  for (size_t a = 0; a < staged_affected_.size(); ++a) {
+    staged_costs_[a] =
+        staging_.override_cost[static_cast<size_t>(staged_affected_[a])];
+  }
   const int m = layout_.num_disks();
+  ApplyScratchRows(objects, apply, &staging_);
   staged_objects_ = objects;
   staged_rows_.resize(objects.size() * static_cast<size_t>(m));
   for (size_t k = 0; k < objects.size(); ++k) {
@@ -294,15 +501,9 @@ double LayoutEvaluator::DeltaCore(const std::vector<int>& objects,
           staging_.layout.x(objects[k], j);
     }
   }
-  staged_affected_.assign(staging_.affected.begin(), staging_.affected.end());
-  staged_costs_.resize(staged_affected_.size());
-  for (size_t a = 0; a < staged_affected_.size(); ++a) {
-    staged_costs_[a] =
-        staging_.override_cost[static_cast<size_t>(staged_affected_[a])];
-  }
+  RestoreScratchRows(objects, &staging_);
   staged_total_ = total;
   staged_valid_ = true;
-  RestoreScratchRows(objects, &staging_);
   return total;
 }
 
@@ -345,19 +546,23 @@ void LayoutEvaluator::Commit() {
     }
   }
   for (size_t a = 0; a < staged_affected_.size(); ++a) {
-    subplan_cost_[static_cast<size_t>(staged_affected_[a])] = staged_costs_[a];
+    class_cost_[static_cast<size_t>(staged_affected_[a])] = staged_costs_[a];
   }
   total_ = staged_total_;
   ++generation_;
-  for (int32_t id : staged_affected_) {
-    const FlatSubplan& fs = flat_[static_cast<size_t>(id)];
-    // Re-fold the statement from the installed costs: the term the staged
-    // total was folded from.
-    const auto st = static_cast<size_t>(fs.statement);
-    statement_term_[st] = StatementTerm(st, nullptr);
-    // Memo staleness: every object of a re-costed sub-plan may now price
+  for (int32_t c : staged_affected_) {
+    // Re-fold the statement classes from the installed costs: the terms
+    // the staged total was folded from. The staging scratch's lanes follow.
+    for (int32_t sc : class_statements_[static_cast<size_t>(c)]) {
+      const double term = StatementTerm(static_cast<size_t>(sc), nullptr);
+      statement_term_[static_cast<size_t>(sc)] = term;
+      std::fill_n(staging_.terms.begin() +
+                      static_cast<std::ptrdiff_t>(static_cast<size_t>(sc) * kLaneCount),
+                  kLaneCount, term);
+    }
+    // Memo staleness: every object of a re-costed class may now price
     // differently when it moves.
-    for (const ObjectAccess& a : fs.subplan->accesses) {
+    for (const ObjectAccess& a : subplan_rep_[static_cast<size_t>(c)]->accesses) {
       object_generation_[static_cast<size_t>(a.object_id)] = generation_;
     }
   }
@@ -370,6 +575,28 @@ void LayoutEvaluator::Commit() {
 
 void LayoutEvaluator::Revert() { staged_valid_ = false; }
 
+void LayoutEvaluator::AuditClasses() const {
+#if DBLAYOUT_DCHECK_IS_ON()
+  // Every flat sub-plan's accesses equal its class representative's, field
+  // by field, and every statement's weight bits and class sequence equal
+  // its statement class's.
+  size_t flat = 0;
+  for (size_t st = 0; st < profile_.statements.size(); ++st) {
+    const StatementProfile& s = profile_.statements[st];
+    const StatementClass& cls =
+        statement_classes_[static_cast<size_t>(statement_class_[st])];
+    DBLAYOUT_DCHECK(Bits(s.weight) == Bits(cls.weight));
+    DBLAYOUT_DCHECK_EQ(s.subplans.size(), static_cast<size_t>(cls.count));
+    for (size_t p = 0; p < s.subplans.size(); ++p, ++flat) {
+      const int32_t c = subplan_class_[flat];
+      DBLAYOUT_DCHECK(SameAccesses(s.subplans[p], *subplan_rep_[static_cast<size_t>(c)]));
+      DBLAYOUT_DCHECK_EQ(c, class_seq_[static_cast<size_t>(cls.begin) + p]);
+    }
+  }
+  DBLAYOUT_DCHECK_EQ(flat, subplan_class_.size());
+#endif
+}
+
 void LayoutEvaluator::AuditParity() const {
 #if DBLAYOUT_DCHECK_IS_ON()
   std::vector<InvariantAuditor::WeightedSubplanSpan> spans;
@@ -380,9 +607,10 @@ void LayoutEvaluator::AuditParity() const {
   }
   DBLAYOUT_DCHECK_OK(InvariantAuditor().AuditWorkloadTotal(
       spans, layout_, cost_model_.fleet(), total_));
-  // The cached statement terms must fold to exactly the cached total.
-  DBLAYOUT_DCHECK(std::bit_cast<uint64_t>(FoldTotal(nullptr)) ==
-                  std::bit_cast<uint64_t>(total_));
+  // The cached class terms, and the flat fold of the cached class costs,
+  // must both give exactly the cached total.
+  DBLAYOUT_DCHECK(Bits(FoldTotal()) == Bits(total_));
+  DBLAYOUT_DCHECK(Bits(ReferenceTotal(nullptr)) == Bits(total_));
 #endif
 }
 

@@ -6,55 +6,79 @@
 //
 // — a weighted sum over sub-plans of a per-sub-plan term that depends only
 // on the layout rows of the objects that sub-plan touches. Moving one object
-// (or one co-location group) therefore invalidates exactly the sub-plans in
-// its inverted-index entry; every other cached sub-plan cost is still exact.
-// The LayoutEvaluator exploits this: it binds to one (profile, fleet) pair,
-// caches the per-sub-plan costs of the current layout, and scores a
-// candidate move by re-costing only the affected sub-plans. CostModel stays
-// the thin ground-truth oracle: the evaluator calls it per sub-plan and is
-// DCHECK-audited against a from-scratch recomputation
-// (InvariantAuditor::AuditWorkloadTotal) after every committed move.
+// (or one co-location group) therefore invalidates exactly the sub-plans
+// that read it; every other cached cost is still exact. The LayoutEvaluator
+// exploits this: it binds to one (profile, fleet) pair, caches the costs of
+// the current layout, and scores a candidate move by re-costing only what
+// the move affects. CostModel stays the thin ground-truth oracle: the
+// evaluator calls it per sub-plan and is DCHECK-audited against a
+// from-scratch recomputation (InvariantAuditor::AuditWorkloadTotal) after
+// every Bind and Commit.
 //
-// Per-statement fold. The evaluator also caches each statement's weighted
-// term, w_Q * (sum of its sub-plan costs), for the bound layout. A candidate
-// re-folds only the statements that contain an affected sub-plan — their
-// sub-plan costs summed left to right, then multiplied by the weight — and
-// adds every statement's term to a running total in statement order,
-// reusing the cached term of each unaffected statement. That is exactly
-// CostModel::WorkloadCost's association order, and a cached term is the
-// same product WorkloadCost would compute, so with CostModel::SubplanCost
-// pure a scored total is bit-identical to a full recomputation of the
-// candidate — which is what makes the greedy search's results independent
-// of whether the delta path, the full path, the memo, or parallel scoring
-// produced them. (The build pins -ffp-contract=off: a fused multiply-add
-// would round the cached term and the recomputed one differently.)
+// Classes. Real workloads repeat themselves, so the evaluator prices each
+// distinct piece of work once:
+//   - A sub-plan class is a set of sub-plans with equal access lists:
+//     element by element and in order, equal `object_id`, bit pattern of
+//     `blocks`, `is_write`, `random` and `read_modify_write`. (Order
+//     matters: SubplanCost sums transfer in access order.) SubplanCost is a
+//     pure function of the access list, the rows of its objects and the
+//     fleet, so two sub-plans with equal keys cost the same bits under any
+//     layout. One cost is cached per class, and the inverted index maps an
+//     object to the classes that read it.
+//   - A statement class is a set of statements with the same weight bit
+//     pattern and the same sequence of sub-plan classes. Its weighted term,
+//     w * (its sub-plan costs summed left to right from 0), is one product
+//     of equal factors, so equal keys give equal term bits. One term is
+//     cached per class.
+//
+// Lane fold. Up to kLanes candidates are scored in one pass, each in its
+// own lane of the Scratch's [statement class][lane] term buffer, which
+// outside a pass holds the cached terms. Per lane, the candidate re-costs
+// its affected sub-plan classes (or takes them from its memo) and re-folds
+// its affected statement classes into its lane. Then one walk over the
+// statements, in statement order, adds each statement's class term into
+// kLanes independent accumulators. Each lane therefore adds one term per
+// statement, in statement order, starting from 0 — exactly
+// CostModel::WorkloadCost's association order — and lanes never mix. A
+// lane-wise SIMD add rounds like a scalar IEEE binary64 add, and the fold
+// has no multiply (the build pins -ffp-contract=off and uses no
+// -ffast-math), so every lane's total is bit-identical to a full
+// recomputation of its candidate. That is what makes the greedy search's
+// results independent of whether the delta path, the full path, the memo,
+// batching, or parallel scoring produced them. DCHECK builds re-fold every
+// lane through a scalar walk over the flat statements and sub-plans and
+// require the same bits.
 //
 // Score memo. A caller that scores the same candidate move again after other
 // moves were committed can pass a Memo: the candidate's re-costed sub-plan
-// costs, kept across Commits. Commit() bumps a per-object generation for
-// every object of every sub-plan it re-costs, so a Memo filled at generation
-// G for moving objects O is reused only if no object of O has a later
-// generation — i.e. no Commit since G re-costed a sub-plan containing an
-// object of O. The inputs of each memoized cost (the rows of its sub-plan's
+// class costs, kept across Commits. Commit() bumps a per-object generation
+// for every object of every class it re-costs, so a Memo filled at
+// generation G for moving objects O is reused only if no object of O has a
+// later generation — i.e. no Commit since G re-costed a class containing an
+// object of O. The inputs of each memoized cost (the rows of its class's
 // objects, O at the candidate's rows) have then not moved, so the cost is
 // exactly what SubplanCost would return now. DCHECK builds re-cost every
 // memo hit and require each cost and the total to match bit for bit. A hit
 // still counts one delta evaluation; `evaluator/memo_hits` counts the hits
-// and `evaluator/subplans_recosted` only real re-costs. The caller keys its
-// memos so that one Memo always stands for the same candidate rows.
+// and `evaluator/subplans_recosted` only real re-costs of sub-plan classes.
+// The caller keys its memos so that one Memo always stands for the same
+// candidate rows.
 //
 // Thread model: Score* methods are const, touch shared state only read-only
 // (memo freshness reads the generations, which only Bind/Commit write),
-// and confine all mutation to a caller-provided Scratch and Memo — one
-// Scratch per worker and one Memo slot per candidate make concurrent
-// scoring of disjoint candidates race-free. The staged Delta*/Commit/Revert
-// mutation API is single-threaded.
+// and confine all mutation to a caller-provided Scratch and Memos — one
+// Scratch per worker (it holds that worker's lane buffer) and one Memo slot
+// per candidate make concurrent scoring of disjoint batches race-free. The
+// staged Delta*/Commit/Revert mutation API is single-threaded. After a
+// pass, Scratch::affected lists the sub-plan classes (not the flat
+// sub-plans) of the pass's last candidate.
 
 #ifndef DBLAYOUT_LAYOUT_EVALUATOR_H_
 #define DBLAYOUT_LAYOUT_EVALUATOR_H_
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "layout/cost_model.h"
@@ -69,32 +93,51 @@ namespace dblayout {
 
 class LayoutEvaluator {
  public:
+  /// Candidates scored in lockstep by one pass (see the header comment).
+  static constexpr int kLanes = 8;
+
   /// Binds to one (profile, cost model) pair. Both must outlive the
   /// evaluator; the profile's statement/sub-plan structure must not change.
   LayoutEvaluator(const WorkloadProfile& profile, const CostModel& cost_model);
 
-  /// Per-worker scoring state: a private copy of the bound layout plus
-  /// epoch-stamped sub-plan cost overrides. Valid until the next
-  /// Bind/Commit; create fresh Scratches (MakeScratch) after either.
+  /// Per-worker scoring state: a private copy of the bound layout,
+  /// epoch-stamped sub-plan class cost overrides, and the lane buffer.
+  /// Valid until the next Bind/Commit; create fresh Scratches (MakeScratch)
+  /// after either.
   struct Scratch {
     Layout layout;
-    std::vector<double> override_cost;  ///< per flat sub-plan, current epoch
+    std::vector<double> override_cost;  ///< per sub-plan class, current epoch
     std::vector<int64_t> stamp;         ///< epoch that wrote override_cost
-    std::vector<int64_t> statement_stamp;  ///< epoch that affected a statement
-    int64_t epoch = 0;
-    std::vector<int32_t> affected;      ///< flat ids touched by this score
+    std::vector<int64_t> statement_stamp;  ///< epoch that re-folded a statement class
+    int64_t epoch = 0;                  ///< one per scored candidate
+    /// [statement class][lane] weighted terms; the cached terms outside a
+    /// pass, a lane's re-folded terms during it.
+    std::vector<double> terms;
+    std::vector<int32_t> patched;       ///< `terms` slots the pass overwrote
+    /// The sub-plan classes the last scored candidate affected.
+    std::vector<int32_t> affected;
     std::vector<double> saved_rows;     ///< row backup while scoring
   };
 
-  /// One candidate move's re-costed sub-plan costs, owned by the caller and
-  /// kept across Commits (see the header comment). A default Memo is empty.
+  /// One candidate move's re-costed sub-plan class costs, owned by the
+  /// caller and kept across Commits (see the header comment). A default
+  /// Memo is empty.
   struct Memo {
     int64_t generation = -1;    ///< Bind/Commit count when `costs` was filled
-    std::vector<double> costs;  ///< per affected sub-plan, inverted-index order
+    std::vector<double> costs;  ///< per affected sub-plan class, index order
   };
 
-  /// Full recomputation: copies `layout`, re-costs every sub-plan through
-  /// the oracle, and caches the results. Counts one (full) workload
+  /// One candidate of a batch: every object of `objects` assigned
+  /// proportionally across `disks`, with an optional memo (see
+  /// ScoreProportionalMove). The pointees must outlive the call.
+  struct ProportionalMove {
+    const std::vector<int>* objects = nullptr;
+    const std::vector<int>* disks = nullptr;
+    Memo* memo = nullptr;
+  };
+
+  /// Full recomputation: copies `layout`, costs every sub-plan class
+  /// through the oracle, and caches the results. Counts one (full) workload
   /// evaluation. Returns the total, bit-identical to
   /// CostModel::WorkloadCost(profile, layout).
   double Bind(const Layout& layout);
@@ -120,15 +163,21 @@ class LayoutEvaluator {
   Memo MakeMemo(const std::vector<int>& objects) const;
 
   // -- Thread-safe candidate scoring -----------------------------------------
-  // Pure w.r.t. the evaluator: the candidate is "the bound layout with every
-  // object of `objects` re-assigned", applied inside `scratch` and undone
-  // before returning. Each call counts one (delta) workload evaluation.
+  // Pure w.r.t. the evaluator: a candidate is "the bound layout with every
+  // object of its `objects` re-assigned", applied inside `scratch` and
+  // undone before returning. Each candidate counts one (delta) workload
+  // evaluation.
 
-  /// Candidate rows: every object of `objects` assigned proportionally
+  /// Scores `moves` into `totals` (same length), kLanes candidates per
+  /// pass. Each move's memo, when given, is reused when still fresh and
+  /// refilled otherwise; the caller must pass the same Memo only for the
+  /// same (objects, disks).
+  void ScoreProportionalMoves(std::span<const ProportionalMove> moves,
+                              Scratch* scratch, std::span<double> totals) const;
+
+  /// One candidate: every object of `objects` assigned proportionally
   /// across `disks` (Layout::AssignProportional arithmetic, bit-identical).
-  /// With a `memo`, reuses its costs when still fresh and refills it
-  /// otherwise; the caller must pass the same Memo only for the same
-  /// (objects, disks).
+  /// A batch of one through ScoreProportionalMoves.
   double ScoreProportionalMove(const std::vector<int>& objects,
                                const std::vector<int>& disks, Scratch* scratch,
                                Memo* memo = nullptr) const;
@@ -155,9 +204,10 @@ class LayoutEvaluator {
   double DeltaForRowsFromMove(const std::vector<int>& objects, const Layout& rows);
 
   /// Adopts the staged move: writes the new rows into the bound layout,
-  /// installs the re-costed sub-plan cache entries, and updates TotalCost()
-  /// to the staged total. Debug builds then audit the new total against a
-  /// from-scratch recomputation (InvariantAuditor::AuditWorkloadTotal).
+  /// installs the re-costed class costs and re-folded statement terms, and
+  /// updates TotalCost() to the staged total. Debug builds then audit the
+  /// new total against a from-scratch recomputation
+  /// (InvariantAuditor::AuditWorkloadTotal).
   void Commit();
 
   /// Drops the staged move; the bound layout and caches are untouched.
@@ -171,7 +221,14 @@ class LayoutEvaluator {
   }
   int64_t full_evaluations() const { return full_evals_; }
 
-  int num_subplans() const { return static_cast<int>(flat_.size()); }
+  /// Sub-plans of the profile, counting every occurrence.
+  int num_subplans() const { return static_cast<int>(subplan_class_.size()); }
+  /// Distinct access lists among them (see the header comment).
+  int num_subplan_classes() const { return static_cast<int>(subplan_rep_.size()); }
+  /// Distinct (weight, sub-plan class sequence) pairs among the statements.
+  int num_statement_classes() const {
+    return static_cast<int>(statement_classes_.size());
+  }
 
   /// Observe-only decision journal (not owned; may be null). When set, every
   /// Bind() — a full §5 recomputation — appends one "bind" event carrying
@@ -180,29 +237,31 @@ class LayoutEvaluator {
   void set_journal(obs::EventJournal* journal) { journal_ = journal; }
 
  private:
-  /// One flattened (statement, sub-plan) entry, in WorkloadCost's iteration
-  /// order.
-  struct FlatSubplan {
-    const SubplanAccess* subplan = nullptr;
-    int32_t statement = 0;  ///< index into statements_
-  };
-  /// One statement's weight and its contiguous span in flat_ order.
-  struct StatementSpan {
+  /// One statement class: its weight and its sub-plan class sequence, a
+  /// span of class_seq_.
+  struct StatementClass {
     double weight = 1.0;
     int32_t begin = 0;
     int32_t count = 0;
   };
 
-  /// Scores one candidate: stamps the affected sub-plans and statements of
-  /// `objects`, takes their costs from a fresh `memo` or re-costs them with
-  /// the rows `apply` writes (refilling `memo` when given), and returns the
-  /// per-statement fold. Every path — memo hit or miss, parallel scoring,
-  /// staging — goes through here. When `restore` is true, the scratch
-  /// layout is put back before returning; the staging path passes false so
-  /// it can capture the applied rows first.
+  /// One lane's candidate: the moved objects and its optional memo. The
+  /// rows it takes come from the ApplyFn passed alongside.
+  struct Lane {
+    const std::vector<int>* objects = nullptr;
+    Memo* memo = nullptr;
+  };
+
+  /// The one scoring core. Scores up to kLanes candidates into `totals`:
+  /// per lane, finds the affected sub-plan classes, takes their costs from
+  /// a fresh memo or re-costs them with the rows `apply(lane, layout)`
+  /// writes (refilling the memo when given), and re-folds the affected
+  /// statement classes into the lane; then folds every lane in lockstep.
+  /// Every path — memo hit or miss, batches, single calls, parallel
+  /// scoring, staging — goes through here.
   template <typename ApplyFn>
-  double ScoreCore(const std::vector<int>& objects, const ApplyFn& apply,
-                   Scratch* scratch, bool restore, Memo* memo) const;
+  void ScoreCore(std::span<const Lane> lanes, const ApplyFn& apply,
+                 Scratch* scratch, double* totals) const;
 
   /// Backs up `scratch`'s rows for `objects`, then applies the candidate's.
   template <typename ApplyFn>
@@ -212,44 +271,59 @@ class LayoutEvaluator {
   /// Puts `scratch`'s rows for `objects` back from its saved_rows backup.
   void RestoreScratchRows(const std::vector<int>& objects, Scratch* scratch) const;
 
-  /// Shared staging path: score without restore, capture rows/costs/total
-  /// into the staged_* fields, re-sync the staging scratch.
+  /// Shared staging path: score one lane in the staging scratch, capture
+  /// rows/costs/total into the staged_* fields.
   template <typename ApplyFn>
   double DeltaCore(const std::vector<int>& objects, const ApplyFn& apply);
 
-  /// True when no Commit since `memo` was filled re-costed a sub-plan that
-  /// contains an object of `objects`.
+  /// True when no Commit since `memo` was filled re-costed a sub-plan class
+  /// that contains an object of `objects`.
   bool MemoFresh(const Memo& memo, const std::vector<int>& objects) const;
 
-  /// Statement `st`'s weighted term, w * (its sub-plan costs summed left to
-  /// right); `scratch` (optional) substitutes current-epoch overrides.
-  double StatementTerm(size_t st, const Scratch* scratch) const;
+  /// Sub-plan class `c`'s cost: `scratch`'s current-epoch override when it
+  /// has one (`scratch` may be null), else the cached cost.
+  double ClassCost(int32_t c, const Scratch* scratch) const;
 
-  /// Workload total: statement terms added left to right in statement
-  /// order, re-folding the statements `scratch` stamped (optional) and
-  /// reusing the cached terms of the rest — WorkloadCost's exact
-  /// association order.
-  double FoldTotal(const Scratch* scratch) const;
+  /// Statement class `sc`'s weighted term, w * (its sub-plan class costs
+  /// summed left to right); `scratch` (optional) substitutes the
+  /// current-epoch overrides.
+  double StatementTerm(size_t sc, const Scratch* scratch) const;
 
-  /// Debug-build parity audit of total_ against a from-scratch §5
-  /// recomputation.
+  /// Bound total: the cached statement class terms added left to right in
+  /// statement order — WorkloadCost's exact association order.
+  double FoldTotal() const;
+
+  /// DCHECK reference: a scalar fold over the flat statements and
+  /// sub-plans, from the class costs with `scratch`'s current-epoch
+  /// overrides (optional) — the fold the lanes must reproduce bit for bit.
+  double ReferenceTotal(const Scratch* scratch) const;
+
+  /// Debug-build audits of the class keys (construction) and of total_
+  /// against a from-scratch §5 recomputation (after Bind/Commit).
+  void AuditClasses() const;
   void AuditParity() const;
 
   const WorkloadProfile& profile_;
   const CostModel& cost_model_;
 
-  std::vector<FlatSubplan> flat_;             ///< flattened sub-plans
-  std::vector<StatementSpan> statements_;     ///< per-statement spans
-  std::vector<std::vector<int32_t>> object_subplans_;  ///< inverted index
+  // Class structure, fixed at construction.
+  std::vector<const SubplanAccess*> subplan_rep_;  ///< class -> representative
+  std::vector<int32_t> subplan_class_;  ///< flat sub-plan -> class, WorkloadCost order
+  /// The inverted index: object -> the sub-plan classes that read it.
+  std::vector<std::vector<int32_t>> object_classes_;
+  std::vector<std::vector<int32_t>> class_statements_;  ///< class -> statement classes
+  std::vector<StatementClass> statement_classes_;
+  std::vector<int32_t> class_seq_;        ///< statement classes' class sequences
+  std::vector<int32_t> statement_class_;  ///< statement -> statement class
 
   Layout layout_;                    ///< currently bound layout
-  std::vector<double> subplan_cost_; ///< cached cost per flat sub-plan
-  std::vector<double> statement_term_;  ///< cached weighted term per statement
+  std::vector<double> class_cost_;   ///< cached cost per sub-plan class
+  std::vector<double> statement_term_;  ///< cached term per statement class
   double total_ = 0;
   bool bound_ = false;               ///< Bind() has been called
 
   /// Memo clock: bumped by every Bind/Commit. object_generation_[o] is the
-  /// last generation that re-costed a sub-plan containing object o.
+  /// last generation that re-costed a sub-plan class containing object o.
   int64_t generation_ = 0;
   std::vector<int64_t> object_generation_;
 
@@ -258,7 +332,7 @@ class LayoutEvaluator {
   bool staged_valid_ = false;
   std::vector<int> staged_objects_;
   std::vector<double> staged_rows_;     ///< |objects| x m, row-major
-  std::vector<int32_t> staged_affected_;
+  std::vector<int32_t> staged_affected_;  ///< re-costed sub-plan classes
   std::vector<double> staged_costs_;    ///< parallel to staged_affected_
   double staged_total_ = 0;
 

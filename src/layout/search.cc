@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <span>
 
 #include "analysis/invariant_auditor.h"
 #include "common/logging.h"
@@ -211,16 +212,19 @@ std::vector<std::vector<int>> ObjectGroups(size_t num_objects,
 }  // namespace
 
 /// Wall-clock deadline of one Run/RunFrom invocation. Checked at iteration
-/// and candidate granularity: a candidate evaluation is the search's atomic
-/// unit of work, so expiry is detected within one cost-model call of the
-/// budget without slicing an accepted move in half (every layout the search
-/// holds between checks is complete and valid).
+/// and scoring-batch granularity: the greedy phase scores its candidates in
+/// batches of at most LayoutEvaluator::kLanes, one evaluator pass each, and
+/// checks before every batch at every thread count (the sequential
+/// migration phase checks before every candidate). Expiry is therefore
+/// detected within one batch of the budget without slicing an accepted move
+/// in half (every layout the search holds between checks is complete and
+/// valid).
 struct TsGreedySearch::Deadline {
   std::chrono::steady_clock::time_point at{};
   bool active = false;
   /// Cooperative cancellation flag (SearchOptions::cancel_requested); checked
   /// wherever the wall-clock deadline is, so SIGINT/SIGTERM interrupts the
-  /// search at candidate granularity with the same best-so-far contract.
+  /// search at batch granularity with the same best-so-far contract.
   const std::atomic<bool>* cancel = nullptr;
 
   static Deadline FromBudgetMs(double budget_ms,
@@ -241,7 +245,7 @@ struct TsGreedySearch::Deadline {
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
       return true;
     }
-    // dblayout-check(determinism-taint): deadline probe for the contractual search budget; checked only at candidate granularity so a timed-out run still returns a valid best-so-far
+    // dblayout-check(determinism-taint): deadline probe for the contractual search budget; checked only between scoring batches so a timed-out run still returns a valid best-so-far
     return active && std::chrono::steady_clock::now() >= at;
   }
 };
@@ -460,7 +464,10 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
     int ordinal = 0;  ///< index into the group's memos
   };
   std::vector<Candidate> cands;
+  std::vector<LayoutEvaluator::ProportionalMove> moves;  ///< parallel to cands
   std::vector<double> costs;
+  std::vector<uint64_t> eval_ns;       ///< journal wall-clock mode only
+  std::vector<uint8_t> batch_scored;   ///< per scoring batch
   const int parallelism = std::max(
       1, std::min(options_.num_threads, ThreadPool::Shared().num_workers() + 1));
   std::vector<LayoutEvaluator::Scratch> scratches;
@@ -573,74 +580,86 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
       }
     }
 
-    // Phase 2: score the candidates (delta costing). Each score lands in a
-    // fixed slot, so the parallel path computes exactly the values the
-    // sequential one would.
+    // Phase 2: score the candidates (delta costing) in contiguous batches of
+    // LayoutEvaluator::kLanes, each scored in one evaluator pass. Each
+    // score lands in a fixed slot, so the parallel path (one pool task per
+    // batch) computes exactly the values the sequential one would. The
+    // deadline is checked before every batch; `scored` ends at the first
+    // batch left unscored.
+    constexpr auto kBatch = static_cast<size_t>(LayoutEvaluator::kLanes);
+    const size_t num_batches = (cands.size() + kBatch - 1) / kBatch;
     costs.assign(cands.size(), 0.0);
-    size_t scored = cands.size();
-    // Per-worker journal buffers: the scoring lambda never takes the
-    // journal's lock; MergeShards appends the buffered "eval" events in
-    // candidate order after the join, so the journal bytes are independent
-    // of the thread count (same fixed-slot discipline as `costs`).
-    std::vector<obs::EventJournal::Shard> shards(
-        journal != nullptr ? static_cast<size_t>(parallelism) : 0);
-    auto buffer_eval = [&shards, &costs, journal_wall, iter](
-                           size_t idx, uint64_t t0, int worker) {
-      obs::JournalFields fields{{"iter", obs::JsonInt(iter)},
-                                {"cand", obs::JsonInt(static_cast<int64_t>(idx))},
-                                {"cost", obs::JsonDouble(costs[idx])},
-                                {"mode", obs::JsonString("delta")}};
-      if (journal_wall) {
-        fields.emplace_back("eval_ns", obs::JsonInt(static_cast<int64_t>(
-                                           JournalNowNs(journal_wall) - t0)));
-      }
-      shards[static_cast<size_t>(worker)].Append(static_cast<int64_t>(idx),
-                                                 "eval", std::move(fields));
-    };
-    if (parallelism > 1 && cands.size() > 1) {
-      scratches.resize(static_cast<size_t>(parallelism));
-      for (auto& s : scratches) s = evaluator.MakeScratch();
+    eval_ns.assign(journal_wall ? cands.size() : 0, 0);
+    batch_scored.assign(num_batches, 0);
+    moves.resize(cands.size());
+    for (size_t idx = 0; idx < cands.size(); ++idx) {
+      const Candidate& c = cands[idx];
       // Each candidate owns its memo slot, so workers write disjoint slots
       // (the same fixed-slot discipline as `costs`).
+      moves[idx] = LayoutEvaluator::ProportionalMove{
+          &groups[static_cast<size_t>(c.group)], &c.disks,
+          &group_state[static_cast<size_t>(c.group)]
+               .memos[static_cast<size_t>(c.ordinal)]};
+    }
+    auto score_batch = [&deadline, &evaluator, &moves, &costs, &eval_ns,
+                        &batch_scored, journal_wall](
+                           size_t b, LayoutEvaluator::Scratch* scratch) {
+      if (deadline.Expired()) return;
+      const size_t begin = b * kBatch;
+      const size_t n = std::min(begin + kBatch, moves.size()) - begin;
+      const uint64_t t0 = JournalNowNs(journal_wall);
+      evaluator.ScoreProportionalMoves(
+          std::span<const LayoutEvaluator::ProportionalMove>(moves).subspan(begin, n),
+          scratch, std::span<double>(costs).subspan(begin, n));
+      if (journal_wall) {
+        // Each candidate's share of its batch's wall time.
+        std::fill_n(eval_ns.begin() + static_cast<std::ptrdiff_t>(begin), n,
+                    (JournalNowNs(journal_wall) - t0) / n);
+      }
+      batch_scored[b] = 1;
+    };
+    if (parallelism > 1 && num_batches > 1) {
+      scratches.resize(static_cast<size_t>(parallelism));
+      for (auto& s : scratches) s = evaluator.MakeScratch();
       ThreadPool::Shared().ParallelFor(
-          static_cast<int64_t>(cands.size()), parallelism,
-          [&cands, &costs, &groups, &group_state, &evaluator, &scratches,
-           &shards, &buffer_eval, journal_wall](int64_t idx, int worker) {
-            const Candidate& c = cands[static_cast<size_t>(idx)];
-            const uint64_t t0 = JournalNowNs(journal_wall);
-            costs[static_cast<size_t>(idx)] = evaluator.ScoreProportionalMove(
-                groups[static_cast<size_t>(c.group)], c.disks,
-                &scratches[static_cast<size_t>(worker)],
-                &group_state[static_cast<size_t>(c.group)]
-                     .memos[static_cast<size_t>(c.ordinal)]);
-            if (!shards.empty()) {
-              buffer_eval(static_cast<size_t>(idx), t0, worker);
-            }
+          static_cast<int64_t>(num_batches), parallelism,
+          [&score_batch, &scratches](int64_t b, int worker) {
+            score_batch(static_cast<size_t>(b),
+                        &scratches[static_cast<size_t>(worker)]);
           });
     } else {
       scratches.resize(1);
       scratches[0] = evaluator.MakeScratch();
-      for (size_t idx = 0; idx < cands.size(); ++idx) {
-        // Candidate-granularity deadline check: the layout held here is
-        // valid, so stopping mid-iteration still returns a usable
-        // best-so-far (the improvement found among the candidates already
-        // scored, if any, is accepted below before the outer loop observes
-        // the expiry).
-        if (deadline.Expired()) {
-          telemetry.timed_out = true;
-          scored = idx;
-          break;
-        }
-        const Candidate& c = cands[idx];
-        const uint64_t t0 = JournalNowNs(journal_wall);
-        costs[idx] = evaluator.ScoreProportionalMove(
-            groups[static_cast<size_t>(c.group)], c.disks, &scratches[0],
-            &group_state[static_cast<size_t>(c.group)]
-                 .memos[static_cast<size_t>(c.ordinal)]);
-        if (!shards.empty()) buffer_eval(idx, t0, /*worker=*/0);
+      for (size_t b = 0; b < num_batches; ++b) {
+        score_batch(b, &scratches[0]);
+        if (batch_scored[b] == 0) break;
       }
     }
-    if (journal != nullptr) journal->MergeShards(&shards);
+    // Batch-granularity deadline: the layout held here is valid, so stopping
+    // mid-iteration still returns a usable best-so-far (the improvement
+    // found among the candidates already scored, if any, is accepted below
+    // before the outer loop observes the expiry).
+    size_t scored = cands.size();
+    for (size_t b = 0; b < num_batches; ++b) {
+      if (batch_scored[b] == 0) {
+        telemetry.timed_out = true;
+        scored = b * kBatch;
+        break;
+      }
+    }
+    if (journal != nullptr) {
+      for (size_t idx = 0; idx < scored; ++idx) {
+        obs::JournalFields fields{{"iter", obs::JsonInt(iter)},
+                                  {"cand", obs::JsonInt(static_cast<int64_t>(idx))},
+                                  {"cost", obs::JsonDouble(costs[idx])},
+                                  {"mode", obs::JsonString("delta")}};
+        if (journal_wall) {
+          fields.emplace_back("eval_ns",
+                              obs::JsonInt(static_cast<int64_t>(eval_ns[idx])));
+        }
+        journal->Append("eval", fields);
+      }
+    }
 
     // Phase 3: fold the scores in enumeration order under the same
     // strict-improvement-over-running-best rule the sequential formulation

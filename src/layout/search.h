@@ -72,7 +72,7 @@ struct SearchOptions {
   double time_budget_ms = -1.0;
   /// Cooperative cancellation (not owned; may be null). When the pointee
   /// becomes true the search stops at the next deadline-granularity check —
-  /// between candidate evaluations — and returns the best valid layout
+  /// between scoring batches — and returns the best valid layout
   /// accepted so far with SearchResult::timed_out set, exactly the
   /// time-budget-expiry contract. Wired to the process shutdown flag by
   /// dblayout_cli / dblayout_serve so SIGINT/SIGTERM mid-search still yields
@@ -85,8 +85,9 @@ struct SearchOptions {
   /// produces bit-identical results to num_threads = 1 — parallelism
   /// changes wall-clock time, never the answer. Values above the pool size
   /// are clamped; <= 1 scores in the calling thread. With a wall-clock
-  /// budget, expiry is detected between scoring batches rather than between
-  /// single candidates, so the overrun can grow to one batch.
+  /// budget, the greedy phase detects expiry between scoring batches of at
+  /// most LayoutEvaluator::kLanes candidates at every thread count, so the
+  /// overrun can grow to one batch.
   int num_threads = 1;
   /// Test-only fault injection: when set, invoked on the working layout
   /// after every accepted greedy move, *before* the debug-build invariant

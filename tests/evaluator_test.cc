@@ -1,14 +1,20 @@
 // LayoutEvaluator + ThreadPool + parallel-search tests: delta-costing
-// parity against the CostModel oracle, staged Commit/Revert semantics, the
-// empty-placement edge case, evaluation accounting, pool correctness, and
-// thread-count determinism of the whole search.
+// parity against the CostModel oracle, the sub-plan and statement class
+// boundaries, batched (lockstep) scoring against single-candidate scoring,
+// staged Commit/Revert semantics, the empty-placement edge case, evaluation
+// accounting, pool correctness, and thread-count determinism of the whole
+// search.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "benchdata/tpch.h"
@@ -241,6 +247,249 @@ TEST(EvaluatorTest, MemoIsReusedUntilACommitRecostsOneOfItsSubplans) {
   EXPECT_EQ(c, cm.WorkloadCost(profile, c_candidate));
   EXPECT_EQ(d, evaluator.TotalCost());
   EXPECT_EQ(d, cm.WorkloadCost(profile, evaluator.layout()));
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// Class boundaries. Sub-plans that differ from `base` = [0:900, 1:350]
+/// only in one ulp of one block count, in is_write, in read_modify_write, in
+/// random, or in the order of the two accesses; a self-join sub-plan that
+/// lists object 2 twice; and object 5, which no sub-plan reads. Statements
+/// 0, 1 and 8 are equal; 2 differs from them only in weight, 3 only in the
+/// order of its sub-plans.
+WorkloadProfile NearDuplicateProfile() {
+  auto access = [](int object, double blocks) {
+    ObjectAccess a;
+    a.object_id = object;
+    a.blocks = blocks;
+    return a;
+  };
+  auto statement = [](double weight, std::vector<SubplanAccess> subplans) {
+    StatementProfile s;
+    s.weight = weight;
+    s.subplans = std::move(subplans);
+    return s;
+  };
+  const SubplanAccess base{{access(0, 900), access(1, 350)}};
+  SubplanAccess ulp = base;
+  ulp.accesses[0].blocks =
+      std::nextafter(900.0, std::numeric_limits<double>::infinity());
+  SubplanAccess write = base;
+  write.accesses[0].is_write = true;
+  SubplanAccess rmw = base;
+  rmw.accesses[0].read_modify_write = true;
+  SubplanAccess random = base;
+  random.accesses[0].random = true;
+  const SubplanAccess order{{access(1, 350), access(0, 900)}};
+  const SubplanAccess self_join{{access(2, 610), access(2, 610)}};
+  const SubplanAccess single{{access(3, 130)}};
+  const SubplanAccess pair{{access(4, 75), access(2, 40)}};
+
+  WorkloadProfile profile;
+  profile.num_objects = 6;
+  profile.statements.push_back(statement(1.7, {base, single}));
+  profile.statements.push_back(statement(1.7, {base, single}));
+  profile.statements.push_back(statement(0.45, {base, single}));
+  profile.statements.push_back(statement(1.7, {single, base}));
+  profile.statements.push_back(statement(2.3, {ulp}));
+  profile.statements.push_back(statement(2.3, {write, rmw}));
+  profile.statements.push_back(statement(0.9, {order, random, self_join}));
+  profile.statements.push_back(statement(1.1, {self_join, pair, base}));
+  profile.statements.push_back(statement(1.7, {base, single}));
+  return profile;
+}
+
+TEST(EvaluatorTest, ClassCountsAreExact) {
+  const DiskFleet fleet = DiskFleet::Heterogeneous(4, 0.3, 11);
+  const CostModel cm(fleet);
+  const LayoutEvaluator evaluator(NearDuplicateProfile(), cm);
+  EXPECT_EQ(evaluator.num_subplans(), 19);
+  // base, ulp, write, rmw, random, order, self_join, single, pair.
+  EXPECT_EQ(evaluator.num_subplan_classes(), 9);
+  // {0, 1, 8}, 2, 3, 4, 5, 6, 7.
+  EXPECT_EQ(evaluator.num_statement_classes(), 7);
+}
+
+/// The oracle's price of "the bound layout with every object of `objects`
+/// assigned proportionally across `disks`".
+double OracleScore(const LayoutEvaluator& evaluator, const CostModel& cm,
+                   const WorkloadProfile& profile, const std::vector<int>& objects,
+                   const std::vector<int>& disks) {
+  Layout candidate = evaluator.layout();
+  for (int i : objects) candidate.AssignProportional(i, disks, cm.fleet());
+  return cm.WorkloadCost(profile, candidate);
+}
+
+TEST(EvaluatorTest, NearDuplicateClassesScoreLikeTheOracle) {
+  const DiskFleet fleet = DiskFleet::Heterogeneous(4, 0.3, 29);
+  const WorkloadProfile profile = NearDuplicateProfile();
+  const CostModel cm(fleet);
+  const int m = fleet.num_disks();
+  LayoutEvaluator evaluator(profile, cm);
+  const int n = static_cast<int>(profile.num_objects);
+  Layout start(n, m);
+  for (int i = 0; i < n; ++i) start.AssignProportional(i, {0, 1}, fleet);
+  evaluator.Bind(start);
+
+  const std::vector<std::vector<int>> groups = {{0}, {1}, {2}, {3}, {4}, {5},
+                                                {0, 2}, {1, 3, 4}};
+  Rng rng(41);
+  for (int move = 0; move < 30; ++move) {
+    const std::vector<int>& group =
+        groups[rng.Index(groups.size())];
+    evaluator.DeltaForProportionalMove(group, RandomDiskSet(m, &rng));
+    evaluator.Commit();
+    ASSERT_EQ(Bits(evaluator.TotalCost()),
+              Bits(cm.WorkloadCost(profile, evaluator.layout())))
+        << "committed total drifted at move " << move;
+
+    // Every group on a random drive set: once one at a time, once as lanes
+    // of batches.
+    std::vector<std::vector<int>> disk_sets;
+    std::vector<LayoutEvaluator::ProportionalMove> moves;
+    for (size_t g = 0; g < groups.size(); ++g) {
+      disk_sets.push_back(RandomDiskSet(m, &rng));
+    }
+    for (size_t g = 0; g < groups.size(); ++g) {
+      moves.push_back({&groups[g], &disk_sets[g], nullptr});
+    }
+    LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
+    std::vector<double> batched(moves.size());
+    evaluator.ScoreProportionalMoves(moves, &scratch, batched);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      const double oracle =
+          OracleScore(evaluator, cm, profile, groups[g], disk_sets[g]);
+      EXPECT_EQ(Bits(evaluator.ScoreProportionalMove(groups[g], disk_sets[g],
+                                                     &scratch)),
+                Bits(oracle))
+          << "single, move " << move << " group " << g;
+      EXPECT_EQ(Bits(batched[g]), Bits(oracle))
+          << "lane " << g << ", move " << move;
+    }
+  }
+}
+
+TEST(EvaluatorTest, BatchTotalsEqualSingleCandidateTotals) {
+  const DiskFleet fleet = DiskFleet::Heterogeneous(4, 0.3, 31);
+  const WorkloadProfile profile = NearDuplicateProfile();
+  const CostModel cm(fleet);
+  const int m = fleet.num_disks();
+  LayoutEvaluator evaluator(profile, cm);
+  const int n = static_cast<int>(profile.num_objects);
+  Layout start(n, m);
+  for (int i = 0; i < n; ++i) start.AssignProportional(i, {1, 2}, fleet);
+  evaluator.Bind(start);
+  evaluator.DeltaForProportionalMove({3}, {0, 3});
+  evaluator.Commit();
+
+  // Candidates: single objects, multi-object groups, and object 5, which no
+  // sub-plan reads. Every third candidate keeps a memo across the whole
+  // test (hits after its first score), every third gets an empty memo per
+  // batch (a miss that fills it), the rest score without one.
+  struct Cand {
+    std::vector<int> objects;
+    std::vector<int> disks;
+  };
+  const std::vector<Cand> cands = {
+      {{0}, {0, 2}},    {{1}, {3}},       {{2}, {0, 1, 2, 3}}, {{5}, {2}},
+      {{0, 2}, {1, 3}}, {{3}, {1}},       {{1, 3, 4}, {0}},    {{4}, {2, 3}},
+      {{2}, {1}},       {{0, 1}, {0, 3}}, {{5, 4}, {0, 1}}};
+  std::vector<LayoutEvaluator::Memo> kept(cands.size());
+  std::vector<double> single(cands.size());
+  LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
+  for (size_t c = 0; c < cands.size(); ++c) {
+    single[c] =
+        evaluator.ScoreProportionalMove(cands[c].objects, cands[c].disks, &scratch);
+    ASSERT_EQ(Bits(single[c]), Bits(OracleScore(evaluator, cm, profile,
+                                                cands[c].objects, cands[c].disks)))
+        << "candidate " << c;
+  }
+
+  // Every batch size and every lane position: the batches slide over the
+  // candidate list cyclically.
+  for (int n = 1; n <= LayoutEvaluator::kLanes; ++n) {
+    for (size_t first = 0; first < cands.size(); ++first) {
+      std::vector<LayoutEvaluator::Memo> fresh(static_cast<size_t>(n));
+      std::vector<LayoutEvaluator::ProportionalMove> moves;
+      std::vector<size_t> ids;
+      for (int k = 0; k < n; ++k) {
+        const size_t c = (first + static_cast<size_t>(k)) % cands.size();
+        LayoutEvaluator::Memo* memo = c % 3 == 0   ? &kept[c]
+                                      : c % 3 == 1 ? &fresh[static_cast<size_t>(k)]
+                                                   : nullptr;
+        moves.push_back({&cands[c].objects, &cands[c].disks, memo});
+        ids.push_back(c);
+      }
+      std::vector<double> totals(static_cast<size_t>(n));
+      const int64_t evals_before = evaluator.delta_evaluations();
+      evaluator.ScoreProportionalMoves(moves, &scratch, totals);
+      EXPECT_EQ(evaluator.delta_evaluations() - evals_before, n);
+      for (size_t k = 0; k < ids.size(); ++k) {
+        EXPECT_EQ(Bits(totals[k]), Bits(single[ids[k]]))
+            << "batch of " << n << ", lane " << k << ", candidate " << ids[k];
+      }
+    }
+  }
+
+  // More than kLanes moves in one call: scored kLanes at a time.
+  std::vector<LayoutEvaluator::ProportionalMove> all;
+  for (size_t c = 0; c < cands.size(); ++c) {
+    all.push_back({&cands[c].objects, &cands[c].disks, &kept[c]});
+  }
+  std::vector<double> totals(cands.size());
+  const int64_t evals_before = evaluator.delta_evaluations();
+  evaluator.ScoreProportionalMoves(all, &scratch, totals);
+  EXPECT_EQ(evaluator.delta_evaluations() - evals_before,
+            static_cast<int64_t>(cands.size()));
+  for (size_t c = 0; c < cands.size(); ++c) {
+    EXPECT_EQ(Bits(totals[c]), Bits(single[c])) << "candidate " << c;
+  }
+}
+
+TEST(EvaluatorTest, MemosCrossBetweenBatchesAndSingleCalls) {
+  constexpr int kA = 0, kC = 2, kD = 3;
+  const DiskFleet fleet = DiskFleet::Heterogeneous(4, 0.3, 11);
+  const WorkloadProfile profile = MemoProfile();
+  const CostModel cm(fleet);
+  LayoutEvaluator evaluator(profile, cm);
+  Layout start(4, fleet.num_disks());
+  for (int i = 0; i < 4; ++i) start.AssignProportional(i, {0, 1}, fleet);
+  evaluator.Bind(start);
+
+  // C shares only a statement with A and D nothing, so a commit on A keeps
+  // both memos fresh.
+  const std::vector<int> c_objects = {kC}, d_objects = {kD};
+  const std::vector<int> c_disks = {1, 3}, d_disks = {0, 2};
+  LayoutEvaluator::Memo batch_filled, single_filled;
+  LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
+  const LayoutEvaluator::ProportionalMove fill[] = {
+      {&d_objects, &d_disks, nullptr}, {&c_objects, &c_disks, &batch_filled}};
+  double filled[2];
+  evaluator.ScoreProportionalMoves(fill, &scratch, filled);
+  evaluator.ScoreProportionalMove(d_objects, d_disks, &scratch, &single_filled);
+  const int64_t batch_generation = batch_filled.generation;
+  const int64_t single_generation = single_filled.generation;
+  ASSERT_GE(batch_generation, 0);
+  ASSERT_GE(single_generation, 0);
+
+  evaluator.DeltaForProportionalMove({kA}, {0, 2, 3});
+  evaluator.Commit();
+  scratch = evaluator.MakeScratch();
+
+  // Filled in a batch, served to a single call: a hit keeps the generation.
+  const double c = evaluator.ScoreProportionalMove(c_objects, c_disks, &scratch,
+                                                   &batch_filled);
+  EXPECT_EQ(batch_filled.generation, batch_generation);
+  EXPECT_EQ(Bits(c), Bits(OracleScore(evaluator, cm, profile, c_objects, c_disks)));
+  // Filled by a single call, served to a lane of a batch.
+  const LayoutEvaluator::ProportionalMove serve[] = {
+      {&c_objects, &c_disks, nullptr}, {&d_objects, &d_disks, &single_filled}};
+  double served[2];
+  evaluator.ScoreProportionalMoves(serve, &scratch, served);
+  EXPECT_EQ(single_filled.generation, single_generation);
+  EXPECT_EQ(Bits(served[0]), Bits(c));
+  EXPECT_EQ(Bits(served[1]),
+            Bits(OracleScore(evaluator, cm, profile, d_objects, d_disks)));
 }
 
 TEST(EvaluatorTest, ScoreIsPureAndMatchesMaterializedCandidate) {
