@@ -149,6 +149,23 @@ bool Contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
 }
 
+/// Journal lines containing every one of `needles`.
+int CountLines(const std::string& journal, const std::vector<std::string>& needles) {
+  int count = 0;
+  size_t pos = 0;
+  while (pos < journal.size()) {
+    size_t end = journal.find('\n', pos);
+    if (end == std::string::npos) end = journal.size();
+    const std::string line = journal.substr(pos, end - pos);
+    count += std::all_of(needles.begin(), needles.end(),
+                         [&](const std::string& n) { return Contains(line, n); })
+                 ? 1
+                 : 0;
+    pos = end + 1;
+  }
+  return count;
+}
+
 TEST(SearchDigestTest, Tpch22) {
   const Database db = benchdata::MakeTpchDatabase();
   const DiskFleet fleet = DiskFleet::Heterogeneous(8, 0.3, 42);
@@ -203,6 +220,29 @@ TEST(SearchDigestTest, TightFleetTpch22) {
   const std::string journal =
       CheckCase("tight", db, fleet, profile, Resolve({}, db, fleet));
   EXPECT_TRUE(Contains(journal, R"("reason":"capacity")"));
+}
+
+// A random current layout on small drives under a movement budget: the
+// migration phase accepts steps and rejects others for both reasons.
+TEST(SearchDigestTest, MigrateTightTpch22) {
+  const Database db = benchdata::MakeTpchDatabase();
+  const DiskFleet fleet = DiskFleet::Heterogeneous(8, 0.3, 42, 0.3);
+  const WorkloadProfile profile = Analyze(db, benchdata::MakeTpch22Workload(db, 1));
+  Rng rng(5);
+  Result<Layout> current = RandomLayout(db, fleet, &rng);
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  Constraints c;
+  c.max_movement_fraction = 0.2;
+  c.current_layout = &current.value();
+  const std::string journal =
+      CheckCase("migrate_tight", db, fleet, profile, Resolve(c, db, fleet));
+  EXPECT_GT(CountLines(journal, {R"("ev":"decision")", R"("move":"migrate")"}), 0);
+  EXPECT_GT(CountLines(journal, {R"("ev":"reject")", R"("move":"migrate")",
+                                 R"("reason":"capacity")"}),
+            0);
+  EXPECT_GT(CountLines(journal, {R"("ev":"reject")", R"("move":"migrate")",
+                                 R"("reason":"movement_budget")"}),
+            0);
 }
 
 }  // namespace
