@@ -441,7 +441,11 @@ void LayoutEvaluator::ScoreProportionalMoves(
         [&](size_t k, Layout& l) {
           const ProportionalMove& move = moves[begin + k];
           for (int i : *move.objects) {
-            l.AssignProportional(i, *move.disks, cost_model_.fleet());
+            if (move.rows != nullptr) {
+              for (int j = 0; j < l.num_disks(); ++j) l.set_x(i, j, move.rows->x(i, j));
+            } else {
+              l.AssignProportional(i, *move.disks, cost_model_.fleet());
+            }
           }
         },
         scratch, totals.data() + begin);
@@ -454,22 +458,6 @@ double LayoutEvaluator::ScoreProportionalMove(const std::vector<int>& objects,
   const ProportionalMove move{&objects, &disks, memo};
   double total = 0;
   ScoreProportionalMoves({&move, 1}, scratch, {&total, 1});
-  return total;
-}
-
-double LayoutEvaluator::ScoreRowsFromMove(const std::vector<int>& objects,
-                                          const Layout& rows,
-                                          Scratch* scratch) const {
-  const Lane lane{&objects, nullptr};
-  double total = 0;
-  ScoreCore(
-      {&lane, 1},
-      [&](size_t, Layout& l) {
-        for (int i : objects) {
-          for (int j = 0; j < l.num_disks(); ++j) l.set_x(i, j, rows.x(i, j));
-        }
-      },
-      scratch, &total);
   return total;
 }
 
@@ -505,17 +493,6 @@ double LayoutEvaluator::DeltaCore(const std::vector<int>& objects,
   staged_total_ = total;
   staged_valid_ = true;
   return total;
-}
-
-double LayoutEvaluator::DeltaForMove(int object,
-                                     const std::vector<double>& new_fractions) {
-  DBLAYOUT_CHECK(static_cast<int>(new_fractions.size()) == layout_.num_disks());
-  const std::vector<int> objects = {object};
-  return DeltaCore(objects, [&](Layout& l) {
-    for (int j = 0; j < l.num_disks(); ++j) {
-      l.set_x(object, j, new_fractions[static_cast<size_t>(j)]);
-    }
-  });
 }
 
 double LayoutEvaluator::DeltaForProportionalMove(const std::vector<int>& objects,

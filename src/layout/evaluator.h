@@ -128,12 +128,15 @@ class LayoutEvaluator {
   };
 
   /// One candidate of a batch: every object of `objects` assigned
-  /// proportionally across `disks`, with an optional memo (see
-  /// ScoreProportionalMove). The pointees must outlive the call.
+  /// proportionally across `disks`, or, when `rows` is set, taking each
+  /// object's row from `rows` (migration toward a target layout; `disks` is
+  /// then ignored). The memo is optional (see ScoreProportionalMoves). The
+  /// pointees must outlive the call.
   struct ProportionalMove {
     const std::vector<int>* objects = nullptr;
     const std::vector<int>* disks = nullptr;
     Memo* memo = nullptr;
+    const Layout* rows = nullptr;
   };
 
   /// Full recomputation: copies `layout`, costs every sub-plan class
@@ -171,7 +174,7 @@ class LayoutEvaluator {
   /// Scores `moves` into `totals` (same length), kLanes candidates per
   /// pass. Each move's memo, when given, is reused when still fresh and
   /// refilled otherwise; the caller must pass the same Memo only for the
-  /// same (objects, disks).
+  /// same objects moving to the same rows.
   void ScoreProportionalMoves(std::span<const ProportionalMove> moves,
                               Scratch* scratch, std::span<double> totals) const;
 
@@ -182,20 +185,11 @@ class LayoutEvaluator {
                                const std::vector<int>& disks, Scratch* scratch,
                                Memo* memo = nullptr) const;
 
-  /// Candidate rows: every object of `objects` takes its row from `rows`
-  /// (used by migration toward a target layout).
-  double ScoreRowsFromMove(const std::vector<int>& objects, const Layout& rows,
-                           Scratch* scratch) const;
-
   // -- Staged mutation (single-threaded) --------------------------------------
 
-  /// Stages "assign `new_fractions` (a full row, one entry per disk) to
-  /// `object`" and returns the candidate total. Commit() adopts it;
-  /// Revert() (or staging another move) drops it.
-  double DeltaForMove(int object, const std::vector<double>& new_fractions);
-
   /// Stages a whole-group proportional re-assignment (the greedy search's
-  /// accepted move).
+  /// accepted move) and returns the candidate total. Commit() adopts it;
+  /// Revert() (or staging another move) drops it.
   double DeltaForProportionalMove(const std::vector<int>& objects,
                                   const std::vector<int>& disks);
 

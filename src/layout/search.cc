@@ -24,60 +24,47 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-/// The move kinds of the greedy step (Fig. 9 widening plus this
-/// reproduction's jump and narrowing extensions), for telemetry.
-enum class MoveKind { kWiden, kJump, kNarrow };
+/// Safety margin on the fractional capacity checks of InitialLayout and the
+/// greedy phase (exact rounded validation happens once at the end).
+constexpr double kCapacityMargin = 0.999;
 
-const char* MoveKindName(MoveKind kind) {
-  switch (kind) {
-    case MoveKind::kWiden: return "widen";
-    case MoveKind::kJump: return "jump";
-    case MoveKind::kNarrow: return "narrow";
-  }
-  return "?";
+/// Cap on the iterations of one MoveLoop (defensive: each phase stops at its
+/// first iteration without an improving candidate, and every accepted
+/// migration step migrates at least one more group).
+constexpr int kMaxIterations = 1000;
+
+/// The move kinds: Fig. 9's widening, this reproduction's jump and narrowing
+/// extensions, and the incremental mode's migration step.
+enum class MoveKind { kWiden, kJump, kNarrow, kMigrate };
+
+/// Per move kind, in MoveKind order: its journal and progress name and its
+/// SearchTelemetry counters.
+struct MoveKindInfo {
+  const char* name;
+  int64_t SearchTelemetry::*considered;
+  int64_t SearchTelemetry::*accepted;
+};
+constexpr MoveKindInfo kMoveKinds[] = {
+    {"widen", &SearchTelemetry::widen_considered, &SearchTelemetry::widen_accepted},
+    {"jump", &SearchTelemetry::jump_considered, &SearchTelemetry::jump_accepted},
+    {"narrow", &SearchTelemetry::narrow_considered, &SearchTelemetry::narrow_accepted},
+    {"migrate", &SearchTelemetry::migrate_considered,
+     &SearchTelemetry::migrate_accepted},
+};
+
+const MoveKindInfo& Kind(MoveKind kind) {
+  return kMoveKinds[static_cast<size_t>(kind)];
 }
 
-int64_t& ConsideredSlot(SearchTelemetry& t, MoveKind kind) {
-  switch (kind) {
-    case MoveKind::kWiden: return t.widen_considered;
-    case MoveKind::kJump: return t.jump_considered;
-    case MoveKind::kNarrow: return t.narrow_considered;
-  }
-  return t.widen_considered;
-}
-
-int64_t& AcceptedSlot(SearchTelemetry& t, MoveKind kind) {
-  switch (kind) {
-    case MoveKind::kWiden: return t.widen_accepted;
-    case MoveKind::kJump: return t.jump_accepted;
-    case MoveKind::kNarrow: return t.narrow_accepted;
-  }
-  return t.widen_accepted;
-}
-
-/// Accumulates the move counts, rejections, flags, and trajectory of `from`
-/// into `*into` (used to fold the unconstrained probe search's telemetry
-/// into the overall run's).
-void MergeTelemetry(const SearchTelemetry& from, SearchTelemetry* into) {
-  into->widen_considered += from.widen_considered;
-  into->widen_accepted += from.widen_accepted;
-  into->jump_considered += from.jump_considered;
-  into->jump_accepted += from.jump_accepted;
-  into->narrow_considered += from.narrow_considered;
-  into->narrow_accepted += from.narrow_accepted;
-  into->migrate_considered += from.migrate_considered;
-  into->migrate_accepted += from.migrate_accepted;
-  into->capacity_rejected += from.capacity_rejected;
-  into->movement_rejected += from.movement_rejected;
-  into->full_evals += from.full_evals;
-  into->delta_evals += from.delta_evals;
-  into->used_full_striping_fallback |= from.used_full_striping_fallback;
-  into->used_incremental_migration |= from.used_incremental_migration;
-  into->timed_out |= from.timed_out;
-  into->cost_trajectory.insert(into->cost_trajectory.end(),
-                               from.cost_trajectory.begin(),
-                               from.cost_trajectory.end());
-}
+/// Why a candidate was discarded before scoring: its journal reason and its
+/// SearchTelemetry counter.
+struct RejectReason {
+  const char* name;
+  int64_t SearchTelemetry::*counter;
+};
+constexpr RejectReason kCapacityReject{"capacity", &SearchTelemetry::capacity_rejected};
+constexpr RejectReason kMovementReject{"movement_budget",
+                                       &SearchTelemetry::movement_rejected};
 
 /// Flushes the per-run telemetry into the global metrics registry (one
 /// counter add per field, not one per move, so the hot loop stays clean).
@@ -98,6 +85,18 @@ void PublishSearchMetrics(const SearchTelemetry& t) {
   if (t.timed_out) {
     DBLAYOUT_OBS_COUNT("search/timeouts", 1);
   }
+}
+
+/// Completes a Run/RunFrom result: the evaluation totals and the telemetry
+/// flush. Every evaluation of the run went through the shared cost model
+/// exactly once (delta scorings via NoteExternalWorkloadEvaluation), so the
+/// full/delta split follows from the totals.
+void FinishRun(const CostModel& cost_model, SearchResult* result) {
+  result->layouts_evaluated = cost_model.WorkloadEvaluations();
+  result->telemetry.full_evals =
+      result->layouts_evaluated - result->telemetry.delta_evals;
+  result->timed_out = result->telemetry.timed_out;
+  PublishSearchMetrics(result->telemetry);
 }
 
 /// Monotonic nanoseconds for the journal's per-candidate "eval_ns" field.
@@ -139,27 +138,27 @@ void ProportionalRow(const std::vector<int>& disks, const DiskFleet& fleet,
   }
 }
 
-/// Layout::DataMovementBlocks(from, base-with-`row`-substituted-for-the-
-/// marked-objects) without materializing the candidate layout. The
-/// accumulation order matches DataMovementBlocks exactly, so the
-/// movement-budget decision is bit-identical to building the candidate.
-double MovementWithRow(const Layout& from, const Layout& base,
-                       const std::vector<bool>& in_group,
-                       const std::vector<double>& row,
-                       const std::vector<int64_t>& sizes) {
-  double moved = 0;
+/// Layout::DataMovementBlocks(from, base with every object i marked in
+/// `moved` taking row_of(i, j) on drive j) without materializing the
+/// candidate layout. The accumulation order matches DataMovementBlocks
+/// exactly, so the movement-budget decision is bit-identical to building
+/// the candidate.
+template <typename RowOf>
+double MovementWithRows(const Layout& from, const Layout& base,
+                        const std::vector<bool>& moved, const RowOf& row_of,
+                        const std::vector<int64_t>& sizes) {
+  double blocks = 0;
   for (int i = 0; i < from.num_objects(); ++i) {
-    const bool substituted = in_group[static_cast<size_t>(i)];
+    const bool substituted = moved[static_cast<size_t>(i)];
     for (int j = 0; j < from.num_disks(); ++j) {
-      const double to =
-          substituted ? row[static_cast<size_t>(j)] : base.x(i, j);
+      const double to = substituted ? row_of(i, j) : base.x(i, j);
       const double delta = to - from.x(i, j);
       if (delta > 0) {
-        moved += delta * static_cast<double>(sizes[static_cast<size_t>(i)]);
+        blocks += delta * static_cast<double>(sizes[static_cast<size_t>(i)]);
       }
     }
   }
-  return moved;
+  return blocks;
 }
 
 /// Sum of access-graph edge weights between two object sets.
@@ -209,16 +208,264 @@ std::vector<std::vector<int>> ObjectGroups(size_t num_objects,
   return groups;
 }
 
+/// One candidate of a MoveLoop iteration: every object of `*objects`
+/// re-assigned, proportionally across the drives `to` (greedy moves), or to
+/// its row in the probe target, whose drives `to` then lists (migration).
+struct MoveCandidate {
+  MoveKind kind = MoveKind::kWiden;
+  int source = 0;  ///< the co-location group (greedy) or migration unit
+  const std::vector<int>* objects = nullptr;
+  std::vector<int> to;
+  int slot = 0;           ///< greedy: the memo slot in the group's list
+  double step_moved = 0;  ///< blocks a migration step moves (>= 1)
+};
+
+/// A candidate source and fold rule for MoveLoop:
+///   - enumerate(base, &cands, reject) appends this iteration's feasible
+///     candidates in a deterministic order, and reports every candidate it
+///     discards through reject(kind, objects, to, reason);
+///   - move(c) is candidate `c` as the evaluator scores it, memo included;
+///   - commit(c) stages and commits `c` through the evaluator and updates
+///     the source's own state.
+/// The fold rule picks the lowest cost (`by_gain` false), or the best cost
+/// gain per moved block among the candidates that improve on the base.
+template <typename Enumerate, typename Move, typename Commit>
+struct MoveSource {
+  const char* phase;  ///< "greedy" or "migrate"
+  bool by_gain;
+  Enumerate enumerate;
+  Move move;
+  Commit commit;
+};
+
+/// The move loop of both search phases (Fig. 9 step 3, and the incremental
+/// mode's migration): per iteration, enumerate the candidates, score them by
+/// delta costing, fold the scores, and commit the winner, until an iteration
+/// finds no winner. Each journal event, telemetry count, progress sample and
+/// post-move audit is issued here, at one site. `Deadline` is
+/// TsGreedySearch::Deadline.
+template <typename Source, typename Deadline>
+void MoveLoop(const Source& source, const SearchOptions& options,
+              const CostModel& cost_model, const Deadline& deadline,
+              LayoutEvaluator& evaluator, SearchResult* stats) {
+  SearchTelemetry& telemetry = stats->telemetry;
+  // Observe-only decision journal (see SearchOptions::journal): every event
+  // is appended from this thread, the scored ones in candidate order after
+  // the scoring join, so the journal does not depend on the thread count.
+  obs::EventJournal* const journal = options.journal;
+  const bool journal_wall = journal != nullptr && journal->wall_clock();
+  double cost = evaluator.TotalCost();
+  if (journal != nullptr) {
+    journal->Append("search_start", {{"phase", obs::JsonString(source.phase)},
+                                     {"cost", obs::JsonDouble(cost)}});
+  }
+
+  std::vector<MoveCandidate> cands;
+  std::vector<LayoutEvaluator::ProportionalMove> moves;  ///< parallel to cands
+  std::vector<double> costs;
+  std::vector<uint64_t> eval_ns;       ///< journal wall-clock mode only
+  std::vector<uint8_t> batch_scored;   ///< per scoring batch
+  const int parallelism = std::max(
+      1, std::min(options.num_threads, ThreadPool::Shared().num_workers() + 1));
+  std::vector<LayoutEvaluator::Scratch> scratches;
+
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
+    DBLAYOUT_TRACE_SPAN("search/greedy_iteration");
+    if (deadline.Expired()) {
+      telemetry.timed_out = true;
+      break;
+    }
+    const Layout& base = evaluator.layout();
+
+    // Phase 1: enumerate this iteration's candidates. The source's
+    // feasibility checks decide exactly as applying the move to a layout
+    // copy would.
+    const auto reject = [&](MoveKind kind, const std::vector<int>& objects,
+                            const std::vector<int>& to, const RejectReason& reason) {
+      ++(telemetry.*reason.counter);
+      if (journal != nullptr) {
+        journal->Append("reject", {{"iter", obs::JsonInt(iter)},
+                                   {"move", obs::JsonString(Kind(kind).name)},
+                                   {"group", obs::JsonIntArray(objects)},
+                                   {"to", obs::JsonIntArray(to)},
+                                   {"reason", obs::JsonString(reason.name)}});
+      }
+    };
+    cands.clear();
+    source.enumerate(base, &cands, reject);
+
+    // Phase 2: score the candidates (delta costing) in contiguous batches of
+    // LayoutEvaluator::kLanes, each scored in one evaluator pass. Each
+    // score lands in a fixed slot, so the parallel path (one pool task per
+    // batch) computes exactly the values the sequential one would. The
+    // deadline is checked before every batch; `scored` ends at the first
+    // batch left unscored.
+    constexpr auto kBatch = static_cast<size_t>(LayoutEvaluator::kLanes);
+    const size_t num_batches = (cands.size() + kBatch - 1) / kBatch;
+    costs.assign(cands.size(), 0.0);
+    eval_ns.assign(journal_wall ? cands.size() : 0, 0);
+    batch_scored.assign(num_batches, 0);
+    // Each candidate owns its memo slot, so workers write disjoint slots
+    // (the same fixed-slot discipline as `costs`).
+    moves.resize(cands.size());
+    for (size_t idx = 0; idx < cands.size(); ++idx) {
+      moves[idx] = source.move(cands[idx]);
+    }
+    auto score_batch = [&deadline, &evaluator, &moves, &costs, &eval_ns,
+                        &batch_scored, journal_wall](
+                           size_t b, LayoutEvaluator::Scratch* scratch) {
+      if (deadline.Expired()) return;
+      const size_t begin = b * kBatch;
+      const size_t n = std::min(begin + kBatch, moves.size()) - begin;
+      const uint64_t t0 = JournalNowNs(journal_wall);
+      evaluator.ScoreProportionalMoves(
+          std::span<const LayoutEvaluator::ProportionalMove>(moves).subspan(begin, n),
+          scratch, std::span<double>(costs).subspan(begin, n));
+      if (journal_wall) {
+        // Each candidate's share of its batch's wall time.
+        std::fill_n(eval_ns.begin() + static_cast<std::ptrdiff_t>(begin), n,
+                    (JournalNowNs(journal_wall) - t0) / n);
+      }
+      batch_scored[b] = 1;
+    };
+    if (parallelism > 1 && num_batches > 1) {
+      scratches.resize(static_cast<size_t>(parallelism));
+      for (auto& s : scratches) s = evaluator.MakeScratch();
+      ThreadPool::Shared().ParallelFor(
+          static_cast<int64_t>(num_batches), parallelism,
+          [&score_batch, &scratches](int64_t b, int worker) {
+            score_batch(static_cast<size_t>(b),
+                        &scratches[static_cast<size_t>(worker)]);
+          });
+    } else {
+      scratches.resize(1);
+      scratches[0] = evaluator.MakeScratch();
+      for (size_t b = 0; b < num_batches; ++b) {
+        score_batch(b, &scratches[0]);
+        if (batch_scored[b] == 0) break;
+      }
+    }
+    // Batch-granularity deadline: the layout held here is valid, so stopping
+    // mid-iteration still returns a usable best-so-far (the improvement
+    // found among the candidates already scored, if any, is accepted below
+    // before the loop observes the expiry).
+    size_t scored = cands.size();
+    for (size_t b = 0; b < num_batches; ++b) {
+      if (batch_scored[b] == 0) {
+        telemetry.timed_out = true;
+        scored = b * kBatch;
+        break;
+      }
+    }
+    if (journal != nullptr) {
+      for (size_t idx = 0; idx < scored; ++idx) {
+        obs::JournalFields fields{{"iter", obs::JsonInt(iter)},
+                                  {"cand", obs::JsonInt(static_cast<int64_t>(idx))},
+                                  {"cost", obs::JsonDouble(costs[idx])},
+                                  {"mode", obs::JsonString("delta")}};
+        if (journal_wall) {
+          fields.emplace_back("eval_ns",
+                              obs::JsonInt(static_cast<int64_t>(eval_ns[idx])));
+        }
+        journal->Append("eval", fields);
+      }
+    }
+
+    // Phase 3: fold the scores in enumeration order, the sequential
+    // formulation's rule: strict improvement over the running best, or
+    // (by_gain) a strictly better gain per moved block among the candidates
+    // that improve on the base. Ties resolve to the earliest candidate
+    // regardless of the thread count.
+    double best_cost = cost;
+    double best_gain = 0;
+    size_t best_idx = cands.size();
+    for (size_t idx = 0; idx < scored; ++idx) {
+      ++(telemetry.*Kind(cands[idx].kind).considered);
+      bool wins = costs[idx] < best_cost - kEps;
+      if (source.by_gain) {
+        const double gain = (cost - costs[idx]) / cands[idx].step_moved;
+        wins = costs[idx] < cost - kEps && gain > best_gain;
+        if (wins) best_gain = gain;
+      }
+      if (wins) {
+        best_cost = costs[idx];
+        best_idx = idx;
+      }
+    }
+    if (journal != nullptr) {
+      // One decision line per scored candidate, in enumeration order and
+      // against the pre-move base: accepted (the fold's winner), outscored
+      // (improves on the base but lost the fold), or not_improving.
+      for (size_t idx = 0; idx < scored; ++idx) {
+        const MoveCandidate& c = cands[idx];
+        const bool accepted = idx == best_idx;
+        const char* reason = accepted                  ? "improved"
+                             : costs[idx] < cost - kEps ? "outscored"
+                                                        : "not_improving";
+        obs::JournalFields fields{
+            {"iter", obs::JsonInt(iter)},
+            {"cand", obs::JsonInt(static_cast<int64_t>(idx))},
+            {"move", obs::JsonString(Kind(c.kind).name)},
+            {"group", obs::JsonIntArray(*c.objects)},
+            {"from", obs::JsonIntArray(base.DisksOf((*c.objects)[0]))},
+            {"to", obs::JsonIntArray(c.to)},
+            {"cost", obs::JsonDouble(costs[idx])},
+            {"delta", obs::JsonDouble(costs[idx] - cost)}};
+        if (source.by_gain) {
+          fields.emplace_back("step_moved", obs::JsonDouble(c.step_moved));
+        }
+        fields.emplace_back("accepted", obs::JsonBool(accepted));
+        fields.emplace_back("reason", obs::JsonString(reason));
+        journal->Append("decision", fields);
+      }
+      journal->Append(
+          "iter_end",
+          {{"iter", obs::JsonInt(iter)},
+           {"candidates", obs::JsonInt(static_cast<int64_t>(cands.size()))},
+           {"scored", obs::JsonInt(static_cast<int64_t>(scored))},
+           {"accepted", obs::JsonInt(best_idx == cands.size() ? 0 : 1)},
+           {"cost", obs::JsonDouble(best_cost)}});
+    }
+    if (best_idx == cands.size()) break;
+    const MoveCandidate& best = cands[best_idx];
+
+    // Phase 4: commit the winner through the evaluator (delta re-cost of
+    // the affected sub-plans; debug builds audit the committed total
+    // against a from-scratch recomputation).
+    source.commit(best);
+    cost = evaluator.TotalCost();
+    ++stats->greedy_iterations;
+    ++(telemetry.*Kind(best.kind).accepted);
+    telemetry.cost_trajectory.push_back(cost);
+    if (options.progress_hook) {
+      SearchProgress progress;
+      progress.phase = source.phase;
+      progress.iteration = stats->greedy_iterations;
+      progress.best_cost = cost;
+      progress.layouts_evaluated = cost_model.WorkloadEvaluations();
+      progress.accepted_move = Kind(best.kind).name;
+      options.progress_hook(progress);
+    }
+    if (options.post_move_hook_for_test) {
+      options.post_move_hook_for_test(evaluator.mutable_layout_for_test());
+    }
+    // Debug-build audit: every accepted move must leave the fraction matrix
+    // fully allocated and non-negative.
+    DBLAYOUT_DCHECK_OK(InvariantAuditor().AuditLayoutRows(evaluator.layout()));
+  }
+  stats->cost = cost;
+  telemetry.delta_evals += evaluator.delta_evaluations();
+}
+
 }  // namespace
 
 /// Wall-clock deadline of one Run/RunFrom invocation. Checked at iteration
-/// and scoring-batch granularity: the greedy phase scores its candidates in
-/// batches of at most LayoutEvaluator::kLanes, one evaluator pass each, and
-/// checks before every batch at every thread count (the sequential
-/// migration phase checks before every candidate). Expiry is therefore
-/// detected within one batch of the budget without slicing an accepted move
-/// in half (every layout the search holds between checks is complete and
-/// valid).
+/// and scoring-batch granularity: MoveLoop scores the candidates of both
+/// phases in batches of at most LayoutEvaluator::kLanes, one evaluator pass
+/// each, and checks before every batch at every thread count. Expiry is
+/// therefore detected within one batch of the budget without slicing an
+/// accepted move in half (every layout the search holds between checks is
+/// complete and valid).
 struct TsGreedySearch::Deadline {
   std::chrono::steady_clock::time_point at{};
   bool active = false;
@@ -318,13 +565,13 @@ Result<Layout> TsGreedySearch::InitialLayout(
       if (std::find(allowed.begin(), allowed.end(), j) == allowed.end()) continue;
       chosen.push_back(j);
       capacity += fleet_.disk(j).capacity_blocks;
-      if (static_cast<double>(capacity) * options_.capacity_margin >=
+      if (static_cast<double>(capacity) * kCapacityMargin >=
           static_cast<double>(p.size_blocks)) {
         break;
       }
     }
     const bool fits = !chosen.empty() &&
-                      static_cast<double>(capacity) * options_.capacity_margin >=
+                      static_cast<double>(capacity) * kCapacityMargin >=
                           static_cast<double>(p.size_blocks);
     if (!fits) {
       // No disjoint drive set exists: merge with the previously assigned
@@ -341,7 +588,7 @@ Result<Layout> TsGreedySearch::InitialLayout(
             break;
           }
           room += static_cast<double>(fleet_.disk(j).capacity_blocks) *
-                      options_.capacity_margin -
+                      kCapacityMargin -
                   used[static_cast<size_t>(j)];
         }
         if (!drives_ok || room < static_cast<double>(p.size_blocks)) continue;
@@ -395,29 +642,16 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
   const std::vector<int64_t> sizes = db_.ObjectSizes();
   const std::vector<std::vector<int>> groups =
       ObjectGroups(db_.Objects().size(), constraints);
-  SearchTelemetry& telemetry = stats->telemetry;
   const int m = layout.num_disks();
 
   // The evaluator caches per-sub-plan costs of the working layout; each
   // candidate is scored by re-costing only the sub-plans that touch the
   // moved group. Totals are bit-identical to a full recomputation (see
   // layout/evaluator.h), so this changes wall-clock time, never the answer.
-  // Observe-only decision journal (see SearchOptions::journal): events are
-  // emitted sequentially except in the scoring phase, which buffers per
-  // worker and merges in candidate order after the join.
-  obs::EventJournal* const journal = options_.journal;
-  const bool journal_wall = journal != nullptr && journal->wall_clock();
   LayoutEvaluator evaluator(profile, cost_model);
-  evaluator.set_journal(journal);
-  double cost = evaluator.Bind(layout);
-  stats->initial_cost = cost;
-  telemetry.cost_trajectory.push_back(cost);
-
-  if (journal != nullptr) {
-    journal->Append("search_start", {{"phase", obs::JsonString("greedy")},
-                                     {"cost", obs::JsonDouble(cost)}});
-  }
-
+  evaluator.set_journal(options_.journal);
+  stats->initial_cost = evaluator.Bind(layout);
+  stats->telemetry.cost_trajectory.push_back(stats->initial_cost);
   std::vector<double> used = FractionalUsed(layout, sizes);
 
   // Per-group state of this call. The allowed drives and the jump targets
@@ -453,41 +687,14 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
       });
     }
   }
-
-  // One candidate of one iteration: a whole group re-assigned to `disks`
-  // (proportional fill). Enumeration and winner selection are sequential
-  // and deterministic; only the scoring in between may run on the pool.
-  struct Candidate {
-    int group = 0;
-    std::vector<int> disks;
-    MoveKind kind = MoveKind::kWiden;
-    int ordinal = 0;  ///< index into the group's memos
-  };
-  std::vector<Candidate> cands;
-  std::vector<LayoutEvaluator::ProportionalMove> moves;  ///< parallel to cands
-  std::vector<double> costs;
-  std::vector<uint64_t> eval_ns;       ///< journal wall-clock mode only
-  std::vector<uint8_t> batch_scored;   ///< per scoring batch
-  const int parallelism = std::max(
-      1, std::min(options_.num_threads, ThreadPool::Shared().num_workers() + 1));
-  std::vector<LayoutEvaluator::Scratch> scratches;
   std::vector<bool> in_group(db_.Objects().size(), false);
   std::vector<double> row(static_cast<size_t>(m), 0.0);
 
-  for (int iter = 0; iter < options_.max_greedy_iterations; ++iter) {
-    DBLAYOUT_TRACE_SPAN("search/greedy_iteration");
-    if (deadline.Expired()) {
-      telemetry.timed_out = true;
-      break;
-    }
-    const Layout& base = evaluator.layout();
-
-    // Phase 1: enumerate this iteration's candidates, applying the cheap
-    // feasibility pre-checks (fractional capacity, movement budget). The
-    // checks replicate the accumulation order of applying the move to a
-    // layout copy, so accept/reject decisions are bit-identical to the
-    // evaluate-one-at-a-time formulation.
-    cands.clear();
+  // Every group's widen, jump and narrow moves, each behind the cheap
+  // feasibility pre-checks: fractional capacity with the safety margin, then
+  // the movement budget.
+  auto enumerate = [&](const Layout& base, std::vector<MoveCandidate>* cands,
+                       const auto& reject) {
     for (int gi = 0; gi < static_cast<int>(groups.size()); ++gi) {
       const auto& group = groups[static_cast<size_t>(gi)];
       GroupState& gs = group_state[static_cast<size_t>(gi)];
@@ -514,37 +721,21 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
                           static_cast<double>(sizes[static_cast<size_t>(i)]);
           }
           if (drive_used > static_cast<double>(fleet_.disk(j).capacity_blocks) *
-                               options_.capacity_margin) {
-            ++telemetry.capacity_rejected;
-            if (journal != nullptr) {
-              journal->Append("reject",
-                              {{"iter", obs::JsonInt(iter)},
-                               {"move", obs::JsonString(MoveKindName(kind))},
-                               {"group", obs::JsonIntArray(group)},
-                               {"to", obs::JsonIntArray(disk_set)},
-                               {"reason", obs::JsonString("capacity")}});
-            }
-            return;  // violates capacity
-          }
-        }
-        if (constraints.max_movement_blocks >= 0 &&
-            constraints.current_layout != nullptr) {
-          const double moved = MovementWithRow(*constraints.current_layout,
-                                               base, in_group, row, sizes);
-          if (moved > constraints.max_movement_blocks) {
-            ++telemetry.movement_rejected;
-            if (journal != nullptr) {
-              journal->Append(
-                  "reject", {{"iter", obs::JsonInt(iter)},
-                             {"move", obs::JsonString(MoveKindName(kind))},
-                             {"group", obs::JsonIntArray(group)},
-                             {"to", obs::JsonIntArray(disk_set)},
-                             {"reason", obs::JsonString("movement_budget")}});
-            }
+                               kCapacityMargin) {
+            reject(kind, group, disk_set, kCapacityReject);
             return;
           }
         }
-        cands.push_back(Candidate{gi, disk_set, kind, cand_ordinal});
+        if (constraints.max_movement_blocks >= 0 &&
+            constraints.current_layout != nullptr &&
+            MovementWithRows(
+                *constraints.current_layout, base, in_group,
+                [&](int, int j) { return row[static_cast<size_t>(j)]; },
+                sizes) > constraints.max_movement_blocks) {
+          reject(kind, group, disk_set, kMovementReject);
+          return;
+        }
+        cands->push_back(MoveCandidate{kind, gi, &group, disk_set, cand_ordinal});
       };
       auto consider_add = [&](const std::vector<int>& add) {
         std::vector<int> wider = current;
@@ -565,7 +756,9 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
           }
         }
       }
-      if (options_.consider_narrowing && current.size() >= 2) {
+      // Narrowing (beyond Fig. 9, which only widens): from an existing wide
+      // layout, separating co-accessed objects is reachable only this way.
+      if (current.size() >= 2) {
         for (size_t drop = 0; drop < current.size(); ++drop) {
           std::vector<int> narrower;
           for (size_t j = 0; j < current.size(); ++j) {
@@ -579,175 +772,32 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
         gs.memos.resize(static_cast<size_t>(ordinal), evaluator.MakeMemo(group));
       }
     }
-
-    // Phase 2: score the candidates (delta costing) in contiguous batches of
-    // LayoutEvaluator::kLanes, each scored in one evaluator pass. Each
-    // score lands in a fixed slot, so the parallel path (one pool task per
-    // batch) computes exactly the values the sequential one would. The
-    // deadline is checked before every batch; `scored` ends at the first
-    // batch left unscored.
-    constexpr auto kBatch = static_cast<size_t>(LayoutEvaluator::kLanes);
-    const size_t num_batches = (cands.size() + kBatch - 1) / kBatch;
-    costs.assign(cands.size(), 0.0);
-    eval_ns.assign(journal_wall ? cands.size() : 0, 0);
-    batch_scored.assign(num_batches, 0);
-    moves.resize(cands.size());
-    for (size_t idx = 0; idx < cands.size(); ++idx) {
-      const Candidate& c = cands[idx];
-      // Each candidate owns its memo slot, so workers write disjoint slots
-      // (the same fixed-slot discipline as `costs`).
-      moves[idx] = LayoutEvaluator::ProportionalMove{
-          &groups[static_cast<size_t>(c.group)], &c.disks,
-          &group_state[static_cast<size_t>(c.group)]
-               .memos[static_cast<size_t>(c.ordinal)]};
-    }
-    auto score_batch = [&deadline, &evaluator, &moves, &costs, &eval_ns,
-                        &batch_scored, journal_wall](
-                           size_t b, LayoutEvaluator::Scratch* scratch) {
-      if (deadline.Expired()) return;
-      const size_t begin = b * kBatch;
-      const size_t n = std::min(begin + kBatch, moves.size()) - begin;
-      const uint64_t t0 = JournalNowNs(journal_wall);
-      evaluator.ScoreProportionalMoves(
-          std::span<const LayoutEvaluator::ProportionalMove>(moves).subspan(begin, n),
-          scratch, std::span<double>(costs).subspan(begin, n));
-      if (journal_wall) {
-        // Each candidate's share of its batch's wall time.
-        std::fill_n(eval_ns.begin() + static_cast<std::ptrdiff_t>(begin), n,
-                    (JournalNowNs(journal_wall) - t0) / n);
-      }
-      batch_scored[b] = 1;
-    };
-    if (parallelism > 1 && num_batches > 1) {
-      scratches.resize(static_cast<size_t>(parallelism));
-      for (auto& s : scratches) s = evaluator.MakeScratch();
-      ThreadPool::Shared().ParallelFor(
-          static_cast<int64_t>(num_batches), parallelism,
-          [&score_batch, &scratches](int64_t b, int worker) {
-            score_batch(static_cast<size_t>(b),
-                        &scratches[static_cast<size_t>(worker)]);
-          });
-    } else {
-      scratches.resize(1);
-      scratches[0] = evaluator.MakeScratch();
-      for (size_t b = 0; b < num_batches; ++b) {
-        score_batch(b, &scratches[0]);
-        if (batch_scored[b] == 0) break;
-      }
-    }
-    // Batch-granularity deadline: the layout held here is valid, so stopping
-    // mid-iteration still returns a usable best-so-far (the improvement
-    // found among the candidates already scored, if any, is accepted below
-    // before the outer loop observes the expiry).
-    size_t scored = cands.size();
-    for (size_t b = 0; b < num_batches; ++b) {
-      if (batch_scored[b] == 0) {
-        telemetry.timed_out = true;
-        scored = b * kBatch;
-        break;
-      }
-    }
-    if (journal != nullptr) {
-      for (size_t idx = 0; idx < scored; ++idx) {
-        obs::JournalFields fields{{"iter", obs::JsonInt(iter)},
-                                  {"cand", obs::JsonInt(static_cast<int64_t>(idx))},
-                                  {"cost", obs::JsonDouble(costs[idx])},
-                                  {"mode", obs::JsonString("delta")}};
-        if (journal_wall) {
-          fields.emplace_back("eval_ns",
-                              obs::JsonInt(static_cast<int64_t>(eval_ns[idx])));
-        }
-        journal->Append("eval", fields);
-      }
-    }
-
-    // Phase 3: fold the scores in enumeration order under the same
-    // strict-improvement-over-running-best rule the sequential formulation
-    // applies — ties resolve to the earliest candidate (group order, then
-    // widen/jump/narrow emission order) regardless of the thread count.
-    double best_cost = cost;
-    size_t best_idx = cands.size();
-    for (size_t idx = 0; idx < scored; ++idx) {
-      ++ConsideredSlot(telemetry, cands[idx].kind);
-      if (costs[idx] < best_cost - kEps) {
-        best_cost = costs[idx];
-        best_idx = idx;
-      }
-    }
-    if (journal != nullptr) {
-      // One decision line per scored candidate, in enumeration order and
-      // against the pre-move base: accepted (the fold's winner), outscored
-      // (improves on the base but lost the fold), or not_improving.
-      for (size_t idx = 0; idx < scored; ++idx) {
-        const Candidate& c = cands[idx];
-        const auto& g = groups[static_cast<size_t>(c.group)];
-        const bool accepted = idx == best_idx;
-        const char* reason = accepted                  ? "improved"
-                             : costs[idx] < cost - kEps ? "outscored"
-                                                        : "not_improving";
-        journal->Append(
-            "decision",
-            {{"iter", obs::JsonInt(iter)},
-             {"cand", obs::JsonInt(static_cast<int64_t>(idx))},
-             {"move", obs::JsonString(MoveKindName(c.kind))},
-             {"group", obs::JsonIntArray(g)},
-             {"from", obs::JsonIntArray(base.DisksOf(g[0]))},
-             {"to", obs::JsonIntArray(c.disks)},
-             {"cost", obs::JsonDouble(costs[idx])},
-             {"delta", obs::JsonDouble(costs[idx] - cost)},
-             {"accepted", obs::JsonBool(accepted)},
-             {"reason", obs::JsonString(reason)}});
-      }
-      journal->Append(
-          "iter_end",
-          {{"iter", obs::JsonInt(iter)},
-           {"candidates", obs::JsonInt(static_cast<int64_t>(cands.size()))},
-           {"scored", obs::JsonInt(static_cast<int64_t>(scored))},
-           {"accepted", obs::JsonInt(best_idx == cands.size() ? 0 : 1)},
-           {"cost", obs::JsonDouble(best_idx == cands.size() ? cost
-                                                             : best_cost)}});
-    }
-    if (best_idx == cands.size()) break;
-    const Candidate& best = cands[best_idx];
-    const auto& group = groups[static_cast<size_t>(best.group)];
-
-    // Phase 4: commit the winner through the evaluator (delta re-cost of
-    // the affected sub-plans; debug builds audit the committed total
-    // against a from-scratch recomputation).
-    ProportionalRow(best.disks, fleet_, &row);
-    for (int i : group) {
+  };
+  auto commit = [&](const MoveCandidate& best) {
+    const Layout& base = evaluator.layout();
+    ProportionalRow(best.to, fleet_, &row);
+    for (int i : *best.objects) {
       const double size = static_cast<double>(sizes[static_cast<size_t>(i)]);
       for (int j = 0; j < m; ++j) {
         used[static_cast<size_t>(j)] +=
             (row[static_cast<size_t>(j)] - base.x(i, j)) * size;
       }
     }
-    evaluator.DeltaForProportionalMove(group, best.disks);
+    evaluator.DeltaForProportionalMove(*best.objects, best.to);
     evaluator.Commit();
     // The group's enumeration now starts from other drives.
-    group_state[static_cast<size_t>(best.group)].memos.clear();
-    cost = evaluator.TotalCost();
-    ++stats->greedy_iterations;
-    ++AcceptedSlot(telemetry, best.kind);
-    telemetry.cost_trajectory.push_back(cost);
-    if (options_.progress_hook) {
-      SearchProgress progress;
-      progress.phase = "greedy";
-      progress.iteration = stats->greedy_iterations;
-      progress.best_cost = cost;
-      progress.layouts_evaluated = cost_model.WorkloadEvaluations();
-      progress.accepted_move = MoveKindName(best.kind);
-      options_.progress_hook(progress);
-    }
-    if (options_.post_move_hook_for_test) {
-      options_.post_move_hook_for_test(evaluator.mutable_layout_for_test());
-    }
-    // Debug-build audit: every accepted widening/narrowing/jump move must
-    // leave the fraction matrix fully allocated and non-negative.
-    DBLAYOUT_DCHECK_OK(InvariantAuditor().AuditLayoutRows(evaluator.layout()));
-  }
-  stats->cost = cost;
-  telemetry.delta_evals += evaluator.delta_evaluations();
+    group_state[static_cast<size_t>(best.source)].memos.clear();
+  };
+  const MoveSource source{
+      "greedy", /*by_gain=*/false, enumerate,
+      [&](const MoveCandidate& c) {
+        return LayoutEvaluator::ProportionalMove{
+            c.objects, &c.to,
+            &group_state[static_cast<size_t>(c.source)]
+                 .memos[static_cast<size_t>(c.slot)]};
+      },
+      commit};
+  MoveLoop(source, options_, cost_model, deadline, evaluator, stats);
   return evaluator.layout();
 }
 
@@ -757,12 +807,13 @@ Result<Layout> TsGreedySearch::MigrateTowardTarget(
     SearchResult* stats) const {
   DBLAYOUT_TRACE_SPAN("search/migrate_toward_target");
   DBLAYOUT_CHECK(constraints.current_layout != nullptr);
+  const Layout& current = *constraints.current_layout;
   const std::vector<int64_t> sizes = db_.ObjectSizes();
   const std::vector<std::vector<int>> groups =
       ObjectGroups(db_.Objects().size(), constraints);
   stats->telemetry.used_incremental_migration = true;
 
-  Layout layout = *constraints.current_layout;
+  Layout layout = current;
 
   // Hard constraints first: a group whose current placement violates an
   // availability requirement (or sits apart from its co-location partners)
@@ -783,8 +834,7 @@ Result<Layout> TsGreedySearch::MigrateTowardTarget(
     }
   }
   {
-    const double moved = Layout::DataMovementBlocks(*constraints.current_layout,
-                                                    layout, sizes);
+    const double moved = Layout::DataMovementBlocks(current, layout, sizes);
     if (constraints.max_movement_blocks >= 0 &&
         moved > constraints.max_movement_blocks) {
       return Status::FailedPrecondition(StrFormat(
@@ -794,24 +844,34 @@ Result<Layout> TsGreedySearch::MigrateTowardTarget(
     }
   }
 
-  obs::EventJournal* const journal = options_.journal;
-  const bool journal_wall = journal != nullptr && journal->wall_clock();
   LayoutEvaluator evaluator(profile, cost_model);
-  evaluator.set_journal(journal);
-  double cost = evaluator.Bind(layout);
-
-  if (journal != nullptr) {
-    journal->Append("search_start", {{"phase", obs::JsonString("migrate")},
-                                     {"cost", obs::JsonDouble(cost)}});
-  }
+  evaluator.set_journal(options_.journal);
+  evaluator.Bind(layout);
 
   // Candidate move units: single groups, plus pairs of groups connected in
   // the access graph — separating a co-accessed pair only pays off when
   // both sides move, so single-group steps alone stall at the barrier.
+  // A unit always moves to the same target rows, so its one memo slot is
+  // reused exactly whenever it is still fresh.
+  struct Unit {
+    std::vector<size_t> groups;
+    std::vector<int> objects;  ///< the groups' objects, in group order
+    std::vector<int> to;       ///< the target drives of objects[0]
+    LayoutEvaluator::Memo memo;
+  };
+  std::vector<Unit> units;
+  auto add_unit = [&](std::vector<size_t> unit_groups) {
+    Unit& unit = units.emplace_back();
+    unit.groups = std::move(unit_groups);
+    for (size_t gi : unit.groups) {
+      unit.objects.insert(unit.objects.end(), groups[gi].begin(), groups[gi].end());
+    }
+    unit.to = target.DisksOf(unit.objects[0]);
+    unit.memo = evaluator.MakeMemo(unit.objects);
+  };
   const WeightedGraph g = BuildAccessGraph(profile);
   DBLAYOUT_DCHECK_OK(InvariantAuditor().AuditAccessGraph(g));
-  std::vector<std::vector<size_t>> units;
-  for (size_t a = 0; a < groups.size(); ++a) units.push_back({a});
+  for (size_t a = 0; a < groups.size(); ++a) add_unit({a});
   for (size_t a = 0; a < groups.size(); ++a) {
     for (size_t b = a + 1; b < groups.size(); ++b) {
       double edge = 0;
@@ -820,208 +880,62 @@ Result<Layout> TsGreedySearch::MigrateTowardTarget(
           edge += g.EdgeWeight(static_cast<size_t>(u), static_cast<size_t>(v));
         }
       }
-      if (edge > 0) units.push_back({a, b});
+      if (edge > 0) add_unit({a, b});
     }
   }
-
-  // One feasible migration step: `unit` (index into `units`) with the flat
-  // object list whose rows move to their target values. Enumeration and
-  // selection are sequential; scoring may run on the pool (fixed slots, so
-  // the accepted step is independent of the thread count).
-  struct Step {
-    size_t unit = 0;
-    std::vector<int> objects;
-    double step_moved = 1.0;  ///< blocks this step moves (>= 1 for ratios)
-  };
-  std::vector<Step> steps;
-  std::vector<double> costs;
-  const int parallelism = std::max(
-      1, std::min(options_.num_threads, ThreadPool::Shared().num_workers() + 1));
-  std::vector<LayoutEvaluator::Scratch> scratches;
 
   std::vector<bool> migrated(groups.size(), false);
-  for (int iter = 0;; ++iter) {
-    if (deadline.Expired()) {
-      stats->telemetry.timed_out = true;
-      break;
-    }
-    const Layout& base = evaluator.layout();
-
-    // Phase 1: enumerate the feasible steps (movement budget, rounded
-    // capacity validation), exactly as the evaluate-one-at-a-time
-    // formulation would accept or reject them.
-    steps.clear();
+  std::vector<bool> in_unit(db_.Objects().size(), false);
+  Layout candidate = layout;  // capacity-check copy, one unit at a time
+  const auto target_row = [&target](int i, int j) { return target.x(i, j); };
+  // Every unit with a group not yet migrated, behind the movement budget and
+  // then the rounded capacity validation, in the order the step-by-step
+  // formulation checks them.
+  auto enumerate = [&](const Layout& base, std::vector<MoveCandidate>* cands,
+                       const auto& reject) {
     for (size_t u = 0; u < units.size(); ++u) {
-      bool all_migrated = true;
-      for (size_t gi : units[u]) all_migrated = all_migrated && migrated[gi];
-      if (all_migrated) continue;
-      Layout candidate = base;
-      std::vector<int> objects;
-      for (size_t gi : units[u]) {
-        for (int i : groups[gi]) {
-          objects.push_back(i);
-          for (int j = 0; j < base.num_disks(); ++j) {
-            candidate.set_x(i, j, target.x(i, j));
-          }
-        }
+      const Unit& unit = units[u];
+      if (std::all_of(unit.groups.begin(), unit.groups.end(),
+                      [&](size_t gi) { return migrated[gi]; })) {
+        continue;
       }
-      const double moved = Layout::DataMovementBlocks(*constraints.current_layout,
-                                                      candidate, sizes);
+      for (int i : unit.objects) in_unit[static_cast<size_t>(i)] = true;
+      const double moved = MovementWithRows(current, base, in_unit, target_row, sizes);
+      const double step_moved = MovementWithRows(base, base, in_unit, target_row, sizes);
+      for (int i : unit.objects) in_unit[static_cast<size_t>(i)] = false;
       if (constraints.max_movement_blocks >= 0 &&
           moved > constraints.max_movement_blocks) {
-        ++stats->telemetry.movement_rejected;
-        if (journal != nullptr) {
-          journal->Append("reject",
-                          {{"iter", obs::JsonInt(iter)},
-                           {"move", obs::JsonString("migrate")},
-                           {"group", obs::JsonIntArray(objects)},
-                           {"to", obs::JsonIntArray(target.DisksOf(objects[0]))},
-                           {"reason", obs::JsonString("movement_budget")}});
-        }
+        reject(MoveKind::kMigrate, unit.objects, unit.to, kMovementReject);
         continue;
+      }
+      candidate = base;
+      for (int i : unit.objects) {
+        for (int j = 0; j < base.num_disks(); ++j) candidate.set_x(i, j, target.x(i, j));
       }
       if (!candidate.Validate(sizes, fleet_).ok()) {
-        ++stats->telemetry.capacity_rejected;
-        if (journal != nullptr) {
-          journal->Append("reject",
-                          {{"iter", obs::JsonInt(iter)},
-                           {"move", obs::JsonString("migrate")},
-                           {"group", obs::JsonIntArray(objects)},
-                           {"to", obs::JsonIntArray(target.DisksOf(objects[0]))},
-                           {"reason", obs::JsonString("capacity")}});
-        }
+        reject(MoveKind::kMigrate, unit.objects, unit.to, kCapacityReject);
         continue;
       }
-      const double step_moved = std::max(
-          1.0, Layout::DataMovementBlocks(base, candidate, sizes));
-      steps.push_back(Step{u, std::move(objects), step_moved});
+      cands->push_back(MoveCandidate{MoveKind::kMigrate, static_cast<int>(u),
+                                     &unit.objects, unit.to, 0,
+                                     std::max(1.0, step_moved)});
     }
-
-    // Phase 2: score (delta costing; only sub-plans touching the moved
-    // objects are re-costed).
-    costs.assign(steps.size(), 0.0);
-    size_t scored = steps.size();
-    // Same shard discipline as the greedy phase: "eval" events buffer per
-    // worker and merge in step order, keeping the journal thread-count
-    // independent.
-    std::vector<obs::EventJournal::Shard> shards(
-        journal != nullptr ? static_cast<size_t>(parallelism) : 0);
-    auto buffer_eval = [&shards, &costs, journal_wall, iter](
-                           size_t idx, uint64_t t0, int worker) {
-      obs::JournalFields fields{{"iter", obs::JsonInt(iter)},
-                                {"cand", obs::JsonInt(static_cast<int64_t>(idx))},
-                                {"cost", obs::JsonDouble(costs[idx])},
-                                {"mode", obs::JsonString("delta")}};
-      if (journal_wall) {
-        fields.emplace_back("eval_ns", obs::JsonInt(static_cast<int64_t>(
-                                           JournalNowNs(journal_wall) - t0)));
-      }
-      shards[static_cast<size_t>(worker)].Append(static_cast<int64_t>(idx),
-                                                 "eval", std::move(fields));
-    };
-    if (parallelism > 1 && steps.size() > 1) {
-      scratches.resize(static_cast<size_t>(parallelism));
-      for (auto& s : scratches) s = evaluator.MakeScratch();
-      ThreadPool::Shared().ParallelFor(
-          static_cast<int64_t>(steps.size()), parallelism,
-          [&steps, &costs, &evaluator, &scratches, &target, &shards,
-           &buffer_eval, journal_wall](int64_t idx, int worker) {
-            const uint64_t t0 = JournalNowNs(journal_wall);
-            costs[static_cast<size_t>(idx)] = evaluator.ScoreRowsFromMove(
-                steps[static_cast<size_t>(idx)].objects, target,
-                &scratches[static_cast<size_t>(worker)]);
-            if (!shards.empty()) {
-              buffer_eval(static_cast<size_t>(idx), t0, worker);
-            }
-          });
-    } else {
-      scratches.resize(1);
-      scratches[0] = evaluator.MakeScratch();
-      for (size_t idx = 0; idx < steps.size(); ++idx) {
-        if (deadline.Expired()) {
-          stats->telemetry.timed_out = true;
-          scored = idx;
-          break;
-        }
-        const uint64_t t0 = JournalNowNs(journal_wall);
-        costs[idx] = evaluator.ScoreRowsFromMove(steps[idx].objects, target,
-                                                 &scratches[0]);
-        if (!shards.empty()) buffer_eval(idx, t0, /*worker=*/0);
-      }
-    }
-    if (journal != nullptr) journal->MergeShards(&shards);
-
-    // Phase 3: best cost gain per moved block, strict improvement only;
-    // ties resolve to the earliest unit, matching the sequential fold.
-    double best_ratio = 0;
-    size_t best_idx = steps.size();
-    for (size_t idx = 0; idx < scored; ++idx) {
-      ++stats->telemetry.migrate_considered;
-      const double c = costs[idx];
-      const double ratio = (cost - c) / steps[idx].step_moved;
-      if (c < cost - kEps && ratio > best_ratio) {
-        best_ratio = ratio;
-        best_idx = idx;
-      }
-    }
-    if (journal != nullptr) {
-      // Migration decisions rank by cost gain per moved block, so a step
-      // can improve on the base yet lose the fold ("outscored").
-      for (size_t idx = 0; idx < scored; ++idx) {
-        const bool accepted = idx == best_idx;
-        const char* reason = accepted                  ? "improved"
-                             : costs[idx] < cost - kEps ? "outscored"
-                                                        : "not_improving";
-        journal->Append(
-            "decision",
-            {{"iter", obs::JsonInt(iter)},
-             {"cand", obs::JsonInt(static_cast<int64_t>(idx))},
-             {"move", obs::JsonString("migrate")},
-             {"group", obs::JsonIntArray(steps[idx].objects)},
-             {"from",
-              obs::JsonIntArray(base.DisksOf(steps[idx].objects[0]))},
-             {"to",
-              obs::JsonIntArray(target.DisksOf(steps[idx].objects[0]))},
-             {"cost", obs::JsonDouble(costs[idx])},
-             {"delta", obs::JsonDouble(costs[idx] - cost)},
-             {"step_moved", obs::JsonDouble(steps[idx].step_moved)},
-             {"accepted", obs::JsonBool(accepted)},
-             {"reason", obs::JsonString(reason)}});
-      }
-      journal->Append(
-          "iter_end",
-          {{"iter", obs::JsonInt(iter)},
-           {"candidates", obs::JsonInt(static_cast<int64_t>(steps.size()))},
-           {"scored", obs::JsonInt(static_cast<int64_t>(scored))},
-           {"accepted", obs::JsonInt(best_idx == steps.size() ? 0 : 1)},
-           {"cost", obs::JsonDouble(best_idx == steps.size()
-                                        ? cost
-                                        : costs[best_idx])}});
-    }
-    if (best_idx == steps.size()) break;
-
-    evaluator.DeltaForRowsFromMove(steps[best_idx].objects, target);
+  };
+  auto commit = [&](const MoveCandidate& best) {
+    evaluator.DeltaForRowsFromMove(*best.objects, target);
     evaluator.Commit();
-    cost = evaluator.TotalCost();
-    for (size_t gi : units[steps[best_idx].unit]) migrated[gi] = true;
-    ++stats->greedy_iterations;
-    ++stats->telemetry.migrate_accepted;
-    stats->telemetry.cost_trajectory.push_back(cost);
-    if (options_.progress_hook) {
-      SearchProgress progress;
-      progress.phase = "migrate";
-      progress.iteration = stats->greedy_iterations;
-      progress.best_cost = cost;
-      progress.layouts_evaluated = cost_model.WorkloadEvaluations();
-      progress.accepted_move = "migrate";
-      options_.progress_hook(progress);
+    for (size_t gi : units[static_cast<size_t>(best.source)].groups) {
+      migrated[gi] = true;
     }
-    // Debug-build audit: each accepted migration step stays a valid matrix.
-    DBLAYOUT_DCHECK_OK(InvariantAuditor().AuditLayoutRows(evaluator.layout()));
-  }
-  stats->cost = cost;
-  stats->initial_cost = cost;
-  stats->telemetry.delta_evals += evaluator.delta_evaluations();
+  };
+  const MoveSource source{
+      "migrate", /*by_gain=*/true, enumerate,
+      [&](const MoveCandidate& c) {
+        return LayoutEvaluator::ProportionalMove{
+            c.objects, nullptr, &units[static_cast<size_t>(c.source)].memo, &target};
+      },
+      commit};
+  MoveLoop(source, options_, cost_model, deadline, evaluator, stats);
   return evaluator.layout();
 }
 
@@ -1064,8 +978,8 @@ Result<SearchResult> TsGreedySearch::Run(const WorkloadProfile& profile,
                                      cost_model, deadline, &target_stats));
       // Keep the probe search's move counts and trajectory: they are real
       // evaluations of this run (the trajectory of the migration phase that
-      // follows is appended after the probe's).
-      MergeTelemetry(target_stats.telemetry, &result.telemetry);
+      // follows is appended after the probe's). Nothing precedes the probe.
+      result.telemetry = std::move(target_stats.telemetry);
       DBLAYOUT_ASSIGN_OR_RETURN(
           initial, MigrateTowardTarget(profile, constraints, target, cost_model,
                                        deadline, &result));
@@ -1078,13 +992,14 @@ Result<SearchResult> TsGreedySearch::Run(const WorkloadProfile& profile,
   DBLAYOUT_RETURN_NOT_OK(final_layout.Validate(sizes, fleet_));
   DBLAYOUT_RETURN_NOT_OK(CheckConstraints(final_layout, constraints, db_, fleet_));
 
+  result.layout = std::move(final_layout);
   if (options_.fallback_to_full_striping) {
-    const Layout striped = Layout::FullStriping(final_layout.num_objects(), fleet_);
+    Layout striped = Layout::FullStriping(result.layout.num_objects(), fleet_);
     if (striped.Validate(sizes, fleet_).ok() &&
         CheckConstraints(striped, constraints, db_, fleet_).ok()) {
       const double striped_cost = cost_model.WorkloadCost(profile, striped);
+      const bool accepted = striped_cost < result.cost - kEps;
       if (options_.journal != nullptr) {
-        const bool accepted = striped_cost < result.cost - kEps;
         options_.journal->Append(
             "decision",
             {{"move", obs::JsonString("fallback_full_striping")},
@@ -1095,29 +1010,15 @@ Result<SearchResult> TsGreedySearch::Run(const WorkloadProfile& profile,
               obs::JsonString(accepted ? "improved" : "not_improving")},
              {"mode", obs::JsonString("full")}});
       }
-      if (striped_cost < result.cost - kEps) {
+      if (accepted) {
         result.cost = striped_cost;
-        result.layout = striped;
+        result.layout = std::move(striped);
         result.telemetry.used_full_striping_fallback = true;
         result.telemetry.cost_trajectory.push_back(striped_cost);
-        result.layouts_evaluated = cost_model.WorkloadEvaluations();
-        result.telemetry.full_evals =
-            result.layouts_evaluated - result.telemetry.delta_evals;
-        result.timed_out = result.telemetry.timed_out;
-        PublishSearchMetrics(result.telemetry);
-        return result;
       }
     }
   }
-  result.layout = std::move(final_layout);
-  result.layouts_evaluated = cost_model.WorkloadEvaluations();
-  // Every evaluation of this run went through the shared cost model exactly
-  // once (delta scorings via NoteExternalWorkloadEvaluation), so the full/
-  // delta split follows from the totals.
-  result.telemetry.full_evals =
-      result.layouts_evaluated - result.telemetry.delta_evals;
-  result.timed_out = result.telemetry.timed_out;
-  PublishSearchMetrics(result.telemetry);
+  FinishRun(cost_model, &result);
   return result;
 }
 
@@ -1142,11 +1043,7 @@ Result<SearchResult> TsGreedySearch::RunFrom(
   DBLAYOUT_RETURN_NOT_OK(final_layout.Validate(sizes, fleet_));
   DBLAYOUT_RETURN_NOT_OK(CheckConstraints(final_layout, constraints, db_, fleet_));
   result.layout = std::move(final_layout);
-  result.layouts_evaluated = cost_model.WorkloadEvaluations();
-  result.telemetry.full_evals =
-      result.layouts_evaluated - result.telemetry.delta_evals;
-  result.timed_out = result.telemetry.timed_out;
-  PublishSearchMetrics(result.telemetry);
+  FinishRun(cost_model, &result);
   return result;
 }
 

@@ -40,12 +40,6 @@ struct SearchOptions {
   /// Greedy widening breadth: at most k additional drives per move (the
   /// paper uses k = 1 and reports near-exhaustive quality).
   int greedy_k = 1;
-  /// Safety margin on fractional capacity checks during search (exact
-  /// rounded validation happens once at the end).
-  double capacity_margin = 0.999;
-  /// Cap on greedy iterations (defensive; the paper's loop stops at the
-  /// first non-improving iteration anyway).
-  int max_greedy_iterations = 1000;
   /// Also consider *jump moves*: re-assigning an object to any prefix of
   /// its allowed drives ordered fastest-read-first or
   /// lowest-write-penalty-first. The paper notes TS-GREEDY can stall in a
@@ -54,11 +48,6 @@ struct SearchOptions {
   /// barrier in one step (including "widen to all plain drives, skipping
   /// RAID 5" for write-hot objects).
   bool consider_jump_moves = true;
-  /// Also consider *removing* one drive from an object per move (an
-  /// extension beyond Fig. 9, which only widens). Essential for incremental
-  /// re-layout: starting from an existing wide layout, separation of
-  /// co-accessed objects is reachable only by narrowing.
-  bool consider_narrowing = true;
   /// Never return a layout costlier than FULL STRIPING: if full striping is
   /// valid, satisfies the constraints, and estimates cheaper, return it.
   bool fallback_to_full_striping = true;
@@ -85,14 +74,15 @@ struct SearchOptions {
   /// produces bit-identical results to num_threads = 1 — parallelism
   /// changes wall-clock time, never the answer. Values above the pool size
   /// are clamped; <= 1 scores in the calling thread. With a wall-clock
-  /// budget, the greedy phase detects expiry between scoring batches of at
-  /// most LayoutEvaluator::kLanes candidates at every thread count, so the
-  /// overrun can grow to one batch.
+  /// budget, both the greedy and the migration phase detect expiry between
+  /// scoring batches of at most LayoutEvaluator::kLanes candidates at every
+  /// thread count, so the overrun can grow to one batch.
   int num_threads = 1;
   /// Test-only fault injection: when set, invoked on the working layout
-  /// after every accepted greedy move, *before* the debug-build invariant
-  /// audit. Lets tests corrupt an intermediate state and verify that the
-  /// audit catches it (see tests/analysis_test.cc). Never set in production.
+  /// after every accepted greedy move or migration step, *before* the
+  /// debug-build invariant audit. Lets tests corrupt an intermediate state
+  /// and verify that the audit catches it (see tests/analysis_test.cc).
+  /// Never set in production.
   std::function<void(Layout&)> post_move_hook_for_test;
   /// Per-iteration progress reporting (search remains deterministic; the
   /// hook only observes). Called after every accepted move.
@@ -100,10 +90,11 @@ struct SearchOptions {
   /// Decision journal (not owned; may be null). When set, the search emits
   /// one event per enumerated/scored/decided candidate — rejects with
   /// reasons, per-candidate eval scores, the accept/reject decision of every
-  /// iteration — through obs::EventJournal. Events from the parallel scoring
-  /// phase are buffered per worker and merged in candidate order, so the
-  /// journal is byte-identical at any num_threads (the journal only
-  /// observes; it never influences the search).
+  /// iteration — through obs::EventJournal. Every event is appended from
+  /// the searching thread, the per-candidate scores in candidate order after
+  /// the parallel scoring join, so the journal is byte-identical at any
+  /// num_threads (the journal only observes; it never influences the
+  /// search).
   obs::EventJournal* journal = nullptr;
 };
 
@@ -193,8 +184,10 @@ class TsGreedySearch {
  private:
   struct Deadline;
 
-  /// Both helpers share one CostModel per Run so layouts_evaluated can be
-  /// read off CostModel::WorkloadEvaluations() uniformly at the end.
+  /// Both helpers run the one move loop (MoveLoop in search.cc) with their
+  /// own candidate source, and share one CostModel per Run so
+  /// layouts_evaluated can be read off CostModel::WorkloadEvaluations()
+  /// uniformly at the end.
   Result<Layout> GreedyWiden(const WorkloadProfile& profile,
                              const ResolvedConstraints& constraints, Layout layout,
                              const CostModel& cost_model, const Deadline& deadline,

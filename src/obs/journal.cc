@@ -1,6 +1,5 @@
 #include "obs/journal.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -99,7 +98,8 @@ EventJournal::EventJournal(JournalOptions options)
     : options_(options),
       epoch_ns_(options.wall_clock ? WallClockNowNs() : 0) {}
 
-void EventJournal::AppendLocked(const char* type, const JournalFields& fields) {
+void EventJournal::Append(const char* type, const JournalFields& fields) {
+  MutexLock lock(mu_);
   std::string line = "{\"ev\":";
   line += JsonString(type);
   if (options_.wall_clock) {
@@ -114,42 +114,6 @@ void EventJournal::AppendLocked(const char* type, const JournalFields& fields) {
   }
   line.push_back('}');
   lines_.push_back(std::move(line));
-}
-
-void EventJournal::Append(const char* type, const JournalFields& fields) {
-  MutexLock lock(mu_);
-  AppendLocked(type, fields);
-}
-
-void EventJournal::Shard::Append(int64_t key, const char* type,
-                                 JournalFields fields) {
-  events_.push_back(Pending{key, type, std::move(fields)});
-}
-
-void EventJournal::MergeShards(std::vector<Shard>* shards) {
-  // Gather (key, shard index, position) triples and stable-sort by key so
-  // the merged order is a pure function of the keys — not of which worker
-  // happened to own which shard.
-  struct Ref {
-    int64_t key;
-    size_t shard;
-    size_t pos;
-  };
-  std::vector<Ref> refs;
-  for (size_t s = 0; s < shards->size(); ++s) {
-    const Shard& shard = (*shards)[s];
-    for (size_t p = 0; p < shard.events_.size(); ++p) {
-      refs.push_back(Ref{shard.events_[p].key, s, p});
-    }
-  }
-  std::stable_sort(refs.begin(), refs.end(),
-                   [](const Ref& a, const Ref& b) { return a.key < b.key; });
-  MutexLock lock(mu_);
-  for (const Ref& r : refs) {
-    const Shard::Pending& e = (*shards)[r.shard].events_[r.pos];
-    AppendLocked(e.type.c_str(), e.fields);
-  }
-  for (Shard& shard : *shards) shard.events_.clear();
 }
 
 int64_t EventJournal::event_count() const {

@@ -6,14 +6,13 @@
 // Determinism contract (mirrors DESIGN.md §10): with the default logical
 // clock, the journal produced by a fixed-seed run is byte-identical at any
 // SearchOptions::num_threads value. The parallel candidate-scoring phase
-// never appends directly — each worker buffers its events in a private
-// Shard keyed by the candidate's enumeration index, and MergeShards appends
-// them in ascending key order after the ParallelFor barrier (the same
-// fixed-slot discipline LayoutEvaluator uses for scores). Wall-clock fields
-// ("t_us" per event, "eval_ns"/"ms" where emitters measure) exist only in
-// the opt-in wall-clock mode, which trades the byte-identity guarantee for
-// real timings; everything else in a journal line is a pure function of the
-// run's inputs.
+// never appends — its workers write each score into the candidate's fixed
+// slot, and the search appends the "eval" events in candidate order after
+// the ParallelFor barrier (the fixed-slot discipline LayoutEvaluator uses
+// for scores). Wall-clock fields ("t_us" per event, "eval_ns"/"ms" where
+// emitters measure) exist only in the opt-in wall-clock mode, which trades
+// the byte-identity guarantee for real timings; everything else in a
+// journal line is a pure function of the run's inputs.
 //
 // One event per line, first line is the run_start envelope:
 //   {"ev":"run_start","v":1,"seed":42,"threads":4,...}
@@ -62,9 +61,8 @@ struct JournalOptions {
 };
 
 /// Thread-safe JSONL event sink. Append() may be called from any thread
-/// (one mutex acquisition per event); the Shard/MergeShards pair is the
-/// lock-free buffered path for parallel sections that must stay
-/// order-deterministic.
+/// (one mutex acquisition per event); callers that need a deterministic
+/// order append from one thread.
 class EventJournal {
  public:
   explicit EventJournal(JournalOptions options = {});
@@ -74,31 +72,6 @@ class EventJournal {
   /// Appends one event line: {"ev":"<type>"[,"t_us":N],<fields...>}.
   void Append(const char* type, const JournalFields& fields);
 
-  /// Per-worker event buffer for parallel phases. Not thread-safe itself —
-  /// create one per worker, then MergeShards sequentially after the join.
-  class Shard {
-   public:
-    /// Buffers an event with a deterministic ordering key (the candidate's
-    /// enumeration index in the search's scoring phase).
-    void Append(int64_t key, const char* type, JournalFields fields);
-    bool empty() const { return events_.empty(); }
-
-   private:
-    friend class EventJournal;
-    struct Pending {
-      int64_t key = 0;
-      std::string type;
-      JournalFields fields;
-    };
-    std::vector<Pending> events_;
-  };
-
-  /// Appends every buffered event of every shard in ascending key order
-  /// (stable for equal keys: shard order, then insertion order), then clears
-  /// the shards. Deterministic whenever the keys are: the resulting lines do
-  /// not depend on which worker buffered which event.
-  void MergeShards(std::vector<Shard>* shards);
-
   int64_t event_count() const;
 
   /// The full journal: one JSON object per line, trailing newline.
@@ -107,10 +80,6 @@ class EventJournal {
   Status WriteFile(const std::string& path) const;
 
  private:
-  /// Serializes one event body and appends it under the lock.
-  void AppendLocked(const char* type, const JournalFields& fields)
-      DBLAYOUT_REQUIRES(mu_);
-
   const JournalOptions options_;
   const uint64_t epoch_ns_;  ///< wall-clock epoch (0 in logical-clock mode)
 

@@ -14,8 +14,9 @@ namespace dblayout {
 
 namespace {
 
-/// Mirrors SearchOptions::capacity_margin's default: leave a sliver of slack
-/// so the exact rounded validation at the end cannot flip a fractional fit.
+/// Mirrors the search's capacity margin (layout/search.cc): leave a sliver
+/// of slack so the exact rounded validation at the end cannot flip a
+/// fractional fit.
 constexpr double kCapacityMargin = 0.999;
 
 /// Fractional blocks of each drive used by `layout`.

@@ -311,12 +311,19 @@ TEST(EvaluatorTest, ClassCountsAreExact) {
 }
 
 /// The oracle's price of "the bound layout with every object of `objects`
-/// assigned proportionally across `disks`".
+/// assigned proportionally across `disks`", or taking its row from `rows`
+/// when given.
 double OracleScore(const LayoutEvaluator& evaluator, const CostModel& cm,
                    const WorkloadProfile& profile, const std::vector<int>& objects,
-                   const std::vector<int>& disks) {
+                   const std::vector<int>& disks, const Layout* rows = nullptr) {
   Layout candidate = evaluator.layout();
-  for (int i : objects) candidate.AssignProportional(i, disks, cm.fleet());
+  for (int i : objects) {
+    if (rows == nullptr) {
+      candidate.AssignProportional(i, disks, cm.fleet());
+      continue;
+    }
+    for (int j = 0; j < candidate.num_disks(); ++j) candidate.set_x(i, j, rows->x(i, j));
+  }
   return cm.WorkloadCost(profile, candidate);
 }
 
@@ -382,26 +389,50 @@ TEST(EvaluatorTest, BatchTotalsEqualSingleCandidateTotals) {
   evaluator.DeltaForProportionalMove({3}, {0, 3});
   evaluator.Commit();
 
-  // Candidates: single objects, multi-object groups, and object 5, which no
-  // sub-plan reads. Every third candidate keeps a memo across the whole
-  // test (hits after its first score), every third gets an empty memo per
-  // batch (a miss that fills it), the rest score without one.
+  // Target rows for the rows candidates. Object 1's 0.7 / 0.3 split is a
+  // row no proportional assignment produces.
+  Layout rows(n, m);
+  rows.set_x(1, 0, 0.7);
+  rows.set_x(1, 2, 0.3);
+  rows.set_x(0, 3, 1.0);
+  rows.set_x(2, 1, 0.25);
+  rows.set_x(2, 2, 0.75);
+  rows.set_x(4, 0, 0.5);
+  rows.set_x(4, 3, 0.5);
+  rows.set_x(3, 1, 0.6);
+  rows.set_x(3, 3, 0.4);
+  rows.set_x(5, 0, 1.0);
+
+  // Candidates: single objects, multi-object groups, object 5, which no
+  // sub-plan reads, and objects taking their rows from `rows`. Every third
+  // candidate keeps a memo across the whole test (hits after its first
+  // score), every third gets an empty memo per batch (a miss that fills
+  // it), the rest score without one.
   struct Cand {
     std::vector<int> objects;
     std::vector<int> disks;
+    const Layout* rows = nullptr;
   };
   const std::vector<Cand> cands = {
       {{0}, {0, 2}},    {{1}, {3}},       {{2}, {0, 1, 2, 3}}, {{5}, {2}},
       {{0, 2}, {1, 3}}, {{3}, {1}},       {{1, 3, 4}, {0}},    {{4}, {2, 3}},
-      {{2}, {1}},       {{0, 1}, {0, 3}}, {{5, 4}, {0, 1}}};
+      {{2}, {1}},       {{0, 1}, {0, 3}}, {{5, 4}, {0, 1}},    {{1}, {}, &rows},
+      {{0, 2, 4}, {}, &rows},             {{3, 5}, {}, &rows}};
   std::vector<LayoutEvaluator::Memo> kept(cands.size());
   std::vector<double> single(cands.size());
   LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
   for (size_t c = 0; c < cands.size(); ++c) {
-    single[c] =
-        evaluator.ScoreProportionalMove(cands[c].objects, cands[c].disks, &scratch);
-    ASSERT_EQ(Bits(single[c]), Bits(OracleScore(evaluator, cm, profile,
-                                                cands[c].objects, cands[c].disks)))
+    if (cands[c].rows == nullptr) {
+      single[c] =
+          evaluator.ScoreProportionalMove(cands[c].objects, cands[c].disks, &scratch);
+    } else {
+      const LayoutEvaluator::ProportionalMove move{&cands[c].objects, nullptr, nullptr,
+                                                   cands[c].rows};
+      evaluator.ScoreProportionalMoves({&move, 1}, &scratch, {&single[c], 1});
+    }
+    ASSERT_EQ(Bits(single[c]),
+              Bits(OracleScore(evaluator, cm, profile, cands[c].objects,
+                               cands[c].disks, cands[c].rows)))
         << "candidate " << c;
   }
 
@@ -417,7 +448,7 @@ TEST(EvaluatorTest, BatchTotalsEqualSingleCandidateTotals) {
         LayoutEvaluator::Memo* memo = c % 3 == 0   ? &kept[c]
                                       : c % 3 == 1 ? &fresh[static_cast<size_t>(k)]
                                                    : nullptr;
-        moves.push_back({&cands[c].objects, &cands[c].disks, memo});
+        moves.push_back({&cands[c].objects, &cands[c].disks, memo, cands[c].rows});
         ids.push_back(c);
       }
       std::vector<double> totals(static_cast<size_t>(n));
@@ -434,7 +465,7 @@ TEST(EvaluatorTest, BatchTotalsEqualSingleCandidateTotals) {
   // More than kLanes moves in one call: scored kLanes at a time.
   std::vector<LayoutEvaluator::ProportionalMove> all;
   for (size_t c = 0; c < cands.size(); ++c) {
-    all.push_back({&cands[c].objects, &cands[c].disks, &kept[c]});
+    all.push_back({&cands[c].objects, &cands[c].disks, &kept[c], cands[c].rows});
   }
   std::vector<double> totals(cands.size());
   const int64_t evals_before = evaluator.delta_evaluations();

@@ -175,37 +175,6 @@ TEST(JournalTest, WallClockModeAddsTimestamps) {
   EXPECT_EQ(parsed.value().IntOr("k", 0), 1);
 }
 
-TEST(JournalTest, MergeShardsIsWorkerAssignmentInvariant) {
-  // The same (key, event) set buffered under two different worker
-  // assignments must merge to identical journals.
-  auto build = [](const std::vector<int>& worker_of_candidate) {
-    EventJournal journal;
-    std::vector<EventJournal::Shard> shards(3);
-    for (size_t cand = 0; cand < worker_of_candidate.size(); ++cand) {
-      shards[static_cast<size_t>(worker_of_candidate[cand])].Append(
-          static_cast<int64_t>(cand), "eval",
-          {{"cand", obs::JsonInt(static_cast<int64_t>(cand))}});
-    }
-    journal.MergeShards(&shards);
-    for (const auto& s : shards) EXPECT_TRUE(s.empty());
-    return journal.Serialize();
-  };
-  const std::string a = build({0, 0, 1, 1, 2, 2});
-  const std::string b = build({2, 1, 0, 2, 1, 0});
-  EXPECT_EQ(a, b);
-  // And the merged order is ascending by key.
-  size_t pos = 0;
-  int64_t expect = 0;
-  while (pos < a.size()) {
-    const size_t nl = a.find('\n', pos);
-    auto parsed = obs::ParseJson(a.substr(pos, nl - pos));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value().IntOr("cand", -1), expect++);
-    pos = nl + 1;
-  }
-  EXPECT_EQ(expect, 6);
-}
-
 TEST(JournalTest, ValueSerializationIsDeterministicJson) {
   EXPECT_EQ(obs::JsonString("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
   EXPECT_EQ(obs::JsonBool(true), "true");

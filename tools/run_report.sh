@@ -4,7 +4,9 @@
 #
 #   1. journal determinism — fixed-seed runs at --threads 1 and --threads 4
 #      produce byte-identical journals from line 2 on (line 1 is the
-#      run_start envelope, the only line allowed to carry the thread count)
+#      run_start envelope, the only line allowed to carry the thread count),
+#      both for a from-scratch run and for a --max-move run that goes
+#      through the migration phase
 #   2. a default-mode journal carries no wall-clock field at all
 #   3. dblayout_report --journal renders the funnel/trajectory/run_end
 #      sections from a default journal, and phase timings from a
@@ -45,6 +47,8 @@ fail() { echo "REPORT DRIVER FAILED: $*" >&2; exit 1; }
 
 J1="${OUT}/journal_t1.jsonl"
 J4="${OUT}/journal_t4.jsonl"
+M1="${OUT}/journal_migrate_t1.jsonl"
+M4="${OUT}/journal_migrate_t4.jsonl"
 JW="${OUT}/journal_wall.jsonl"
 
 log "journal byte-identity: --threads 1 vs --threads 4, seed 42"
@@ -59,8 +63,19 @@ head -1 "${J4}" | grep -q '"threads":4' || fail "envelope does not record thread
 # The envelope is the only line allowed to differ between equivalent runs.
 cmp <(tail -n +2 "${J1}") <(tail -n +2 "${J4}") \
   || fail "journals differ past the envelope: thread count leaked into events"
+
 grep -q '"t_us"' "${J1}" && fail "default-mode journal carries wall-clock t_us"
 grep -q '"eval_ns"' "${J1}" && fail "default-mode journal carries eval_ns"
+
+log "journal byte-identity through the migration phase: --max-move 0.2"
+for t in 1 4; do
+  "${CLI}" --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 --threads "${t}" \
+           --max-move 0.2 --journal-out "${OUT}/journal_migrate_t${t}.jsonl" >/dev/null \
+    || fail "--max-move threads-${t} run exited non-zero"
+done
+grep -q '"phase":"migrate"' "${M1}" || fail "--max-move run never entered the migration phase"
+cmp <(tail -n +2 "${M1}") <(tail -n +2 "${M4}") \
+  || fail "migration journals differ past the envelope: thread count leaked into events"
 
 log "run report over the default journal"
 out="$("${REPORT}" --journal "${J1}")" || fail "report over default journal exited non-zero"
