@@ -245,5 +245,49 @@ TEST(SearchDigestTest, MigrateTightTpch22) {
             0);
 }
 
+// A random current layout on small drives under a tight movement budget:
+// both phases meet candidates that fail the capacity check and the movement
+// budget at once, so the journaled reason pins each phase's check order
+// (greedy: capacity first; migration: movement first).
+TEST(SearchDigestTest, BothFailTpch22) {
+  const Database db = benchdata::MakeTpchDatabase();
+  const DiskFleet fleet = DiskFleet::Heterogeneous(8, 0.3, 42, 0.25);
+  const WorkloadProfile profile = Analyze(db, benchdata::MakeTpch22Workload(db, 1));
+  Rng rng(1);
+  Result<Layout> current = RandomLayout(db, fleet, &rng);
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  Constraints c;
+  c.max_movement_fraction = 0.1;
+  c.current_layout = &current.value();
+  const std::string journal =
+      CheckCase("both_fail", db, fleet, profile, Resolve(c, db, fleet));
+  const std::string reject = R"("ev":"reject")";
+  const std::string migrate = R"("move":"migrate")";
+  const std::string capacity = R"("reason":"capacity")";
+  const std::string movement = R"("reason":"movement_budget")";
+  EXPECT_GT(CountLines(journal, {reject, capacity}) -
+                CountLines(journal, {reject, migrate, capacity}),
+            0);
+  EXPECT_GT(CountLines(journal, {reject, movement}) -
+                CountLines(journal, {reject, migrate, movement}),
+            0);
+  EXPECT_GT(CountLines(journal, {reject, migrate, movement}), 0);
+}
+
+// A two-member co-location group on small drives: the greedy capacity check
+// sums the group's members on each drive.
+TEST(SearchDigestTest, TightColocatedTpch22) {
+  const Database db = benchdata::MakeTpchDatabase();
+  const DiskFleet fleet = DiskFleet::Heterogeneous(8, 0.3, 42, 0.25);
+  const WorkloadProfile profile = Analyze(db, benchdata::MakeTpch22Workload(db, 1));
+  Constraints c;
+  c.co_located = {{"part", "partsupp"}};
+  const std::string journal =
+      CheckCase("tight_colocated", db, fleet, profile, Resolve(c, db, fleet));
+  EXPECT_GT(CountLines(journal, {R"("ev":"reject")", R"("group":[4,5])",
+                                 R"("reason":"capacity")"}),
+            0);
+}
+
 }  // namespace
 }  // namespace dblayout
