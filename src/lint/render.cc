@@ -2,53 +2,17 @@
 // diagnostics in the report's (already deterministic) order; SARIF rule
 // metadata follows report.rules, which the runner sorts by id.
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/strutil.h"
 #include "lint/lint.h"
+#include "obs/journal.h"
 
 namespace dblayout {
 namespace {
 
-/// JSON string escaping per RFC 8259 (quotes, backslash, control chars).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string JsonString(const std::string& s) {
-  return "\"" + JsonEscape(s) + "\"";
-}
+using obs::JsonString;
 
 std::string JsonStringArray(const std::vector<std::string>& items) {
   std::vector<std::string> quoted;

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "common/strutil.h"
+#include "obs/journal.h"
 
 namespace dblayout::obs {
 
@@ -25,27 +26,6 @@ uint32_t ThisThreadId() {
 }
 
 thread_local uint32_t tls_span_depth = 0;
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':  out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -119,10 +99,10 @@ std::string Tracer::ToChromeJson() const {
     first = false;
     // Complete events ("ph":"X"): ts/dur in microseconds, fractions allowed.
     out += StrFormat(
-        "{\"name\":\"%s\",\"cat\":\"dblayout\",\"ph\":\"X\","
+        "{\"name\":%s,\"cat\":\"dblayout\",\"ph\":\"X\","
         "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u,"
         "\"args\":{\"depth\":%u}}",
-        JsonEscape(ev.name).c_str(), static_cast<double>(ev.start_ns) / 1e3,
+        JsonString(ev.name).c_str(), static_cast<double>(ev.start_ns) / 1e3,
         static_cast<double>(ev.dur_ns) / 1e3, ev.tid, ev.depth);
   }
   out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{";
@@ -130,8 +110,7 @@ std::string Tracer::ToChromeJson() const {
   for (const auto& [key, value] : metadata_) {
     if (!first) out += ",";
     first = false;
-    out += StrFormat("\"%s\":\"%s\"", JsonEscape(key).c_str(),
-                     JsonEscape(value).c_str());
+    out += JsonString(key) + ":" + JsonString(value);
   }
   out += "}}";
   return out;
