@@ -106,7 +106,7 @@ inline std::string TelemetryJson(const SearchTelemetry& t) {
 }
 
 /// Serializes a Recommendation's per-phase wall-clock breakdown. Keys end in
-/// "_ms" so dblayout_report --compare treats them as lower-is-better gates.
+/// "_ms" so `dblayout report --compare` treats them as lower-is-better gates.
 inline std::string PhasesJson(const PhaseBreakdown& p) {
   return StrFormat(
       "{\"analyze_ms\":%.6g,\"partition_ms\":%.6g,\"search_ms\":%.6g,"

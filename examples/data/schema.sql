@@ -1,4 +1,4 @@
--- Sample schema for dblayout_cli: a small order-processing database.
+-- Sample schema for dblayout advise: a small order-processing database.
 -- Statistics annotations (DISTINCT / RANGE) feed the optimizer's
 -- cardinality estimation; ROWS is mandatory.
 

@@ -1,4 +1,4 @@
--- Sample workload for dblayout_cli. `-- weight:` sets the next statement's
+-- Sample workload for dblayout advise. `-- weight:` sets the next statement's
 -- importance (e.g. executions per day).
 
 -- weight: 50

@@ -5,7 +5,7 @@
 // owner: either an atomic with documented ordering, or a field guarded by a
 // specific mutex. This header makes that ownership machine-checkable twice
 // over:
-//   - `dblayout_check`'s lock-discipline rules (src/staticcheck/) verify at
+//   - `dblayout check`'s lock-discipline rules (src/staticcheck/) verify at
 //     token level that DBLAYOUT_GUARDED_BY-annotated fields are only touched
 //     inside a scope that locks the named mutex;
 //   - under Clang, the same macros expand to the thread-safety-analysis
@@ -39,7 +39,7 @@
 // --- Attribute macros -------------------------------------------------------
 //
 // Modeled on Clang's thread-safety-analysis attribute set. The token names
-// (not the expansion) are what dblayout_check keys on, so the static gate
+// (not the expansion) are what dblayout check keys on, so the static gate
 // works identically under every compiler.
 
 #if defined(__clang__) && defined(__has_attribute)
@@ -75,7 +75,7 @@
 #define DBLAYOUT_TRY_ACQUIRE(...) \
   DBLAYOUT_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
 /// Opts one function out of the compiler analysis (CondVar internals that
-/// hand a held mutex to std primitives). Use sparingly; dblayout_check's
+/// hand a held mutex to std primitives). Use sparingly; dblayout check's
 /// token rules still apply.
 #define DBLAYOUT_NO_THREAD_SAFETY_ANALYSIS \
   DBLAYOUT_THREAD_ANNOTATION_(no_thread_safety_analysis)

@@ -13,7 +13,7 @@
 namespace dblayout {
 
 /// Process-wide default seed for components that are not handed an explicit
-/// one. Set once at startup (`dblayout_cli --seed N`) and logged into the
+/// one. Set once at startup (`dblayout advise --seed N`) and logged into the
 /// trace metadata so any run can be reproduced. Defaults to 0.
 inline std::atomic<uint64_t>& GlobalSeedStorage() {
   static std::atomic<uint64_t> seed{0};

@@ -33,7 +33,7 @@ const char* StatusCodeName(StatusCode code);
 /// message. The OK status carries no allocation.
 ///
 /// [[nodiscard]]: silently dropping a Status hides failures (the
-/// unchecked-status rule in dblayout_check is the cross-file complement).
+/// unchecked-status rule in dblayout check is the cross-file complement).
 /// Intentional discards must say so with (void).
 class [[nodiscard]] Status {
  public:

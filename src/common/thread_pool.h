@@ -20,11 +20,11 @@
 // work-stealing scheduler on the ROADMAP): fire-and-forget tasks drained by
 // the pool workers, joined explicitly with Wait(). Because a submitted task
 // may run *after* the submitting scope has returned, by-reference captures
-// in a Submit lambda must outlive the matching Wait — dblayout_check's
+// in a Submit lambda must outlive the matching Wait — dblayout check's
 // capture-escape rule enforces exactly that.
 //
 // Locking discipline: all queue/batch coordination state is guarded by
-// `mu_` and annotated DBLAYOUT_GUARDED_BY so both dblayout_check's
+// `mu_` and annotated DBLAYOUT_GUARDED_BY so both dblayout check's
 // lock-discipline rule and Clang's -Wthread-safety verify every access.
 
 #ifndef DBLAYOUT_COMMON_THREAD_POOL_H_
@@ -71,7 +71,7 @@ class ThreadPool {
   /// workers (run inline immediately when the pool has no workers). The task
   /// must not throw. Anything the task captures by reference must stay alive
   /// until a Wait() call on this pool returns — enqueue-then-return-early is
-  /// the capture-lifetime hazard dblayout_check's capture-escape rule flags.
+  /// the capture-lifetime hazard dblayout check's capture-escape rule flags.
   void Submit(std::function<void()> task);
 
   /// Blocks until every task Submit()ed so far has finished. The calling

@@ -54,7 +54,7 @@ class WeightedGraph {
 
   /// Neighbors of u with positive edge weight. Hash order: any consumer
   /// that sums weights (float addition is not associative) or emits output
-  /// must use SortedNeighbors / SortedEdges instead — dblayout_check's
+  /// must use SortedNeighbors / SortedEdges instead — dblayout check's
   /// unordered-accumulation rule enforces this.
   const std::unordered_map<size_t, double>& Neighbors(size_t u) const {
     return adj_[u];

@@ -42,7 +42,7 @@ struct AdvisorOptions {
 /// workload analysis through the optimizer, step-1 partitioning, the greedy
 /// search loop, and the reference evaluations behind the report. Observe-only
 /// telemetry — carried into bench JSON records ("phases") and surfaced by
-/// dblayout_report; never feeds a decision.
+/// dblayout report; never feeds a decision.
 struct PhaseBreakdown {
   double analyze_ms = 0;    ///< AnalyzeWorkload (0 for RecommendFromProfile)
   double partition_ms = 0;  ///< step 1: access-graph partition + assignment

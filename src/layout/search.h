@@ -27,7 +27,7 @@ namespace dblayout {
 
 /// One progress sample, delivered after every accepted greedy/migration
 /// iteration when SearchOptions::progress_hook is set (e.g. by
-/// `dblayout_cli --progress`).
+/// `dblayout advise --progress`).
 struct SearchProgress {
   const char* phase = "";        ///< "greedy" or "migrate"
   int iteration = 0;             ///< 1-based accepted-iteration index
@@ -64,7 +64,7 @@ struct SearchOptions {
   /// between scoring batches — and returns the best valid layout
   /// accepted so far with SearchResult::timed_out set, exactly the
   /// time-budget-expiry contract. Wired to the process shutdown flag by
-  /// dblayout_cli / dblayout_serve so SIGINT/SIGTERM mid-search still yields
+  /// dblayout advise / serve so SIGINT/SIGTERM mid-search still yields
   /// a flushable result instead of dropping the run.
   const std::atomic<bool>* cancel_requested = nullptr;
   /// Number of threads used to score the candidate moves of one greedy (or

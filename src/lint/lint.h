@@ -9,7 +9,7 @@
 // LintRules, each inspecting the parsed inputs and emitting structured
 // Diagnostics with machine-readable severity, object/disk references, and a
 // suggested fix. Findings render as text, JSON, or SARIF 2.1.0 so they can
-// gate CI (`dblayout_cli --lint --fail-on=warn`) or feed code-review UIs.
+// gate CI (`dblayout lint --fail-on=warn`) or feed code-review UIs.
 //
 // The runner derives shared artifacts once (a leniently-analyzed workload
 // profile, the Section 4 access graph, constraint-feasibility issues from
@@ -155,7 +155,7 @@ std::vector<std::unique_ptr<LintRule>> DefaultLintRules();
 
 /// Opt-in rule (not part of DefaultLintRules): notes when the workload has
 /// at least LintOptions::progress_recommend_statements statements, so a
-/// long advisor search should be run with `dblayout_cli --progress` (and
+/// long advisor search should be run with `dblayout advise --progress` (and
 /// ideally --trace-out/--metrics-out for postmortems). Register it via
 /// LintRunner::AddRule — the CLI does; it doubles as the worked example of
 /// the rule-registry extension path.

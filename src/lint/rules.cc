@@ -569,7 +569,7 @@ class LayoutSinglePointOfFailureRule : public LintRule {
                     ctx.ObjectName(static_cast<size_t>(i)).c_str(),
                     100.0 * share, fleet.disk(j).name.c_str()),
           StrFormat("move '%s' to a parity or mirrored drive, or stripe it "
-                    "across several drives; dblayout_cli --resilience-report "
+                    "across several drives; dblayout advise --resilience-report "
                     "quantifies the degraded-mode cost",
                     ctx.ObjectName(static_cast<size_t>(i)).c_str()));
       d.objects = {ctx.ObjectName(static_cast<size_t>(i))};
@@ -605,7 +605,7 @@ class WorkloadProgressRule : public LintRule {
         StrFormat("workload has %zu statements (>= %d): the advisor search "
                   "will evaluate many candidate layouts",
                   statements, threshold),
-        "run dblayout_cli with --progress for live search feedback, and "
+        "run dblayout advise with --progress for live search feedback, and "
         "--trace-out/--metrics-out to capture where the time goes"));
   }
 };

@@ -36,7 +36,7 @@
 namespace dblayout::obs {
 
 /// Bump when an event type gains/loses/renames fields. Carried as "v" in the
-/// run_start envelope so dblayout_report can refuse journals it postdates.
+/// run_start envelope so dblayout report can refuse journals it postdates.
 inline constexpr int kJournalSchemaVersion = 1;
 
 /// (key, already-serialized JSON value) pairs, emitted in order. Use the

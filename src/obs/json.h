@@ -1,5 +1,5 @@
 // Minimal recursive-descent JSON parser for the observability tooling:
-// dblayout_report reads journal JSONL lines and BENCH_*.json files, and the
+// dblayout report reads journal JSONL lines and BENCH_*.json files, and the
 // journal tests re-parse every emitted line. Objects preserve key order
 // (journals are order-significant for diffing); numbers are doubles with an
 // exact-int fast path. Not a general-purpose library — no streaming, no

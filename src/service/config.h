@@ -1,4 +1,4 @@
-// Configuration of the continuous advisor service (dblayout_serve): the
+// Configuration of the continuous advisor service (dblayout serve): the
 // windowing, drift, guardrail, degradation, and retry knobs shared by the
 // session supervisor, the checkpoint format, and the `service-config-sane`
 // lint rule. One struct so a checkpoint can fingerprint the decision-relevant
@@ -68,7 +68,7 @@ struct ServiceConfig {
   /// (SearchOptions::num_threads; bit-identical results at any value).
   int num_threads = 1;
   /// Cooperative cancellation for in-flight advises (not owned; may be
-  /// null). dblayout_serve wires this to the process shutdown flag so
+  /// null). dblayout serve wires this to the process shutdown flag so
   /// SIGINT/SIGTERM mid-search still yields a checkpointable state.
   const std::atomic<bool>* cancel_requested = nullptr;
   /// Test-only fault injection: when set, called before each advise attempt

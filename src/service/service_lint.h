@@ -1,5 +1,5 @@
 // `service-config-sane`: a lint rule over the continuous advisor's
-// configuration, registered by dblayout_serve at startup via
+// configuration, registered by dblayout serve at startup via
 // LintRunner::AddRule (the same registry-extension path as
 // MakeWorkloadProgressRule — the lint library stays independent of the
 // service library; the dependency points this way). Flags configurations

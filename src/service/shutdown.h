@@ -1,4 +1,4 @@
-// Graceful shutdown plumbing shared by dblayout_cli and dblayout_serve:
+// Graceful shutdown plumbing shared by dblayout advise and dblayout serve:
 // SIGINT/SIGTERM set a process-wide atomic flag; long-running stages poll it
 // (the layout search via SearchOptions::cancel_requested, the serve loop
 // between statements) and unwind normally — flushing journal/metrics/trace

@@ -1,6 +1,6 @@
 // Schema-description DDL: lets a database (schema + statistics) be loaded
 // from a text file instead of built programmatically, so the advisor runs
-// standalone (see tools/dblayout_cli.cc).
+// standalone (see tools/advise.cc).
 //
 // Grammar (statements end with ';'):
 //

@@ -1,6 +1,6 @@
 // A minimal C++ token-stream lexer for dblayout's own sources.
 //
-// dblayout_check (src/staticcheck/) analyzes the repository's C++ files for
+// dblayout check (src/staticcheck/) analyzes the repository's C++ files for
 // determinism and concurrency hazards. It deliberately does not depend on
 // libclang: the rules it enforces are lexical/structural patterns (iteration
 // over unordered containers, raw rand() calls, default by-reference lambda

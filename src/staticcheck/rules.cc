@@ -1,4 +1,4 @@
-// The token-level dblayout_check rules: deterministic walks over one file's
+// The token-level dblayout check rules: deterministic walks over one file's
 // token stream plus the cross-file SymbolIndex. The scope-aware families
 // (lock discipline, capture escape, determinism taint) live in
 // rules_scoped.cc; DESIGN.md §11 maps each rule to the guarantee it protects.

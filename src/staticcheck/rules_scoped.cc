@@ -1,4 +1,4 @@
-// The scope-aware dblayout_check rule families, built on the ProgramModel
+// The scope-aware dblayout check rule families, built on the ProgramModel
 // (scope_parser.h) and TaintAnalysis layers:
 //
 //   - guarded-by-violation / unannotated-mutex-field: lock discipline over

@@ -1,6 +1,6 @@
 // A lightweight declaration/scope parser over cpp_lexer token streams.
 //
-// dblayout_check v1 walked flat token streams; that is enough for per-line
+// dblayout check v1 walked flat token streams; that is enough for per-line
 // patterns but cannot answer the questions the lock-discipline,
 // capture-escape, and interprocedural-taint rules ask: "which function body
 // does this token live in?", "which class declares this field, and is it

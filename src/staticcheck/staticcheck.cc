@@ -179,7 +179,7 @@ CheckOptions::CheckOptions() {
 
   // Files whose clock/env/entropy reads are infrastructure, not hidden
   // inputs: the seeded Rng, the obs timing layer, bench/tool harnesses, and
-  // dblayout_check's own --verbose timing.
+  // dblayout check's own --verbose timing.
   taint_source_allow = {"src/common/rng.h", "src/obs/", "src/staticcheck/",
                         "bench/", "tools/", "tests/"};
   // The determinism-critical layers the paper's §5 reproduction depends on:

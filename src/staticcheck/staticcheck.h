@@ -1,4 +1,4 @@
-// dblayout_check: determinism & concurrency static analysis over dblayout's
+// dblayout check: determinism & concurrency static analysis over dblayout's
 // own sources (src/ and bench/).
 //
 // The repo's headline guarantee is that evaluator/search results are
@@ -130,7 +130,7 @@ struct CheckOptions {
 
   /// Files whose direct clock/env/entropy reads are *not* taint sources:
   /// the seeded Rng, the obs timing layer, bench/tool infrastructure, and
-  /// dblayout_check's own --verbose timing.
+  /// dblayout check's own --verbose timing.
   std::vector<std::string> taint_source_allow;
   /// Files whose functions are determinism-critical entry points: taint
   /// reachable from here is a finding. The paper's cost-model/search/

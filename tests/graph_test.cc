@@ -60,7 +60,7 @@ TEST(WeightedGraphTest, SortedNeighborsIsSortedAndComplete) {
 }
 
 // Regression test for a hash-order float-accumulation defect found by
-// dblayout_check (unordered-accumulation): CutWeight, TotalEdgeWeight, and
+// dblayout check (unordered-accumulation): CutWeight, TotalEdgeWeight, and
 // the partitioner's connection sums used to iterate Neighbors() — an
 // unordered_map whose iteration order depends on insertion history — so two
 // logically identical graphs could disagree in the last ulp and flip

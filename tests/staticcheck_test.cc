@@ -1,4 +1,4 @@
-// Tests for dblayout_check (src/staticcheck/): positive + negative fixture
+// Tests for dblayout check (src/staticcheck/): positive + negative fixture
 // snippets per rule (including the scope-aware lock-discipline,
 // capture-escape and determinism-taint families), suppression and baseline
 // semantics (stale entries included), job-count invariance of the parallel

@@ -6,8 +6,9 @@
 #   2. clang-tidy             over the compile database (skipped with a
 #                             warning when clang-tidy is not installed)
 #   3. layout lint            (tools/run_lint.sh over examples/data and the
-#                             pathology fixtures, via the werror build's CLI)
-#   3b. dblayout_check        (determinism & concurrency rules over src/ and
+#                             pathology fixtures, via the werror build's
+#                             dblayout)
+#   3b. dblayout check        (determinism & concurrency rules over src/ and
 #                             bench/; zero unsuppressed findings required)
 #   4. ASan+UBSan build+ctest (DBLAYOUT_SANITIZE=address,undefined; the AUTO
 #                             dcheck policy also enables the runtime
@@ -96,24 +97,24 @@ if [[ "${TIDY_ONLY}" -eq 1 ]]; then log "tidy-only: done"; exit 0; fi
 # 3. Layout lint gate: example data plus the seeded-pathology fixtures.
 log "layout lint (tools/run_lint.sh)"
 bash "${SOURCE_DIR}/tools/run_lint.sh" \
-  --cli "${BUILD_ROOT}/werror/tools/dblayout_cli" || fail "layout lint"
+  --bin "${BUILD_ROOT}/werror/tools/dblayout" || fail "layout lint"
 
-# 3b. dblayout_check gate: the repo's own sources must carry zero
+# 3b. dblayout check gate: the repo's own sources must carry zero
 # unsuppressed determinism/concurrency findings. The tool distinguishes
 # "findings at the error threshold" (exit 1) from "could not run at all"
 # (exit 2: bad flags, unreadable input); keep the two failure modes apart
 # so a broken invocation is never mistaken for a dirty tree.
-log "dblayout_check over src/ and bench/"
+log "dblayout check over src/ and bench/"
 check_rc=0
-"${BUILD_ROOT}/werror/tools/dblayout_check" \
+"${BUILD_ROOT}/werror/tools/dblayout" check \
   --baseline "${SOURCE_DIR}/tools/staticcheck_baseline.txt" --stats \
   --jobs "${JOBS}" \
   "${SOURCE_DIR}/src" "${SOURCE_DIR}/bench" || check_rc=$?
 case "${check_rc}" in
   0) ;;
-  1) fail "dblayout_check: unsuppressed findings (fix, suppress inline, or baseline)" ;;
-  2) fail "dblayout_check: usage or I/O error (tool did not complete a scan)" ;;
-  *) fail "dblayout_check: unexpected exit status ${check_rc}" ;;
+  1) fail "dblayout check: unsuppressed findings (fix, suppress inline, or baseline)" ;;
+  2) fail "dblayout check: usage or I/O error (tool did not complete a scan)" ;;
+  *) fail "dblayout check: unexpected exit status ${check_rc}" ;;
 esac
 
 # 4. AddressSanitizer + UndefinedBehaviorSanitizer, with invariant audits on.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Lint driver: runs `dblayout_cli --lint` over the example data and the
+# Lint checks: runs `dblayout lint` over the example data and the
 # seeded-pathology fixtures under examples/data/lint/, asserting the
 # expected verdicts and exit codes:
 #
@@ -12,42 +12,39 @@
 #   4. --format=sarif and --format=json emit well-formed JSON
 #      (checked when python3 is available)
 #
-# Usage: tools/run_lint.sh --cli PATH [--data DIR]
+# Usage: tools/run_lint.sh --bin PATH_TO_dblayout
 set -euo pipefail
 
-SOURCE_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-CLI=""
-DATA="${SOURCE_DIR}/examples/data"
-
+DATA="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)/examples/data"
+BIN=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
-    --cli)  CLI="$2"; shift 2 ;;
-    --data) DATA="$2"; shift 2 ;;
+    --bin) BIN="$2"; shift 2 ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
-[[ -n "${CLI}" && -x "${CLI}" ]] || { echo "usage: $0 --cli PATH_TO_dblayout_cli" >&2; exit 2; }
+[[ -n "${BIN}" && -x "${BIN}" ]] || { echo "usage: $0 --bin PATH_TO_dblayout" >&2; exit 2; }
 
 log()  { printf '\n== %s ==\n' "$*"; }
 fail() { echo "LINT DRIVER FAILED: $*" >&2; exit 1; }
 
-# run_lint expected_exit grep_pattern args... — runs the CLI in lint mode,
+# run_lint expected_exit grep_pattern args... — runs `dblayout lint`,
 # checks the exit code, and greps the output for the expected diagnostic.
 run_lint() {
   local expected="$1" pattern="$2"; shift 2
   local out rc=0
-  out="$("${CLI}" "$@" 2>&1)" || rc=$?
+  out="$("${BIN}" lint "$@" 2>&1)" || rc=$?
   if [[ "${rc}" -ne "${expected}" ]]; then
     echo "${out}"
-    fail "expected exit ${expected}, got ${rc}: ${CLI} $*"
+    fail "expected exit ${expected}, got ${rc}: ${BIN} lint $*"
   fi
   if [[ -n "${pattern}" ]] && ! grep -q "${pattern}" <<<"${out}"; then
     echo "${out}"
-    fail "output does not mention '${pattern}': ${CLI} $*"
+    fail "output does not mention '${pattern}': ${BIN} lint $*"
   fi
 }
 
-COMMON=(--schema "${DATA}/schema.sql" --workload "${DATA}/workload.sql" --lint)
+COMMON=(--schema "${DATA}/schema.sql" --workload "${DATA}/workload.sql")
 
 log "examples/data lints clean at --fail-on=error"
 run_lint 0 "0 error(s)" "${COMMON[@]}" --disks "${DATA}/disks.txt"
@@ -67,11 +64,11 @@ run_lint 1 "constraint-colocation-capacity" "${COMMON[@]}" \
 
 if command -v python3 >/dev/null 2>&1; then
   log "sarif and json renderers emit well-formed JSON"
-  "${CLI}" "${COMMON[@]}" --disks "${DATA}/disks.txt" \
+  "${BIN}" lint "${COMMON[@]}" --disks "${DATA}/disks.txt" \
       --evaluate "${DATA}/lint/striped_coaccess.csv" --format=sarif \
     | python3 -c 'import json,sys; d=json.load(sys.stdin); assert d["version"]=="2.1.0"; assert d["runs"][0]["results"]' \
     || fail "sarif output is not valid JSON"
-  "${CLI}" "${COMMON[@]}" --disks "${DATA}/disks.txt" --format=json \
+  "${BIN}" lint "${COMMON[@]}" --disks "${DATA}/disks.txt" --format=json \
     | python3 -c 'import json,sys; json.load(sys.stdin)' \
     || fail "json output is not valid JSON"
 else

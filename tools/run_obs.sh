@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Telemetry driver: runs `dblayout_cli` with the full observability surface
+# Telemetry checks: run `dblayout advise` with the full observability surface
 # switched on over the example data and the synthetic TPC-H metadata,
 # asserting that:
 #
@@ -13,24 +13,23 @@
 #   4. --seed is deterministic: two identical seeded runs produce
 #      byte-identical metrics files
 #
-# Usage: tools/run_obs.sh --cli PATH [--data DIR] [--out DIR]
+# Usage: tools/run_obs.sh --bin PATH_TO_dblayout [--out DIR]
+#   --out keeps the trace, metrics and journals in DIR.
 set -euo pipefail
 
-SOURCE_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-CLI=""
-DATA="${SOURCE_DIR}/examples/data"
+DATA="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)/examples/data"
+BIN=""
 OUT="$(mktemp -d)"
 trap 'rm -rf "${OUT}"' EXIT
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
-    --cli)  CLI="$2"; shift 2 ;;
-    --data) DATA="$2"; shift 2 ;;
-    --out)  OUT="$2"; trap - EXIT; shift 2 ;;
+    --bin) BIN="$2"; shift 2 ;;
+    --out) rm -rf "${OUT}"; OUT="$2"; trap - EXIT; shift 2 ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
-[[ -n "${CLI}" && -x "${CLI}" ]] || { echo "usage: $0 --cli PATH_TO_dblayout_cli" >&2; exit 2; }
+[[ -n "${BIN}" && -x "${BIN}" ]] || { echo "usage: $0 --bin PATH_TO_dblayout" >&2; exit 2; }
 mkdir -p "${OUT}"
 
 log()  { printf '\n== %s ==\n' "$*"; }
@@ -40,7 +39,7 @@ TRACE="${OUT}/trace.json"
 METRICS="${OUT}/metrics.prom"
 
 log "TPC-H sf=0.1 advised run with telemetry on"
-out="$("${CLI}" --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 --progress \
+out="$("${BIN}" advise --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 --progress \
         --trace-out "${TRACE}" --metrics-out "${METRICS}" 2>&1)" \
   || fail "telemetry run exited non-zero"
 grep -q "trace summary:" <<<"${out}" || fail "no trace summary in output"
@@ -84,7 +83,7 @@ else
 fi
 
 log "seeded runs are deterministic (identical counters)"
-"${CLI}" --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 \
+"${BIN}" advise --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 \
   --metrics-out "${OUT}/metrics2.prom" >/dev/null 2>&1 \
   || fail "second seeded run exited non-zero"
 # Latency histograms carry wall-clock sums that legitimately vary between
@@ -96,7 +95,7 @@ cmp -s "${OUT}/counters1.txt" "${OUT}/counters2.txt" \
        fail "counters differ between identical seeded runs"; }
 
 log "example schema/workload run with telemetry on"
-"${CLI}" --schema "${DATA}/schema.sql" --workload "${DATA}/workload.sql" \
+"${BIN}" advise --schema "${DATA}/schema.sql" --workload "${DATA}/workload.sql" \
   --disks "${DATA}/disks.txt" --trace-out "${OUT}/trace_examples.json" \
   >/dev/null 2>&1 || fail "example-data telemetry run exited non-zero"
 [[ -s "${OUT}/trace_examples.json" ]] || fail "example trace file missing"
@@ -109,7 +108,7 @@ grep '^dblayout_build_info{' "${METRICS}" | grep -q 'seed="42"' \
 
 log "decision journal: envelope + run_end, byte-identical re-run"
 JOURNAL="${OUT}/journal.jsonl"
-"${CLI}" --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 \
+"${BIN}" advise --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 \
   --journal-out "${JOURNAL}" >/dev/null 2>&1 \
   || fail "journal run exited non-zero"
 [[ -s "${JOURNAL}" ]] || fail "journal file missing or empty: ${JOURNAL}"
@@ -117,7 +116,7 @@ head -1 "${JOURNAL}" | grep -q '"ev":"run_start"' \
   || fail "journal does not open with the run_start envelope"
 tail -1 "${JOURNAL}" | grep -q '"ev":"run_end"' \
   || fail "journal does not close with the run_end envelope"
-"${CLI}" --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 \
+"${BIN}" advise --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 \
   --journal-out "${OUT}/journal2.jsonl" >/dev/null 2>&1 \
   || fail "second journal run exited non-zero"
 cmp -s "${JOURNAL}" "${OUT}/journal2.jsonl" \

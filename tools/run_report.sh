@@ -8,38 +8,33 @@
 #      both for a from-scratch run and for a --max-move run that goes
 #      through the migration phase
 #   2. a default-mode journal carries no wall-clock field at all
-#   3. dblayout_report --journal renders the funnel/trajectory/run_end
+#   3. `dblayout report --journal` renders the funnel/trajectory/run_end
 #      sections from a default journal, and phase timings from a
 #      --journal-wall-clock journal
-#   4. dblayout_report --compare: a file against itself exits 0; the seeded
+#   4. `dblayout report --compare`: a file against itself exits 0; the seeded
 #      regression fixture (tests/testdata/report_regressed.json, +16.6% on
 #      one estimated_cost_ms) exits 1 and names the regressed metric;
 #      malformed input exits 2
 #
-# Usage: tools/run_report.sh --cli PATH --report PATH [--data DIR]
-#                            [--fixtures DIR] [--out DIR]
+# Usage: tools/run_report.sh --bin PATH_TO_dblayout [--out DIR]
+#   --out keeps the journals in DIR.
 set -euo pipefail
 
 SOURCE_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-CLI=""
-REPORT=""
 DATA="${SOURCE_DIR}/examples/data"
 FIXTURES="${SOURCE_DIR}/tests/testdata"
+BIN=""
 OUT="$(mktemp -d)"
 trap 'rm -rf "${OUT}"' EXIT
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
-    --cli)      CLI="$2"; shift 2 ;;
-    --report)   REPORT="$2"; shift 2 ;;
-    --data)     DATA="$2"; shift 2 ;;
-    --fixtures) FIXTURES="$2"; shift 2 ;;
-    --out)      OUT="$2"; trap - EXIT; shift 2 ;;
+    --bin) BIN="$2"; shift 2 ;;
+    --out) rm -rf "${OUT}"; OUT="$2"; trap - EXIT; shift 2 ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
-[[ -n "${CLI}" && -x "${CLI}" ]] || { echo "usage: $0 --cli PATH --report PATH" >&2; exit 2; }
-[[ -n "${REPORT}" && -x "${REPORT}" ]] || { echo "usage: $0 --cli PATH --report PATH" >&2; exit 2; }
+[[ -n "${BIN}" && -x "${BIN}" ]] || { echo "usage: $0 --bin PATH_TO_dblayout" >&2; exit 2; }
 mkdir -p "${OUT}"
 
 log()  { printf '\n== %s ==\n' "$*"; }
@@ -52,10 +47,10 @@ M4="${OUT}/journal_migrate_t4.jsonl"
 JW="${OUT}/journal_wall.jsonl"
 
 log "journal byte-identity: --threads 1 vs --threads 4, seed 42"
-"${CLI}" --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 --threads 1 \
-         --journal-out "${J1}" >/dev/null || fail "threads-1 run exited non-zero"
-"${CLI}" --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 --threads 4 \
-         --journal-out "${J4}" >/dev/null || fail "threads-4 run exited non-zero"
+"${BIN}" advise --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 --threads 1 \
+                --journal-out "${J1}" >/dev/null || fail "threads-1 run exited non-zero"
+"${BIN}" advise --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 --threads 4 \
+                --journal-out "${J4}" >/dev/null || fail "threads-4 run exited non-zero"
 [[ -s "${J1}" && -s "${J4}" ]] || fail "journal files missing or empty"
 head -1 "${J1}" | grep -q '"ev":"run_start"' || fail "line 1 is not the run_start envelope"
 head -1 "${J1}" | grep -q '"threads":1' || fail "envelope does not record threads=1"
@@ -69,8 +64,8 @@ grep -q '"eval_ns"' "${J1}" && fail "default-mode journal carries eval_ns"
 
 log "journal byte-identity through the migration phase: --max-move 0.2"
 for t in 1 4; do
-  "${CLI}" --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 --threads "${t}" \
-           --max-move 0.2 --journal-out "${OUT}/journal_migrate_t${t}.jsonl" >/dev/null \
+  "${BIN}" advise --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 --threads "${t}" \
+                  --max-move 0.2 --journal-out "${OUT}/journal_migrate_t${t}.jsonl" >/dev/null \
     || fail "--max-move threads-${t} run exited non-zero"
 done
 grep -q '"phase":"migrate"' "${M1}" || fail "--max-move run never entered the migration phase"
@@ -78,29 +73,29 @@ cmp <(tail -n +2 "${M1}") <(tail -n +2 "${M4}") \
   || fail "migration journals differ past the envelope: thread count leaked into events"
 
 log "run report over the default journal"
-out="$("${REPORT}" --journal "${J1}")" || fail "report over default journal exited non-zero"
+out="$("${BIN}" report --journal "${J1}")" || fail "report over default journal exited non-zero"
 grep -q "acceptance funnel" <<<"${out}" || fail "no acceptance funnel in report"
 grep -q "cost trajectory" <<<"${out}" || fail "no cost trajectory in report"
 grep -q "run_end: status ok" <<<"${out}" || fail "no run_end summary in report"
 grep -q "n/a" <<<"${out}" || fail "default journal should render phases as n/a"
 
 log "run report over a wall-clock journal (--journal-wall-clock --report)"
-"${CLI}" --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 \
-         --journal-out "${JW}" --journal-wall-clock --report >/dev/null \
+"${BIN}" advise --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 \
+                --journal-out "${JW}" --journal-wall-clock --report >/dev/null \
   || fail "wall-clock run exited non-zero"
 grep -q '"t_us"' "${JW}" || fail "wall-clock journal carries no t_us"
-out="$("${REPORT}" --journal "${JW}")" || fail "report over wall-clock journal exited non-zero"
+out="$("${BIN}" report --journal "${JW}")" || fail "report over wall-clock journal exited non-zero"
 grep -q "cost attribution" <<<"${out}" || fail "no attribution tables in report"
 grep -Eq "search +[0-9.]+ ms" <<<"${out}" || fail "no timed search phase in report"
 
 log "--compare: self vs self exits 0"
-"${REPORT}" --compare "${FIXTURES}/report_base.json" "${FIXTURES}/report_base.json" \
+"${BIN}" report --compare "${FIXTURES}/report_base.json" "${FIXTURES}/report_base.json" \
   || fail "self-comparison regressed"
 
 log "--compare: seeded regression fixture exits 1"
 set +e
-out="$("${REPORT}" --compare "${FIXTURES}/report_base.json" \
-                   "${FIXTURES}/report_regressed.json")"
+out="$("${BIN}" report --compare "${FIXTURES}/report_base.json" \
+                          "${FIXTURES}/report_regressed.json")"
 rc=$?
 set -e
 [[ ${rc} -eq 1 ]] || fail "regression fixture exited ${rc}, want 1"
@@ -110,7 +105,7 @@ grep -q "estimated_cost_ms" <<<"${out}" || fail "regressed metric not named"
 log "--compare: malformed input exits 2"
 echo 'not json' > "${OUT}/bad.json"
 set +e
-"${REPORT}" --compare "${OUT}/bad.json" "${FIXTURES}/report_base.json" >/dev/null 2>&1
+"${BIN}" report --compare "${OUT}/bad.json" "${FIXTURES}/report_base.json" >/dev/null 2>&1
 rc=$?
 set -e
 [[ ${rc} -eq 2 ]] || fail "malformed input exited ${rc}, want 2"

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Service driver: exercises the continuous-advisor loop of `dblayout_serve`
+# Service checks: exercise the continuous-advisor loop of `dblayout serve`
 # end to end on the phased fixture stream (examples/data/serve/stream.txt),
 # asserting that:
 #
@@ -21,21 +21,18 @@
 #      --max-profile-statements) sheds to observe-only while the other
 #      tenant keeps advising — degradation is per-session, never global
 #
-# Usage: tools/run_serve.sh --serve PATH [--data DIR]
+# Usage: tools/run_serve.sh --bin PATH_TO_dblayout
 set -euo pipefail
 
-SOURCE_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-SERVE=""
-DATA="${SOURCE_DIR}/examples/data"
-
+DATA="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)/examples/data"
+BIN=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
-    --serve) SERVE="$2"; shift 2 ;;
-    --data)  DATA="$2"; shift 2 ;;
+    --bin) BIN="$2"; shift 2 ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
 done
-[[ -n "${SERVE}" && -x "${SERVE}" ]] || { echo "usage: $0 --serve PATH_TO_dblayout_serve" >&2; exit 2; }
+[[ -n "${BIN}" && -x "${BIN}" ]] || { echo "usage: $0 --bin PATH_TO_dblayout" >&2; exit 2; }
 
 log()  { printf '\n== %s ==\n' "$*"; }
 fail() { echo "SERVE DRIVER FAILED: $*" >&2; exit 1; }
@@ -50,7 +47,7 @@ COMMON=(--schema "${DATA}/schema.sql" --disks "${DATA}/disks.txt"
         --stream "${STREAM}" --window 4 --max-move 0.6 --seed 7)
 
 log "guardrail lifecycle: observe, promote after K windows, roll back on regression"
-"${SERVE}" "${COMMON[@]}" \
+"${BIN}" serve "${COMMON[@]}" \
   --journal-out "${WORK}/baseline.jsonl" \
   --final-layout "${WORK}/baseline_layout.csv" \
   > "${WORK}/baseline.out" || fail "baseline serve run exited non-zero"
@@ -74,7 +71,7 @@ grep -q 'session 2: .* 0 promotions, 0 rollbacks' "${WORK}/baseline.out" \
   || fail "the light tenant's layout should never have moved"
 
 log "observe-only mode journals decisions but never moves data"
-"${SERVE}" "${COMMON[@]}" --observe-only \
+"${BIN}" serve "${COMMON[@]}" --observe-only \
   --journal-out "${WORK}/observe.jsonl" \
   --final-layout "${WORK}/observe_layout.csv" \
   > /dev/null || fail "observe-only run exited non-zero"
@@ -91,7 +88,7 @@ s2="$(sed -n '/# session 2/,$p' "${WORK}/observe_layout.csv" | grep -v '^#' )"
   || fail "observe-only run moved data (session layouts diverge)"
 
 log "crash recovery: kill -9 mid-stream, --resume converges to the baseline"
-"${SERVE}" "${COMMON[@]}" \
+"${BIN}" serve "${COMMON[@]}" \
   --checkpoint "${WORK}/ck.json" --checkpoint-every 1 --throttle-ms 50 \
   --journal-out "${WORK}/crash.jsonl" \
   > "${WORK}/crash.out" 2>&1 &
@@ -100,7 +97,7 @@ sleep 1
 kill -9 "${victim}" 2>/dev/null || fail "the victim finished before the kill"
 wait "${victim}" 2>/dev/null || true
 [[ -f "${WORK}/ck.json" ]] || fail "no checkpoint was written before the kill"
-"${SERVE}" "${COMMON[@]}" \
+"${BIN}" serve "${COMMON[@]}" \
   --checkpoint "${WORK}/ck.json" --resume \
   --journal-out "${WORK}/resumed.jsonl" \
   --final-layout "${WORK}/resumed_layout.csv" \
@@ -119,7 +116,7 @@ ${resumed_summary}"
 
 log "unusable service configuration is refused at startup"
 set +e
-msg="$("${SERVE}" --schema "${DATA}/schema.sql" --disks "${DATA}/disks.txt" \
+msg="$("${BIN}" serve --schema "${DATA}/schema.sql" --disks "${DATA}/disks.txt" \
         --stream "${STREAM}" --max-move 0.1 2>&1)"
 code=$?
 set -e
@@ -130,7 +127,7 @@ grep -q 'service-config-sane' <<<"${msg}" \
 log "corrupted checkpoint is rejected with a clear error"
 head -c 40 "${WORK}/ck.json" > "${WORK}/ck_truncated.json"
 set +e
-msg="$("${SERVE}" "${COMMON[@]}" \
+msg="$("${BIN}" serve "${COMMON[@]}" \
         --checkpoint "${WORK}/ck_truncated.json" --resume 2>&1)"
 code=$?
 set -e
@@ -139,7 +136,7 @@ grep -qi 'corrupted or truncated' <<<"${msg}" \
   || fail "truncated-checkpoint error is not clear: ${msg}"
 
 log "over-budget session degrades to observe-only without blocking the other tenant"
-"${SERVE}" "${COMMON[@]}" --max-profile-statements 1 \
+"${BIN}" serve "${COMMON[@]}" --max-profile-statements 1 \
   --journal-out "${WORK}/degrade.jsonl" \
   > "${WORK}/degrade.out" || fail "degradation run exited non-zero"
 grep -q '"ev":"serve_degrade".*profile-budget' "${WORK}/degrade.jsonl" \
