@@ -220,6 +220,58 @@ TEST(BenchJsonTest, ControlCharactersInNamesAreEscaped) {
   EXPECT_EQ(records->array()[0].StringOr("sql", ""), sql);
 }
 
+// Bench records' "telemetry" object: keys, their order and the number
+// formats are a file format that downstream diffs read. The golden strings
+// were produced by the serializer that listed every field by hand, before
+// kSearchTelemetryFields (search.h) replaced it.
+TEST(BenchJsonTest, TelemetryJsonMatchesGolden) {
+  SearchTelemetry t;
+  t.widen_considered = 101;
+  t.widen_accepted = 7;
+  t.jump_considered = 202;
+  t.jump_accepted = 3;
+  t.narrow_considered = 33;
+  t.narrow_accepted = 1;
+  t.migrate_considered = 44;
+  t.migrate_accepted = 2;
+  t.capacity_rejected = 5;
+  t.movement_rejected = 6;
+  t.full_evals = 9;
+  t.delta_evals = 400;
+  t.used_full_striping_fallback = true;
+  t.used_incremental_migration = false;
+  t.timed_out = true;
+  t.cost_trajectory = {1234.5678901, 1000, 0.000123456789};
+  t.statements = 22;
+  t.subplans = 60;
+  t.distinct_signatures = 12;
+  EXPECT_EQ(bench::TelemetryJson(t),
+            "{\"widen_considered\":101,\"widen_accepted\":7,"
+            "\"jump_considered\":202,\"jump_accepted\":3,"
+            "\"narrow_considered\":33,\"narrow_accepted\":1,"
+            "\"migrate_considered\":44,\"migrate_accepted\":2,"
+            "\"capacity_rejected\":5,\"movement_rejected\":6,"
+            "\"full_evals\":9,\"delta_evals\":400,"
+            "\"used_full_striping_fallback\":true,"
+            "\"used_incremental_migration\":false,"
+            "\"statements\":22,\"subplans\":60,\"distinct_signatures\":12,"
+            "\"cost_trajectory\":[1234.57,1000,0.000123457]}");
+
+  SearchTelemetry flags;
+  flags.used_incremental_migration = true;
+  EXPECT_EQ(bench::TelemetryJson(flags),
+            "{\"widen_considered\":0,\"widen_accepted\":0,"
+            "\"jump_considered\":0,\"jump_accepted\":0,"
+            "\"narrow_considered\":0,\"narrow_accepted\":0,"
+            "\"migrate_considered\":0,\"migrate_accepted\":0,"
+            "\"capacity_rejected\":0,\"movement_rejected\":0,"
+            "\"full_evals\":0,\"delta_evals\":0,"
+            "\"used_full_striping_fallback\":false,"
+            "\"used_incremental_migration\":true,"
+            "\"statements\":0,\"subplans\":0,\"distinct_signatures\":0,"
+            "\"cost_trajectory\":[]}");
+}
+
 TEST(JournalTest, AppendIsThreadSafeAndCounts) {
   EventJournal journal;
   constexpr int kPerThread = 50;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/strutil.h"
 #include "storage/block_map.h"
 #include "storage/disk.h"
 #include "storage/layout.h"
@@ -116,6 +117,28 @@ TEST(LayoutTest, ValidateCatchesCapacity) {
   // Spread across both disks it fits again.
   l.AssignEqual(0, {0, 1});
   EXPECT_TRUE(l.Validate({cap + 1}, fleet).ok());
+}
+
+// With two drives over capacity, the status names the lower-index one and
+// its largest-remainder block count.
+TEST(LayoutTest, ValidateNamesFirstDriveOverCapacity) {
+  DiskFleet fleet = DiskFleet::Uniform(3, 1.0);
+  const int64_t cap = fleet.disk(0).capacity_blocks;
+  Layout l(2, 3);
+  // Object 0: 2*cap + 1 blocks over drives 0 and 2 in halves; the one odd
+  // block goes to drive 0, the first of two equal remainders.
+  l.AssignEqual(0, {0, 2});
+  // Object 1: 3 blocks, one per drive.
+  l.AssignEqual(1, {0, 1, 2});
+  ASSERT_EQ(l.BlocksOnDisk(0, 0, 2 * cap + 1), cap + 1);
+  ASSERT_EQ(l.BlocksOnDisk(0, 2, 2 * cap + 1), cap);
+  const Status st = l.Validate({2 * cap + 1, 3}, fleet);
+  EXPECT_EQ(st.code(), StatusCode::kCapacityExceeded);
+  EXPECT_EQ(st.message(),
+            StrFormat("layout invalid: disk '%s' holds %lld blocks, capacity %lld",
+                      fleet.disk(0).name.c_str(),
+                      static_cast<long long>(cap + 2),
+                      static_cast<long long>(cap)));
 }
 
 TEST(LayoutTest, ValidateDimensionMismatch) {
