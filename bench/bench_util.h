@@ -67,42 +67,23 @@ T Unwrap(Result<T> result, const char* what) {
   return std::move(result).value();
 }
 
-/// Serializes a search's SearchTelemetry as a JSON object: moves considered
-/// and accepted by kind, rejections, mode flags, the cost trajectory, and
-/// the workload cache-ability stats.
+/// Serializes a search's SearchTelemetry as a JSON object: the fields of
+/// kSearchTelemetryFields (search.h) that have a JSON key, in table order,
+/// then the cost trajectory.
 inline std::string TelemetryJson(const SearchTelemetry& t) {
-  std::string traj = "[";
-  for (size_t i = 0; i < t.cost_trajectory.size(); ++i) {
-    if (i > 0) traj += ',';
-    traj += StrFormat("%.6g", t.cost_trajectory[i]);
+  std::string out = "{";
+  for (const SearchTelemetryField& f : kSearchTelemetryFields) {
+    if (f.json_key == nullptr) continue;
+    out += obs::JsonString(f.json_key) + ":" +
+           (f.count != nullptr ? obs::JsonInt(t.*f.count) : obs::JsonBool(t.*f.flag)) +
+           ",";
   }
-  traj += ']';
-  return StrFormat(
-      "{\"widen_considered\":%lld,\"widen_accepted\":%lld,"
-      "\"jump_considered\":%lld,\"jump_accepted\":%lld,"
-      "\"narrow_considered\":%lld,\"narrow_accepted\":%lld,"
-      "\"migrate_considered\":%lld,\"migrate_accepted\":%lld,"
-      "\"capacity_rejected\":%lld,\"movement_rejected\":%lld,"
-      "\"full_evals\":%lld,\"delta_evals\":%lld,"
-      "\"used_full_striping_fallback\":%s,\"used_incremental_migration\":%s,"
-      "\"statements\":%lld,\"subplans\":%lld,\"distinct_signatures\":%lld,"
-      "\"cost_trajectory\":%s}",
-      static_cast<long long>(t.widen_considered),
-      static_cast<long long>(t.widen_accepted),
-      static_cast<long long>(t.jump_considered),
-      static_cast<long long>(t.jump_accepted),
-      static_cast<long long>(t.narrow_considered),
-      static_cast<long long>(t.narrow_accepted),
-      static_cast<long long>(t.migrate_considered),
-      static_cast<long long>(t.migrate_accepted),
-      static_cast<long long>(t.capacity_rejected),
-      static_cast<long long>(t.movement_rejected),
-      static_cast<long long>(t.full_evals),
-      static_cast<long long>(t.delta_evals),
-      t.used_full_striping_fallback ? "true" : "false",
-      t.used_incremental_migration ? "true" : "false",
-      static_cast<long long>(t.statements), static_cast<long long>(t.subplans),
-      static_cast<long long>(t.distinct_signatures), traj.c_str());
+  out += "\"cost_trajectory\":[";
+  for (size_t i = 0; i < t.cost_trajectory.size(); ++i) {
+    if (i > 0) out += ',';
+    out += StrFormat("%.6g", t.cost_trajectory[i]);
+  }
+  return out + "]}";
 }
 
 /// Serializes a Recommendation's per-phase wall-clock breakdown. Keys end in

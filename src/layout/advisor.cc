@@ -1,12 +1,12 @@
 #include "layout/advisor.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "analysis/invariant_auditor.h"
 #include "common/logging.h"
 #include "common/strutil.h"
 #include "layout/evaluator.h"
+#include "obs/clock.h"
 #include "obs/journal.h"
 #include "obs/trace.h"
 
@@ -16,12 +16,7 @@ namespace {
 
 /// Monotonic milliseconds for the advisor's observe-only per-phase breakdown
 /// (Recommendation::phases) and the journal's "phase" events.
-double PhaseNowMs() {
-  // dblayout-check(determinism-taint): observe-only phase wall-clock — it fills PhaseBreakdown and the journal's wall-mode "ms" field, and never influences analysis or search decisions
-  const auto now = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(now.time_since_epoch())
-      .count();
-}
+double PhaseNowMs() { return static_cast<double>(obs::MonotonicNowNs()) / 1e6; }
 
 /// Emits one "phase" journal event. The wall-clock duration is included only
 /// in the journal's opt-in wall-clock mode, keeping default-mode journals
@@ -93,11 +88,6 @@ Result<Recommendation> LayoutAdvisor::RecommendFromProfile(
     merged = MergeConcurrentStreams(profile);
     objective = &merged;
   }
-  WorkloadProfile compressed;
-  if (options_.compress_workload) {
-    compressed = CompressProfile(*objective);
-    objective = &compressed;
-  }
 
   TsGreedySearch search(db_, fleet_, options_.search);
   const double search_t0 = PhaseNowMs();
@@ -116,8 +106,8 @@ Result<Recommendation> LayoutAdvisor::RecommendFromProfile(
   rec.layouts_evaluated = sr.layouts_evaluated;
   rec.telemetry = std::move(sr.telemetry);
   rec.timed_out = sr.timed_out;
-  // Cache-ability of the *searched* objective: how far CompressProfile did
-  // (or could) shrink the statement set the cost model actually saw.
+  // Cache-ability of the *searched* objective: how far CompressProfile could
+  // shrink the statement set the cost model saw.
   const ProfileAccessStats pstats = ComputeProfileStats(*objective);
   rec.telemetry.statements = pstats.statements;
   rec.telemetry.subplans = pstats.subplans;
@@ -181,13 +171,6 @@ Result<Recommendation> LayoutAdvisor::ReAdvise(const WorkloadProfile& profile,
   DBLAYOUT_ASSIGN_OR_RETURN(ResolvedConstraints constraints,
                             ResolveConstraints(bound, db_, fleet_));
 
-  WorkloadProfile compressed;
-  const WorkloadProfile* objective = &profile;
-  if (options_.compress_workload) {
-    compressed = CompressProfile(profile);
-    objective = &compressed;
-  }
-
   // Full search, not RunFrom refinement: the running layout is usually a
   // local optimum of the greedy widening moves (full striping always is), so
   // refining from it would just return it. Run's incremental mode does the
@@ -196,7 +179,7 @@ Result<Recommendation> LayoutAdvisor::ReAdvise(const WorkloadProfile& profile,
   // unconstrained target, best value per moved block first, within budget.
   TsGreedySearch search(db_, fleet_, options_.search);
   const double search_t0 = PhaseNowMs();
-  DBLAYOUT_ASSIGN_OR_RETURN(SearchResult sr, search.Run(*objective, constraints));
+  DBLAYOUT_ASSIGN_OR_RETURN(SearchResult sr, search.Run(profile, constraints));
   const double run_ms = PhaseNowMs() - search_t0;
   EmitPhase(options_.search.journal, "readvise", run_ms);
 
@@ -208,7 +191,7 @@ Result<Recommendation> LayoutAdvisor::ReAdvise(const WorkloadProfile& profile,
   rec.layouts_evaluated = sr.layouts_evaluated;
   rec.telemetry = std::move(sr.telemetry);
   rec.timed_out = sr.timed_out;
-  const ProfileAccessStats pstats = ComputeProfileStats(*objective);
+  const ProfileAccessStats pstats = ComputeProfileStats(profile);
   rec.telemetry.statements = pstats.statements;
   rec.telemetry.subplans = pstats.subplans;
   rec.telemetry.distinct_signatures = pstats.distinct_signatures;
@@ -220,7 +203,7 @@ Result<Recommendation> LayoutAdvisor::ReAdvise(const WorkloadProfile& profile,
 
   const double evaluate_t0 = PhaseNowMs();
   const CostModel cost_model(fleet_);
-  LayoutEvaluator reference_eval(*objective, cost_model);
+  LayoutEvaluator reference_eval(profile, cost_model);
   reference_eval.set_journal(options_.search.journal);
   rec.full_striping_cost_ms = reference_eval.Bind(rec.full_striping);
   rec.current_cost_ms = reference_eval.Bind(current);

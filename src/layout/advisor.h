@@ -32,10 +32,6 @@ struct AdvisorOptions {
   /// statements count as co-accessed. Reported per-statement impacts still
   /// refer to the original statements.
   bool model_concurrency = false;
-  /// Collapse statements with identical access signatures before searching
-  /// (see CompressProfile). Cost-invariant; speeds up large repetitive
-  /// workloads. Off by default to mirror the paper's setup.
-  bool compress_workload = false;
 };
 
 /// Wall-clock breakdown of one advisor run by pipeline phase (Fig. 3):

@@ -1,19 +1,20 @@
 #include "layout/cost_model.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
 #include "analysis/invariant_auditor.h"
 #include "common/logging.h"
+#include "obs/clock.h"
 #include "obs/metrics.h"
 
 namespace dblayout {
 
 double CostModel::SubplanCost(const SubplanAccess& subplan, const Layout& layout) const {
+  // The hottest function of a search: it keeps no telemetry. Callers count
+  // the sub-plans they price (cost_model/subplan_evals) in bulk.
   double max_cost = 0;
-  double max_transfer = 0, max_seek = 0;  ///< breakdown at the max disk
   for (int j = 0; j < fleet_.num_disks(); ++j) {
     const DiskDrive& d = fleet_.disk(j);
     double transfer = 0;
@@ -47,22 +48,7 @@ double CostModel::SubplanCost(const SubplanAccess& subplan, const Layout& layout
     // corrupted layout fraction or drive parameter reached the hot path.
     DBLAYOUT_DCHECK(std::isfinite(transfer) && transfer >= 0);
     DBLAYOUT_DCHECK(std::isfinite(seek) && seek >= 0);
-    if (transfer + seek > max_cost) {
-      max_cost = transfer + seek;
-      max_transfer = transfer;
-      max_seek = seek;
-    }
-  }
-  // Per-sub-plan breakdown of the binding (max) disk: whether the Section 5
-  // seek term or the transfer term dominates the sub-plan's response time.
-  DBLAYOUT_OBS_COUNT("cost_model/subplan_evals", 1);
-  if (max_cost > 0) {
-    if (max_seek >= max_transfer) {
-      DBLAYOUT_OBS_COUNT("cost_model/subplan_seek_bound", 1);
-    } else {
-      DBLAYOUT_OBS_COUNT("cost_model/subplan_transfer_bound", 1);
-    }
-    DBLAYOUT_OBS_OBSERVE("cost_model/subplan_cost_ms", max_cost);
+    if (transfer + seek > max_cost) max_cost = transfer + seek;
   }
   // Debug-build audit: independent recomputation must agree that the
   // sub-plan costs the max over disks (guards future incremental or
@@ -78,6 +64,8 @@ double CostModel::StatementCost(const StatementProfile& statement,
   for (const SubplanAccess& sp : statement.subplans) {
     cost += SubplanCost(sp, layout);
   }
+  DBLAYOUT_OBS_COUNT("cost_model/subplan_evals",
+                     static_cast<int64_t>(statement.subplans.size()));
   return cost;
 }
 
@@ -85,28 +73,24 @@ double CostModel::WorkloadCost(const WorkloadProfile& profile,
                                const Layout& layout) const {
   workload_evals_.fetch_add(1, std::memory_order_relaxed);
   const bool timed = obs::Enabled();
-  // dblayout-check(determinism-taint): telemetry-only timing, gated on obs::Enabled(); the measured duration feeds histograms, never the cost value
-  const auto start = timed ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
+  const uint64_t start_ns = timed ? obs::MonotonicNowNs() : 0;
   double total = 0;
   for (const StatementProfile& s : profile.statements) {
     total += s.weight * StatementCost(s, layout);
   }
   DBLAYOUT_DCHECK(std::isfinite(total) && total >= 0);
   if (timed) {
-    const double us = std::chrono::duration<double, std::micro>(
-                          // dblayout-check(determinism-taint): closes the telemetry-only span opened above
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    DBLAYOUT_OBS_OBSERVE("cost_model/workload_cost_us", us);
+    DBLAYOUT_OBS_OBSERVE(
+        "cost_model/workload_cost_us",
+        static_cast<double>(obs::MonotonicNowNs() - start_ns) / 1e3);
     DBLAYOUT_OBS_COUNT("cost_model/workload_evals", 1);
   }
   return total;
 }
 
-void CostModel::NoteExternalWorkloadEvaluation() const {
-  workload_evals_.fetch_add(1, std::memory_order_relaxed);
-  DBLAYOUT_OBS_COUNT("cost_model/workload_evals", 1);
+void CostModel::NoteExternalWorkloadEvaluations(int64_t n) const {
+  workload_evals_.fetch_add(n, std::memory_order_relaxed);
+  DBLAYOUT_OBS_COUNT("cost_model/workload_evals", n);
 }
 
 }  // namespace dblayout

@@ -41,7 +41,7 @@ class CostModel {
 
   /// Number of workload-level evaluations made through this instance: every
   /// WorkloadCost invocation plus every evaluation recorded via
-  /// NoteExternalWorkloadEvaluation. The search derives
+  /// NoteExternalWorkloadEvaluations. The search derives
   /// SearchResult::layouts_evaluated from this counter so every candidate —
   /// greedy moves, migration steps, the final full-striping fallback,
   /// whether costed by full recomputation or by the LayoutEvaluator's delta
@@ -51,14 +51,14 @@ class CostModel {
     return workload_evals_.load(std::memory_order_relaxed);
   }
 
-  /// Records one workload-level evaluation performed outside WorkloadCost.
-  /// The LayoutEvaluator scores a full candidate layout while re-costing
-  /// only the affected sub-plans; it still *evaluated a layout*, so it must
-  /// land in the same counter (and the same `cost_model/workload_evals` obs
-  /// metric) as a full recomputation — otherwise layouts_evaluated would
-  /// silently change meaning with SearchOptions::num_threads or the delta
-  /// path enabled. Thread-safe.
-  void NoteExternalWorkloadEvaluation() const;
+  /// Records `n` workload-level evaluations performed outside WorkloadCost,
+  /// in one call. The LayoutEvaluator scores a full candidate layout while
+  /// re-costing only the affected sub-plans; it still *evaluated a layout*,
+  /// so it must land in the same counter (and the same
+  /// `cost_model/workload_evals` obs metric) as a full recomputation —
+  /// otherwise layouts_evaluated would silently change meaning with
+  /// SearchOptions::num_threads or the delta path enabled. Thread-safe.
+  void NoteExternalWorkloadEvaluations(int64_t n) const;
 
   const DiskFleet& fleet() const { return fleet_; }
 

@@ -227,8 +227,10 @@ double LayoutEvaluator::Bind(const Layout& layout) {
   staging_ = MakeScratch();
   staged_valid_ = false;
   ++full_evals_;
-  cost_model_.NoteExternalWorkloadEvaluation();
+  cost_model_.NoteExternalWorkloadEvaluations(1);
   DBLAYOUT_OBS_COUNT("evaluator/full_evals", 1);
+  DBLAYOUT_OBS_COUNT("cost_model/subplan_evals",
+                     static_cast<int64_t>(subplan_rep_.size()));
   if (journal_ != nullptr) {
     journal_->Append("bind",
                      {{"cost", obs::JsonDouble(total_)},
@@ -416,13 +418,14 @@ void LayoutEvaluator::ScoreCore(std::span<const Lane> lanes, const ApplyFn& appl
 
   const auto n = static_cast<int64_t>(lanes.size());
   delta_evals_.fetch_add(n, std::memory_order_relaxed);
-  for (int64_t k = 0; k < n; ++k) cost_model_.NoteExternalWorkloadEvaluation();
+  cost_model_.NoteExternalWorkloadEvaluations(n);
   DBLAYOUT_OBS_COUNT("evaluator/delta_evals", n);
   if (memo_hits > 0) {
     DBLAYOUT_OBS_COUNT("evaluator/memo_hits", memo_hits);
   }
   if (misses > 0) {
     DBLAYOUT_OBS_COUNT("evaluator/subplans_recosted", recosted);
+    DBLAYOUT_OBS_COUNT("cost_model/subplan_evals", recosted);
   }
 }
 

@@ -14,6 +14,7 @@
 #include "common/thread_pool.h"
 #include "graph/partition.h"
 #include "layout/evaluator.h"
+#include "obs/clock.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -66,30 +67,25 @@ constexpr RejectReason kCapacityReject{"capacity", &SearchTelemetry::capacity_re
 constexpr RejectReason kMovementReject{"movement_budget",
                                        &SearchTelemetry::movement_rejected};
 
-/// Flushes the per-run telemetry into the global metrics registry (one
-/// counter add per field, not one per move, so the hot loop stays clean).
+/// Flushes the per-run telemetry into the global metrics registry: one
+/// counter add per published field, not one per move, so the hot loop stays
+/// clean. The counters are looked up by name, once per run.
 void PublishSearchMetrics(const SearchTelemetry& t) {
-  DBLAYOUT_OBS_COUNT("search/moves_considered/widen", t.widen_considered);
-  DBLAYOUT_OBS_COUNT("search/moves_considered/jump", t.jump_considered);
-  DBLAYOUT_OBS_COUNT("search/moves_considered/narrow", t.narrow_considered);
-  DBLAYOUT_OBS_COUNT("search/moves_considered/migrate", t.migrate_considered);
-  DBLAYOUT_OBS_COUNT("search/moves_accepted/widen", t.widen_accepted);
-  DBLAYOUT_OBS_COUNT("search/moves_accepted/jump", t.jump_accepted);
-  DBLAYOUT_OBS_COUNT("search/moves_accepted/narrow", t.narrow_accepted);
-  DBLAYOUT_OBS_COUNT("search/moves_accepted/migrate", t.migrate_accepted);
-  DBLAYOUT_OBS_COUNT("search/candidates_capacity_rejected", t.capacity_rejected);
-  DBLAYOUT_OBS_COUNT("search/candidates_movement_rejected", t.movement_rejected);
-  if (t.used_full_striping_fallback) {
-    DBLAYOUT_OBS_COUNT("search/full_striping_fallbacks", 1);
-  }
-  if (t.timed_out) {
-    DBLAYOUT_OBS_COUNT("search/timeouts", 1);
+  if (!obs::Enabled()) return;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  for (const SearchTelemetryField& f : kSearchTelemetryFields) {
+    if (f.metric == nullptr) continue;
+    if (f.count != nullptr) {
+      registry.GetCounter(f.metric)->Add(t.*f.count);
+    } else if (t.*f.flag) {
+      registry.GetCounter(f.metric)->Add(1);
+    }
   }
 }
 
 /// Completes a Run/RunFrom result: the evaluation totals and the telemetry
 /// flush. Every evaluation of the run went through the shared cost model
-/// exactly once (delta scorings via NoteExternalWorkloadEvaluation), so the
+/// exactly once (delta scorings via NoteExternalWorkloadEvaluations), so the
 /// full/delta split follows from the totals.
 void FinishRun(const CostModel& cost_model, SearchResult* result) {
   result->layouts_evaluated = cost_model.WorkloadEvaluations();
@@ -97,18 +93,6 @@ void FinishRun(const CostModel& cost_model, SearchResult* result) {
       result->layouts_evaluated - result->telemetry.delta_evals;
   result->timed_out = result->telemetry.timed_out;
   PublishSearchMetrics(result->telemetry);
-}
-
-/// Monotonic nanoseconds for the journal's per-candidate "eval_ns" field.
-/// Returns 0 unless the journal runs in its opt-in wall-clock mode
-/// (obs::JournalOptions::wall_clock), which deliberately trades the
-/// byte-identity guarantee for real timings; the default logical-clock mode
-/// never reaches the clock read.
-uint64_t JournalNowNs(bool journal_wall_clock) {
-  if (!journal_wall_clock) return 0;
-  // dblayout-check(determinism-taint): reached only in the journal's opt-in wall-clock mode; the timing is observe-only (emitted as "eval_ns") and never feeds a search decision
-  const auto now = std::chrono::steady_clock::now();
-  return static_cast<uint64_t>(now.time_since_epoch().count());
 }
 
 /// Fractional blocks used on every drive by `layout`.
@@ -326,14 +310,17 @@ void MoveLoop(const Source& source, const SearchOptions& options,
       if (deadline.Expired()) return;
       const size_t begin = b * kBatch;
       const size_t n = std::min(begin + kBatch, moves.size()) - begin;
-      const uint64_t t0 = JournalNowNs(journal_wall);
+      // "eval_ns" exists only in the journal's opt-in wall-clock mode
+      // (obs::JournalOptions::wall_clock); the default logical-clock mode
+      // never reads the clock.
+      const uint64_t t0 = journal_wall ? obs::MonotonicNowNs() : 0;
       evaluator.ScoreProportionalMoves(
           std::span<const LayoutEvaluator::ProportionalMove>(moves).subspan(begin, n),
           scratch, std::span<double>(costs).subspan(begin, n));
       if (journal_wall) {
         // Each candidate's share of its batch's wall time.
         std::fill_n(eval_ns.begin() + static_cast<std::ptrdiff_t>(begin), n,
-                    (JournalNowNs(journal_wall) - t0) / n);
+                    (obs::MonotonicNowNs() - t0) / n);
       }
       batch_scored[b] = 1;
     };
@@ -1003,14 +990,12 @@ Result<SearchResult> TsGreedySearch::Run(const WorkloadProfile& profile,
   // One deadline for the whole run: probe search, migration, and the final
   // greedy phase share the budget.
   const Deadline deadline = Deadline::FromBudgetMs(options_.time_budget_ms, options_.cancel_requested);
-  // dblayout-check(determinism-taint): step-1 wall-clock is observe-only telemetry (SearchResult::partition_ms feeds the advisor's PhaseBreakdown); it never influences the search
-  const auto partition_t0 = std::chrono::steady_clock::now();
+  // Step 1's wall-clock time is observe-only: partition_ms feeds the
+  // advisor's PhaseBreakdown.
+  const uint64_t partition_t0 = obs::MonotonicNowNs();
   DBLAYOUT_ASSIGN_OR_RETURN(Layout initial, InitialLayout(profile, constraints));
-  // dblayout-check(determinism-taint): end of the observe-only step-1 timing above
-  const auto partition_t1 = std::chrono::steady_clock::now();
   result.partition_ms =
-      std::chrono::duration<double, std::milli>(partition_t1 - partition_t0)
-          .count();
+      static_cast<double>(obs::MonotonicNowNs() - partition_t0) / 1e6;
 
   const std::vector<int64_t> sizes = db_.ObjectSizes();
   // If an incrementality budget is in force and the redesigned starting
@@ -1045,29 +1030,29 @@ Result<SearchResult> TsGreedySearch::Run(const WorkloadProfile& profile,
   DBLAYOUT_RETURN_NOT_OK(CheckConstraints(final_layout, constraints, db_, fleet_));
 
   result.layout = std::move(final_layout);
-  if (options_.fallback_to_full_striping) {
-    Layout striped = Layout::FullStriping(result.layout.num_objects(), fleet_);
-    if (striped.Validate(sizes, fleet_).ok() &&
-        CheckConstraints(striped, constraints, db_, fleet_).ok()) {
-      const double striped_cost = cost_model.WorkloadCost(profile, striped);
-      const bool accepted = striped_cost < result.cost - kEps;
-      if (options_.journal != nullptr) {
-        options_.journal->Append(
-            "decision",
-            {{"move", obs::JsonString("fallback_full_striping")},
-             {"cost", obs::JsonDouble(striped_cost)},
-             {"delta", obs::JsonDouble(striped_cost - result.cost)},
-             {"accepted", obs::JsonBool(accepted)},
-             {"reason",
-              obs::JsonString(accepted ? "improved" : "not_improving")},
-             {"mode", obs::JsonString("full")}});
-      }
-      if (accepted) {
-        result.cost = striped_cost;
-        result.layout = std::move(striped);
-        result.telemetry.used_full_striping_fallback = true;
-        result.telemetry.cost_trajectory.push_back(striped_cost);
-      }
+  // Never return a layout costlier than FULL STRIPING: if full striping is
+  // valid, satisfies the constraints (the movement budget included) and
+  // estimates cheaper, return it.
+  Layout striped = Layout::FullStriping(result.layout.num_objects(), fleet_);
+  if (striped.Validate(sizes, fleet_).ok() &&
+      CheckConstraints(striped, constraints, db_, fleet_).ok()) {
+    const double striped_cost = cost_model.WorkloadCost(profile, striped);
+    const bool accepted = striped_cost < result.cost - kEps;
+    if (options_.journal != nullptr) {
+      options_.journal->Append(
+          "decision",
+          {{"move", obs::JsonString("fallback_full_striping")},
+           {"cost", obs::JsonDouble(striped_cost)},
+           {"delta", obs::JsonDouble(striped_cost - result.cost)},
+           {"accepted", obs::JsonBool(accepted)},
+           {"reason", obs::JsonString(accepted ? "improved" : "not_improving")},
+           {"mode", obs::JsonString("full")}});
+    }
+    if (accepted) {
+      result.cost = striped_cost;
+      result.layout = std::move(striped);
+      result.telemetry.used_full_striping_fallback = true;
+      result.telemetry.cost_trajectory.push_back(striped_cost);
     }
   }
   FinishRun(cost_model, &result);

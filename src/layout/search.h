@@ -48,9 +48,6 @@ struct SearchOptions {
   /// barrier in one step (including "widen to all plain drives, skipping
   /// RAID 5" for write-hot objects).
   bool consider_jump_moves = true;
-  /// Never return a layout costlier than FULL STRIPING: if full striping is
-  /// valid, satisfies the constraints, and estimates cheaper, return it.
-  bool fallback_to_full_striping = true;
   /// Wall-clock budget for one Run/RunFrom invocation, in milliseconds.
   /// Negative = unlimited. On expiry the search stops improving and returns
   /// the best layout accepted so far (always valid — every intermediate
@@ -140,6 +137,53 @@ struct SearchTelemetry {
   int64_t statements = 0;
   int64_t subplans = 0;
   int64_t distinct_signatures = 0;
+};
+
+/// One SearchTelemetry field as it is published: its key in the bench
+/// records' "telemetry" object (bench TelemetryJson; null if absent) and its
+/// obs counter (PublishSearchMetrics; null if none). A count publishes its
+/// value; a flag is true/false in JSON and adds 1 to its counter when set.
+struct SearchTelemetryField {
+  const char* json_key;
+  const char* metric;
+  int64_t SearchTelemetry::*count;  ///< null for a flag
+  bool SearchTelemetry::*flag;      ///< null for a count
+};
+
+/// Every published field, in bench JSON key order; TelemetryJson appends
+/// cost_trajectory after them.
+inline constexpr SearchTelemetryField kSearchTelemetryFields[] = {
+    {"widen_considered", "search/moves_considered/widen",
+     &SearchTelemetry::widen_considered, nullptr},
+    {"widen_accepted", "search/moves_accepted/widen",
+     &SearchTelemetry::widen_accepted, nullptr},
+    {"jump_considered", "search/moves_considered/jump",
+     &SearchTelemetry::jump_considered, nullptr},
+    {"jump_accepted", "search/moves_accepted/jump",
+     &SearchTelemetry::jump_accepted, nullptr},
+    {"narrow_considered", "search/moves_considered/narrow",
+     &SearchTelemetry::narrow_considered, nullptr},
+    {"narrow_accepted", "search/moves_accepted/narrow",
+     &SearchTelemetry::narrow_accepted, nullptr},
+    {"migrate_considered", "search/moves_considered/migrate",
+     &SearchTelemetry::migrate_considered, nullptr},
+    {"migrate_accepted", "search/moves_accepted/migrate",
+     &SearchTelemetry::migrate_accepted, nullptr},
+    {"capacity_rejected", "search/candidates_capacity_rejected",
+     &SearchTelemetry::capacity_rejected, nullptr},
+    {"movement_rejected", "search/candidates_movement_rejected",
+     &SearchTelemetry::movement_rejected, nullptr},
+    {"full_evals", nullptr, &SearchTelemetry::full_evals, nullptr},
+    {"delta_evals", nullptr, &SearchTelemetry::delta_evals, nullptr},
+    {"used_full_striping_fallback", "search/full_striping_fallbacks", nullptr,
+     &SearchTelemetry::used_full_striping_fallback},
+    {"used_incremental_migration", nullptr, nullptr,
+     &SearchTelemetry::used_incremental_migration},
+    {nullptr, "search/timeouts", nullptr, &SearchTelemetry::timed_out},
+    {"statements", nullptr, &SearchTelemetry::statements, nullptr},
+    {"subplans", nullptr, &SearchTelemetry::subplans, nullptr},
+    {"distinct_signatures", nullptr, &SearchTelemetry::distinct_signatures,
+     nullptr},
 };
 
 struct SearchResult {

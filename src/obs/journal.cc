@@ -1,28 +1,13 @@
 #include "obs/journal.h"
 
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
+#include "obs/clock.h"
+
 namespace dblayout::obs {
-
-namespace {
-
-/// Monotonic nanoseconds for the journal's opt-in wall-clock mode. A clock
-/// read in the obs layer is infrastructure, not a determinism leak — the
-/// taint rule only gates the entry layers — and the wall_clock mode that
-/// reaches here explicitly forfeits the byte-identity guarantee.
-uint64_t WallClockNowNs() {
-  const auto now = std::chrono::steady_clock::now();
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          now.time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 std::string JsonString(const std::string& s) {
   std::string out;
@@ -96,7 +81,7 @@ std::string JsonIntArray(const std::vector<int>& v) {
 
 EventJournal::EventJournal(JournalOptions options)
     : options_(options),
-      epoch_ns_(options.wall_clock ? WallClockNowNs() : 0) {}
+      epoch_ns_(options.wall_clock ? MonotonicNowNs() : 0) {}
 
 void EventJournal::Append(const char* type, const JournalFields& fields) {
   MutexLock lock(mu_);
@@ -104,7 +89,7 @@ void EventJournal::Append(const char* type, const JournalFields& fields) {
   line += JsonString(type);
   if (options_.wall_clock) {
     line += ",\"t_us\":";
-    line += JsonInt(static_cast<int64_t>((WallClockNowNs() - epoch_ns_) / 1000));
+    line += JsonInt(static_cast<int64_t>((MonotonicNowNs() - epoch_ns_) / 1000));
   }
   for (const auto& [key, value] : fields) {
     line.push_back(',');

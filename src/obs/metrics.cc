@@ -10,8 +10,6 @@ namespace dblayout::obs {
 
 namespace {
 
-std::atomic<bool> g_enabled{false};
-
 constexpr double kSumScale = 1e3;
 
 /// Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. Slash-paths and
@@ -61,9 +59,6 @@ std::string PrometheusLabelValue(const std::string& v) {
 }
 
 }  // namespace
-
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
-void SetEnabled(bool enabled) { g_enabled.store(enabled, std::memory_order_relaxed); }
 
 Histogram::Histogram(std::vector<double> upper_bounds)
     : upper_bounds_(std::move(upper_bounds)) {

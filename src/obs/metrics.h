@@ -10,9 +10,10 @@
 //     so cached Counter*/Gauge*/Histogram* pointers stay valid for the
 //     process lifetime (ResetForTest zeroes values, it does not invalidate);
 //   - kill switch: every instrumentation macro first checks
-//     obs::Enabled() — a single relaxed atomic-bool branch — so a run with
-//     telemetry off pays one predictable branch per site. Building with
-//     -DDBLAYOUT_OBS=OFF compiles the macros away entirely.
+//     obs::Enabled(), an inline relaxed load of one atomic bool, so a run
+//     with telemetry off pays a load and a branch per site and makes no
+//     call. Sites stay out of the hottest kernels (CostModel::SubplanCost
+//     has none; its callers count sub-plans in bulk).
 //
 // Metric names are hierarchical slash-paths ("search/moves_considered/jump");
 // RenderPrometheus() maps them to the Prometheus exposition format
@@ -33,10 +34,19 @@
 
 namespace dblayout::obs {
 
-/// Global runtime kill switch for metric recording *and* span tracing.
-/// Defaults to off: an uninstrumented run pays one branch per site.
-bool Enabled();
-void SetEnabled(bool enabled);
+namespace internal {
+/// Backing flag of Enabled(); inline so every site reads it without a call.
+inline std::atomic<bool> g_metrics_enabled{false};
+}  // namespace internal
+
+/// Global runtime kill switch for metric recording. Defaults to off. Span
+/// tracing has its own switch, Tracer::SetEnabled.
+inline bool Enabled() {
+  return internal::g_metrics_enabled.load(std::memory_order_relaxed);
+}
+inline void SetEnabled(bool enabled) {
+  internal::g_metrics_enabled.store(enabled, std::memory_order_relaxed);
+}
 
 /// Monotonically increasing event count. Thread-safe, lock-free.
 class Counter {
@@ -163,19 +173,6 @@ class MetricsRegistry {
 }  // namespace dblayout::obs
 
 // --- Instrumentation macros -------------------------------------------------
-//
-// DBLAYOUT_OBS_ENABLED is the compile-time kill switch (CMake option
-// DBLAYOUT_OBS). When off, the macros expand to nothing and the obs library
-// still links (the registry just never sees traffic from these sites).
-
-#if !defined(DBLAYOUT_OBS_ENABLED)
-#define DBLAYOUT_OBS_ENABLED 1
-#endif
-
-#define DBLAYOUT_OBS_CONCAT_IMPL_(a, b) a##b
-#define DBLAYOUT_OBS_CONCAT_(a, b) DBLAYOUT_OBS_CONCAT_IMPL_(a, b)
-
-#if DBLAYOUT_OBS_ENABLED
 
 /// Adds `n` to the counter `name` (string literal). Steady-state cost: one
 /// branch + one relaxed fetch_add; the handle resolves once per site.
@@ -207,23 +204,5 @@ class MetricsRegistry {
       dblayout_obs_hist_->Observe(v);                                          \
     }                                                                          \
   } while (0)
-
-#else  // !DBLAYOUT_OBS_ENABLED
-
-// Disabled: arguments are type-checked but never evaluated (mirrors the
-// DBLAYOUT_DCHECK_* no-ops so -Wunused stays quiet in OBS=OFF builds).
-#define DBLAYOUT_OBS_NOOP2_(a, b) \
-  do {                            \
-    if (false) {                  \
-      static_cast<void>(a);       \
-      static_cast<void>(b);       \
-    }                             \
-  } while (0)
-
-#define DBLAYOUT_OBS_COUNT(name, n) DBLAYOUT_OBS_NOOP2_(name, n)
-#define DBLAYOUT_OBS_GAUGE_SET(name, v) DBLAYOUT_OBS_NOOP2_(name, v)
-#define DBLAYOUT_OBS_OBSERVE(name, v) DBLAYOUT_OBS_NOOP2_(name, v)
-
-#endif  // DBLAYOUT_OBS_ENABLED
 
 #endif  // DBLAYOUT_OBS_METRICS_H_

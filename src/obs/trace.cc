@@ -1,21 +1,14 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/strutil.h"
+#include "obs/clock.h"
 #include "obs/journal.h"
 
 namespace dblayout::obs {
 
 namespace {
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Small sequential per-thread ids (1, 2, ...) so traces are readable and
 /// stable-ish run to run, unlike hashed std::thread::id values.
@@ -35,12 +28,7 @@ Tracer& Tracer::Global() {
 }
 
 void Tracer::SetEnabled(bool enabled) {
-  {
-    MutexLock lock(mu_);
-    if (enabled) {
-      epoch_ns_ = clock_ ? clock_() : SteadyNowNs();
-    }
-  }
+  if (enabled) epoch_ns_.store(MonotonicNowNs(), std::memory_order_relaxed);
   enabled_.store(enabled, std::memory_order_relaxed);
 }
 
@@ -68,21 +56,9 @@ void Tracer::RecordComplete(const char* name, uint64_t start_ns, uint64_t end_ns
 }
 
 uint64_t Tracer::NowNs() const {
-  std::function<uint64_t()> clock;
-  uint64_t epoch;
-  {
-    MutexLock lock(mu_);
-    clock = clock_;
-    epoch = epoch_ns_;
-  }
-  const uint64_t now = clock ? clock() : SteadyNowNs();
+  const uint64_t now = MonotonicNowNs();
+  const uint64_t epoch = epoch_ns_.load(std::memory_order_relaxed);
   return now >= epoch ? now - epoch : 0;
-}
-
-void Tracer::SetClockForTest(std::function<uint64_t()> clock) {
-  MutexLock lock(mu_);
-  clock_ = std::move(clock);
-  epoch_ns_ = 0;
 }
 
 std::vector<TraceEvent> Tracer::Events() const {
@@ -168,16 +144,13 @@ std::string Tracer::Summary() const {
   return out;
 }
 
-ScopedSpan::ScopedSpan(const char* name) : name_(nullptr) {
-  Tracer& tracer = Tracer::Global();
-  if (!tracer.enabled()) return;
+void ScopedSpan::Begin(const char* name) {
   name_ = name;
   depth_ = ++tls_span_depth;
-  start_ns_ = tracer.NowNs();
+  start_ns_ = Tracer::Global().NowNs();
 }
 
-ScopedSpan::~ScopedSpan() {
-  if (name_ == nullptr) return;
+void ScopedSpan::End() {
   Tracer& tracer = Tracer::Global();
   tracer.RecordComplete(name_, start_ns_, tracer.NowNs(), depth_);
   --tls_span_depth;

@@ -11,24 +11,24 @@
 //
 // Spans nest lexically: the macro creates an RAII object that records one
 // complete ("ph":"X") event when the scope exits. Recording is active only
-// while the global Tracer is enabled (one relaxed atomic-bool branch when
-// disabled), and the whole mechanism compiles away under -DDBLAYOUT_OBS=OFF.
-// Events are buffered in memory and flushed once at exit time by whoever
-// owns the run (the CLI's --trace-out, a test, a bench), so the hot path
-// never touches the filesystem.
+// while the Tracer is enabled; a disabled span costs an inline relaxed load
+// of one atomic bool and makes no call. The tracer's switch is its own, not
+// obs::Enabled(): the CLI and pipebench set the two separately. Timestamps
+// come from obs::MonotonicNowNs (obs/clock.h). Events are buffered in
+// memory and flushed once at exit time by whoever owns the run (the CLI's
+// --trace-out, a test, a bench), so the hot path never touches the
+// filesystem.
 
 #ifndef DBLAYOUT_OBS_TRACE_H_
 #define DBLAYOUT_OBS_TRACE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/mutex.h"
-#include "obs/metrics.h"  // for DBLAYOUT_OBS_ENABLED and the concat helpers
 
 namespace dblayout::obs {
 
@@ -52,14 +52,16 @@ struct SpanStats {
 
 class Tracer {
  public:
-  /// The process-wide tracer used by DBLAYOUT_TRACE_SPAN.
+  /// The process-wide tracer used by DBLAYOUT_TRACE_SPAN, and the only one.
   static Tracer& Global();
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  /// Whether spans record. An inline relaxed load, so a disabled span makes
+  /// no call; static because the global tracer is the only instance.
+  static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
   /// Enabling (re)starts the epoch so event timestamps begin near zero.
   void SetEnabled(bool enabled);
 
-  /// Drops all buffered events and metadata (not the clock override).
+  /// Drops all buffered events and metadata.
   void Clear();
 
   /// Key/value metadata serialized into the trace ("seed", "workload", ...).
@@ -69,12 +71,8 @@ class Tracer {
   void RecordComplete(const char* name, uint64_t start_ns, uint64_t end_ns,
                       uint32_t depth);
 
-  /// Nanoseconds since the epoch, via the (overridable) clock.
+  /// Nanoseconds since the epoch, by obs::MonotonicNowNs.
   uint64_t NowNs() const;
-
-  /// Deterministic-clock hook for golden tests: `clock` returns absolute
-  /// nanoseconds; pass nullptr to restore the steady clock.
-  void SetClockForTest(std::function<uint64_t()> clock);
 
   /// Snapshot of the buffered events, in completion order.
   std::vector<TraceEvent> Events() const;
@@ -89,42 +87,46 @@ class Tracer {
   std::string Summary() const;
 
  private:
-  std::atomic<bool> enabled_{false};
+  Tracer() = default;
+
+  static inline std::atomic<bool> enabled_{false};
+  std::atomic<uint64_t> epoch_ns_{0};
   mutable Mutex mu_;
   std::vector<TraceEvent> events_ DBLAYOUT_GUARDED_BY(mu_);
   std::map<std::string, std::string> metadata_ DBLAYOUT_GUARDED_BY(mu_);
-  /// Test override; null = steady clock.
-  std::function<uint64_t()> clock_ DBLAYOUT_GUARDED_BY(mu_);
-  uint64_t epoch_ns_ DBLAYOUT_GUARDED_BY(mu_) = 0;
 };
 
-/// RAII span. Inactive (and nearly free) when the tracer is disabled at
-/// construction time; a span started while enabled still records even if
-/// tracing is switched off before it closes, keeping the JSON balanced.
+/// RAII span. Inactive (and free apart from the inline switch check) when
+/// the tracer is disabled at construction time; a span started while
+/// enabled still records even if tracing is switched off before it closes,
+/// keeping the JSON balanced.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name);
-  ~ScopedSpan();
+  explicit ScopedSpan(const char* name) {
+    if (Tracer::enabled()) Begin(name);
+  }
+  ~ScopedSpan() {
+    if (name_ != nullptr) End();
+  }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
-  const char* name_;  ///< null when inactive
+  void Begin(const char* name);
+  void End();
+
+  const char* name_ = nullptr;  ///< null when inactive
   uint64_t start_ns_ = 0;
   uint32_t depth_ = 0;
 };
 
 }  // namespace dblayout::obs
 
-#if DBLAYOUT_OBS_ENABLED
+#define DBLAYOUT_TRACE_CONCAT_IMPL_(a, b) a##b
+#define DBLAYOUT_TRACE_CONCAT_(a, b) DBLAYOUT_TRACE_CONCAT_IMPL_(a, b)
 #define DBLAYOUT_TRACE_SPAN(name)                               \
-  ::dblayout::obs::ScopedSpan DBLAYOUT_OBS_CONCAT_(             \
+  ::dblayout::obs::ScopedSpan DBLAYOUT_TRACE_CONCAT_(           \
       dblayout_obs_span_, __LINE__)(name)
-#else
-#define DBLAYOUT_TRACE_SPAN(name) \
-  do {                            \
-  } while (0)
-#endif
 
 #endif  // DBLAYOUT_OBS_TRACE_H_

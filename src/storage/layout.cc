@@ -51,6 +51,15 @@ std::vector<int64_t> Apportion(const std::vector<double>& fractions, int64_t tot
   return out;
 }
 
+/// Object i's blocks on every drive, by largest-remainder apportionment.
+std::vector<int64_t> RowBlocks(const Layout& layout, int i, int64_t size_blocks) {
+  std::vector<double> fractions(static_cast<size_t>(layout.num_disks()));
+  for (int j = 0; j < layout.num_disks(); ++j) {
+    fractions[static_cast<size_t>(j)] = layout.x(i, j);
+  }
+  return Apportion(fractions, size_blocks);
+}
+
 }  // namespace
 
 void Layout::AssignProportional(int i, const std::vector<int>& disks,
@@ -97,9 +106,7 @@ int Layout::Width(int i) const {
 }
 
 int64_t Layout::BlocksOnDisk(int i, int j, int64_t size_blocks) const {
-  std::vector<double> fractions(static_cast<size_t>(m_));
-  for (int jj = 0; jj < m_; ++jj) fractions[static_cast<size_t>(jj)] = x(i, jj);
-  return Apportion(fractions, size_blocks)[static_cast<size_t>(j)];
+  return RowBlocks(*this, i, size_blocks)[static_cast<size_t>(j)];
 }
 
 Status Layout::Validate(const std::vector<int64_t>& object_blocks,
@@ -131,13 +138,19 @@ Status Layout::Validate(const std::vector<int64_t>& object_blocks,
           i, row, kLayoutFractionTolerance));
     }
   }
+  // Each row is apportioned once; the first drive over capacity is named.
+  std::vector<int64_t> used(static_cast<size_t>(m_), 0);
+  for (int i = 0; i < n_; ++i) {
+    const std::vector<int64_t> blocks =
+        RowBlocks(*this, i, object_blocks[static_cast<size_t>(i)]);
+    for (size_t j = 0; j < blocks.size(); ++j) used[j] += blocks[j];
+  }
   for (int j = 0; j < m_; ++j) {
-    int64_t used = 0;
-    for (int i = 0; i < n_; ++i) used += BlocksOnDisk(i, j, object_blocks[static_cast<size_t>(i)]);
-    if (used > fleet.disk(j).capacity_blocks) {
+    if (used[static_cast<size_t>(j)] > fleet.disk(j).capacity_blocks) {
       return Status::CapacityExceeded(StrFormat(
           "layout invalid: disk '%s' holds %lld blocks, capacity %lld",
-          fleet.disk(j).name.c_str(), static_cast<long long>(used),
+          fleet.disk(j).name.c_str(),
+          static_cast<long long>(used[static_cast<size_t>(j)]),
           static_cast<long long>(fleet.disk(j).capacity_blocks)));
     }
   }

@@ -229,9 +229,7 @@ TEST(SearchTest, ZeroMovementBudgetReturnsCurrentLayout) {
   ResolvedConstraints rc = NoConstraints(db);
   rc.current_layout = &current;
   rc.max_movement_blocks = 0;
-  SearchOptions so;
-  so.fallback_to_full_striping = false;
-  auto result = TsGreedySearch(db, fleet, so).Run(profile, rc);
+  auto result = TsGreedySearch(db, fleet).Run(profile, rc);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->layout.ApproxEquals(current));
 }
