@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+
 #include "common/rng.h"
+#include "common/strutil.h"
 #include "layout/search.h"
 #include "workload/analyzer.h"
 
@@ -347,6 +352,174 @@ TEST(ConstraintsTest, CheckConstraintsDetectsViolations) {
   good.AssignEqual(1, {0});
   good.AssignEqual(2, {2});
   EXPECT_TRUE(CheckConstraints(good, rc, db, fleet).ok());
+}
+
+const char* IssueKindName(ConstraintIssue::Kind kind) {
+  using Kind = ConstraintIssue::Kind;
+  switch (kind) {
+    case Kind::kUnknownObject: return "unknown-object";
+    case Kind::kAvailabilityUnsatisfiable: return "availability-unsatisfiable";
+    case Kind::kAvailabilityConflict: return "availability-conflict";
+    case Kind::kGroupNoEligibleDrives: return "group-no-eligible-drives";
+    case Kind::kGroupCapacity: return "group-capacity";
+    case Kind::kMovementMissingCurrentLayout: return "movement-missing-current-layout";
+    case Kind::kMovementBudgetTooSmall: return "movement-budget-too-small";
+  }
+  return "?";
+}
+
+/// What ResolveConstraints returns for `c` and, for specs without ineligible
+/// drives, every CheckConstraintFeasibility issue, one field per line.
+std::string RenderConstraintContract(const Constraints& c, const Database& db,
+                                     const DiskFleet& fleet) {
+  std::string out;
+  Result<ResolvedConstraints> rc = ResolveConstraints(c, db, fleet);
+  if (!rc.ok()) {
+    out += "resolve: " + rc.status().ToString() + "\n";
+  } else {
+    out += "resolve: ok\n  groups:";
+    for (const auto& group : rc->co_located_groups) {
+      std::vector<std::string> members;
+      for (int i : group) members.push_back(std::to_string(i));
+      out += " {" + Join(members, ",") + "}";
+    }
+    out += "\n  required:";
+    for (const auto& r : rc->required_avail) {
+      out += std::string(" ") + (r.has_value() ? AvailabilityName(*r) : "-");
+    }
+    out += StrFormat("\n  max_movement_blocks: %a\n  current_layout: %s\n  ineligible:",
+                     rc->max_movement_blocks,
+                     rc->current_layout != nullptr ? "set" : "none");
+    for (bool flag : rc->drive_ineligible) out += flag ? " 1" : " 0";
+    out += "\n";
+  }
+  if (!c.ineligible_drives.empty()) return out;
+  for (const ConstraintIssue& issue : CheckConstraintFeasibility(c, db, fleet)) {
+    out += std::string("issue: ") + IssueKindName(issue.kind) + "\n";
+    out += "  objects: " + Join(issue.objects, "|") + "\n";
+    out += "  disks: " + Join(issue.disks, "|") + "\n";
+    out += "  message: " + issue.message + "\n";
+    out += "  fix_it: " + issue.fix_it + "\n";
+  }
+  return out;
+}
+
+// Pins the contract of both constraint interpreters over specs with one or
+// several problems: ResolveConstraints' resolved form or first error, and
+// CheckConstraintFeasibility's issues (kind, order, wording, objects, disks).
+// Regenerate with DBLAYOUT_UPDATE_GOLDEN=1 only when a change to that
+// contract is intended.
+TEST(ConstraintsTest, ResolveAndFeasibilityMatchGolden) {
+  const Database db = MicroDb();
+  // D1, D2 mirrored; D3, D4 plain; no drive offers parity.
+  DiskFleet fleet = DiskFleet::Uniform(4);
+  fleet.disk(0).avail = Availability::kMirroring;
+  fleet.disk(1).avail = Availability::kMirroring;
+  // Same, with mirrored drives too small for the big tables.
+  DiskFleet small_mirrors = fleet;
+  small_mirrors.disk(0).capacity_blocks = 300;
+  small_mirrors.disk(1).capacity_blocks = 300;
+  // Only D1 offers parity.
+  DiskFleet one_parity = DiskFleet::Uniform(4);
+  one_parity.disk(0).avail = Availability::kParity;
+
+  const Layout striped = Layout::FullStriping(3, fleet);
+  // big_a is only half allocated; solo sits on D3 and D4 as well.
+  Layout under = striped;
+  under.AssignEqual(0, {0});
+  under.set_x(0, 0, 0.5);
+
+  struct Case {
+    const char* name;
+    Constraints c;
+    const DiskFleet* fleet;
+  };
+  std::vector<Case> cases;
+  auto add = [&](const char* name, const DiskFleet& f, auto&& fill) {
+    Case k{name, Constraints{}, &f};
+    fill(k.c);
+    cases.push_back(std::move(k));
+  };
+  add("no constraints", fleet, [](Constraints&) {});
+  add("transitive co-location, mixed case", fleet, [](Constraints& c) {
+    c.co_located = {{"BIG_A", "big_b"}, {"Big_B", "SOLO"}};
+  });
+  add("unknown name in a pair", fleet, [](Constraints& c) {
+    c.co_located = {{"big_a", "big_b"}, {"Ghost", "solo"}};
+  });
+  add("unknown name in a requirement", fleet, [](Constraints& c) {
+    c.avail_requirements = {{"big_a", Availability::kMirroring},
+                            {"phantom", Availability::kNone}};
+  });
+  add("unknown names repeated across pairs and requirements", fleet,
+      [](Constraints& c) {
+        c.co_located = {{"big_a", "ghost"}, {"GHOST", "wraith"}};
+        c.avail_requirements = {{"Ghost", Availability::kMirroring}};
+      });
+  add("unsatisfiable requirement before an unknown object", fleet,
+      [](Constraints& c) {
+        c.avail_requirements = {{"Big_A", Availability::kParity},
+                                {"ghost", Availability::kNone}};
+      });
+  add("two levels required of one object", fleet, [](Constraints& c) {
+    c.avail_requirements = {{"big_a", Availability::kMirroring},
+                            {"BIG_A", Availability::kNone}};
+  });
+  add("group with conflicting levels", fleet, [](Constraints& c) {
+    c.co_located = {{"big_a", "big_b"}};
+    c.avail_requirements = {{"big_b", Availability::kMirroring},
+                            {"big_a", Availability::kNone}};
+  });
+  add("group inherits one member's level", fleet, [](Constraints& c) {
+    c.co_located = {{"solo", "big_b"}};
+    c.avail_requirements = {{"big_b", Availability::kMirroring}};
+  });
+  add("group and object larger than their eligible drives", small_mirrors,
+      [](Constraints& c) {
+        c.co_located = {{"big_a", "big_b"}};
+        c.avail_requirements = {{"big_a", Availability::kMirroring},
+                                {"solo", Availability::kMirroring}};
+      });
+  add("movement bound without a baseline", fleet,
+      [](Constraints& c) { c.max_movement_fraction = 0.2; });
+  add("movement bound with a full-striping baseline", fleet, [&](Constraints& c) {
+    c.max_movement_fraction = 0.2;
+    c.current_layout = &striped;
+  });
+  add("movement bound below an under-allocated baseline's forced movement", fleet,
+      [&](Constraints& c) {
+        c.avail_requirements = {{"solo", Availability::kMirroring}};
+        c.max_movement_fraction = 0.01;
+        c.current_layout = &under;
+      });
+  add("ineligible drive, mixed case", fleet,
+      [](Constraints& c) { c.ineligible_drives = {"d4"}; });
+  add("unknown ineligible drive", fleet,
+      [](Constraints& c) { c.ineligible_drives = {"D2", "D9"}; });
+  add("every drive ineligible", fleet,
+      [](Constraints& c) { c.ineligible_drives = {"D1", "D2", "d3", "D4"}; });
+  add("a level only an ineligible drive offers", one_parity, [](Constraints& c) {
+    c.ineligible_drives = {"d1"};
+    c.avail_requirements = {{"Big_A", Availability::kParity}};
+  });
+
+  std::string got;
+  for (const Case& k : cases) {
+    got += StrFormat("== %s\n", k.name) + RenderConstraintContract(k.c, db, *k.fleet);
+  }
+  const std::string path =
+      std::string(DBLAYOUT_TESTDATA_DIR) + "/constraints_golden.txt";
+  if (std::getenv("DBLAYOUT_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    out << got;
+    ASSERT_TRUE(out) << "cannot regenerate " << path;
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing golden file " << path;
+  std::ostringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(got, want.str()) << "constraint contract drifted from " << path;
 }
 
 /// Property sweep: TS-GREEDY never loses to full striping on random
