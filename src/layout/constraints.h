@@ -63,9 +63,12 @@ struct ResolvedConstraints {
 };
 
 /// Resolves names to object ids and merges transitive co-location pairs into
-/// groups. Fails on unknown object names, on a satisfiable-looking movement
-/// bound without a current layout, and on availability requirements no drive
-/// can satisfy.
+/// groups whose members inherit the group's availability requirement. Fails
+/// with the first problem met, in spec order: an unknown or every drive
+/// ineligible, an unknown object name, an availability requirement no
+/// eligible drive can satisfy, a group with conflicting requirements, or a
+/// movement bound without a current layout. One pass over the spec serves
+/// this and CheckConstraintFeasibility, so both read it the same way.
 Result<ResolvedConstraints> ResolveConstraints(const Constraints& constraints,
                                                const Database& db,
                                                const DiskFleet& fleet);
