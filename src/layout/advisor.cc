@@ -148,77 +148,6 @@ Result<Recommendation> LayoutAdvisor::RecommendFromProfile(
   return rec;
 }
 
-Result<Recommendation> LayoutAdvisor::ReAdvise(const WorkloadProfile& profile,
-                                               const Layout& current) const {
-  DBLAYOUT_TRACE_SPAN("advisor/readvise");
-  if (profile.statements.empty()) {
-    return Status::InvalidArgument("workload profile is empty");
-  }
-  if (profile.num_objects != db_.Objects().size()) {
-    return Status::InvalidArgument(
-        "workload profile was analyzed against a different database");
-  }
-  if (Status st = current.Validate(db_.ObjectSizes(), fleet_); !st.ok()) {
-    return Status::FailedPrecondition(
-        StrFormat("re-advise starting layout is invalid: %s",
-                  st.message().c_str()));
-  }
-  // The movement budget binds against the *caller's* current layout, not
-  // whatever constraint snapshot the advisor was constructed with: a service
-  // session re-advises from its evolving active layout every drift window.
-  Constraints bound = options_.constraints;
-  bound.current_layout = &current;
-  DBLAYOUT_ASSIGN_OR_RETURN(ResolvedConstraints constraints,
-                            ResolveConstraints(bound, db_, fleet_));
-
-  // Full search, not RunFrom refinement: the running layout is usually a
-  // local optimum of the greedy widening moves (full striping always is), so
-  // refining from it would just return it. Run's incremental mode does the
-  // right thing with the bound constraints — when the redesigned layout
-  // exceeds the movement budget it migrates from `current` toward the
-  // unconstrained target, best value per moved block first, within budget.
-  TsGreedySearch search(db_, fleet_, options_.search);
-  const double search_t0 = PhaseNowMs();
-  DBLAYOUT_ASSIGN_OR_RETURN(SearchResult sr, search.Run(profile, constraints));
-  const double run_ms = PhaseNowMs() - search_t0;
-  EmitPhase(options_.search.journal, "readvise", run_ms);
-
-  Recommendation rec;
-  rec.phases.search_ms = run_ms;
-  rec.layout = std::move(sr.layout);
-  rec.estimated_cost_ms = sr.cost;
-  rec.greedy_iterations = sr.greedy_iterations;
-  rec.layouts_evaluated = sr.layouts_evaluated;
-  rec.telemetry = std::move(sr.telemetry);
-  rec.timed_out = sr.timed_out;
-  const ProfileAccessStats pstats = ComputeProfileStats(profile);
-  rec.telemetry.statements = pstats.statements;
-  rec.telemetry.subplans = pstats.subplans;
-  rec.telemetry.distinct_signatures = pstats.distinct_signatures;
-  rec.full_striping =
-      Layout::FullStriping(static_cast<int>(db_.Objects().size()), fleet_);
-
-  const InvariantAuditor auditor;
-  DBLAYOUT_DCHECK_OK(auditor.AuditLayout(rec.layout, db_.ObjectSizes(), fleet_));
-
-  const double evaluate_t0 = PhaseNowMs();
-  const CostModel cost_model(fleet_);
-  LayoutEvaluator reference_eval(profile, cost_model);
-  reference_eval.set_journal(options_.search.journal);
-  rec.full_striping_cost_ms = reference_eval.Bind(rec.full_striping);
-  rec.current_cost_ms = reference_eval.Bind(current);
-  for (const auto& s : profile.statements) {
-    StatementImpact impact;
-    impact.sql = s.sql;
-    impact.weight = s.weight;
-    impact.cost_recommended_ms = cost_model.StatementCost(s, rec.layout);
-    impact.cost_full_striping_ms = cost_model.StatementCost(s, rec.full_striping);
-    rec.per_statement.push_back(std::move(impact));
-  }
-  rec.phases.evaluate_ms = PhaseNowMs() - evaluate_t0;
-  return rec;
-}
-
 std::string LayoutAdvisor::Report(const Recommendation& rec) const {
   std::vector<std::string> names;
   for (const auto& o : db_.Objects()) names.push_back(o.name);

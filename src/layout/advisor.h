@@ -110,21 +110,14 @@ class LayoutAdvisor {
   Result<Recommendation> Recommend(const Workload& workload) const;
 
   /// Same, over an already-analyzed workload (lets callers reuse profiles).
+  /// When options.constraints carries a current layout, its cost lands in
+  /// Recommendation::current_cost_ms, and a movement budget
+  /// (max_movement_fraction) binds against it: when the redesigned layout
+  /// would exceed the budget, the search migrates from the current layout
+  /// toward it, best value per moved block first. The continuous advisor
+  /// service (src/service/session.h) calls this every drift window with its
+  /// active layout as the current one.
   Result<Recommendation> RecommendFromProfile(const WorkloadProfile& profile) const;
-
-  /// Incremental re-advise (service mode): recommends for `profile` honoring
-  /// options_.constraints.max_movement_fraction as a movement budget
-  /// *relative to `current`* (the constraints' current_layout pointer is
-  /// overridden for this call). Runs the full TS-GREEDY pipeline — when the
-  /// redesigned layout would exceed the budget, the search migrates from
-  /// `current` toward it, best value per moved block first, within budget
-  /// (refining `current` directly is useless: a running layout is typically
-  /// a local optimum of the greedy moves). `current` must be valid and
-  /// satisfy the non-movement constraints; it is also the layout whose cost
-  /// lands in Recommendation::current_cost_ms. This is the re-advise entry
-  /// point the continuous advisor service calls each drift window.
-  Result<Recommendation> ReAdvise(const WorkloadProfile& profile,
-                                  const Layout& current) const;
 
   /// Renders a recommendation report (layout table, filegroups, the
   /// estimated improvement, and per-statement impacts).

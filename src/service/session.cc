@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/strutil.h"
 #include "layout/advisor.h"
 #include "layout/cost_model.h"
@@ -105,6 +106,11 @@ Status Session::AdviseWithRetry() {
   options.search.num_threads = config_.num_threads;
   options.search.cancel_requested = config_.cancel_requested;
   options.constraints.max_movement_fraction = config_.max_move_fraction;
+  // The movement budget binds against the evolving active layout. Every
+  // active layout is valid where it comes from: full striping, a search
+  // result Run validated, or a layout Restore validated.
+  options.constraints.current_layout = &active_;
+  DBLAYOUT_DCHECK_OK(active_.Validate(db_.ObjectSizes(), fleet_));
   const LayoutAdvisor advisor(db_, fleet_, options);
 
   // One Rng per (session, window): retry schedules decorrelate across
@@ -121,7 +127,7 @@ Status Session::AdviseWithRetry() {
       fault = config_.advise_fault_hook_for_test(id_, windows_closed_, attempt);
     }
     Result<Recommendation> rec =
-        fault.ok() ? advisor.ReAdvise(profile_, active_)
+        fault.ok() ? advisor.RecommendFromProfile(profile_)
                    : Result<Recommendation>(fault);
     if (!rec.ok()) {
       last_error = rec.status();

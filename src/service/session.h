@@ -7,9 +7,10 @@
 //      candidate, and last-good layouts;
 //   2. fold the window into the accumulated profile (CompressProfile keeps
 //      it bounded: identical access signatures collapse exactly);
-//   3. re-advise incrementally (LayoutAdvisor::ReAdvise under the movement
-//      budget) when the per-object access shares drifted past threshold
-//      since the last advise, with bounded deterministic retry;
+//   3. re-advise incrementally (LayoutAdvisor::RecommendFromProfile with the
+//      active layout as the current one, under the movement budget) when the
+//      per-object access shares drifted past threshold since the last
+//      advise, with bounded deterministic retry;
 //   4. update the guardrail (src/service/guardrail.h) with the realized
 //      window costs and apply its action: promote the candidate (with
 //      journaled benefit attribution, src/obs/attribution) or roll back to
