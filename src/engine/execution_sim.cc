@@ -46,8 +46,9 @@ double ExecutionSimulator::RunSubplans(const std::vector<SubplanAccess>& subplan
       }
       const auto blocks = static_cast<int64_t>(std::llround(physical));
       if (blocks <= 0) continue;
+      const std::vector<int64_t> row = layout.RowBlocks(a.object_id, blocks);
       for (int j = 0; j < fleet_.num_disks(); ++j) {
-        const int64_t on_disk = layout.BlocksOnDisk(a.object_id, j, blocks);
+        const int64_t on_disk = row[static_cast<size_t>(j)];
         if (on_disk <= 0) continue;
         if (map != nullptr) {
           for (const ObjectExtent& e : map->ExtentsOf(a.object_id)) {

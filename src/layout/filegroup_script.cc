@@ -48,13 +48,15 @@ std::string GenerateFilegroupScript(const Layout& layout, const Database& db,
                      Join(drive_names, ", ").c_str());
     out += StrFormat("ALTER DATABASE [%s] ADD FILEGROUP [%s];\n", dbname.c_str(),
                      fg_name.c_str());
+    std::vector<std::vector<int64_t>> rows;
+    for (int i : group.objects) {
+      rows.push_back(layout.RowBlocks(i, sizes[static_cast<size_t>(i)]));
+    }
     for (int j : group.disks) {
       // File size: sum of this drive's share of every object in the group,
       // plus headroom.
       int64_t blocks = 0;
-      for (int i : group.objects) {
-        blocks += layout.BlocksOnDisk(i, j, sizes[static_cast<size_t>(i)]);
-      }
+      for (const std::vector<int64_t>& row : rows) blocks += row[static_cast<size_t>(j)];
       const double mb = std::ceil(static_cast<double>(blocks) * kBlockBytes / 1e6 *
                                   (1.0 + options.headroom)) +
                         1;

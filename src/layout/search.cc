@@ -25,10 +25,6 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-/// Safety margin on the fractional capacity checks of InitialLayout and the
-/// greedy phase (exact rounded validation happens once at the end).
-constexpr double kCapacityMargin = 0.999;
-
 /// Cap on the iterations of one MoveLoop (defensive: each phase stops at its
 /// first iteration without an improving candidate, and every accepted
 /// migration step migrates at least one more group).
@@ -93,19 +89,6 @@ void FinishRun(const CostModel& cost_model, SearchResult* result) {
       result->layouts_evaluated - result->telemetry.delta_evals;
   result->timed_out = result->telemetry.timed_out;
   PublishSearchMetrics(result->telemetry);
-}
-
-/// Fractional blocks used on every drive by `layout`.
-std::vector<double> FractionalUsed(const Layout& layout,
-                                   const std::vector<int64_t>& sizes) {
-  std::vector<double> used(static_cast<size_t>(layout.num_disks()), 0.0);
-  for (int i = 0; i < layout.num_objects(); ++i) {
-    for (int j = 0; j < layout.num_disks(); ++j) {
-      used[static_cast<size_t>(j)] +=
-          layout.x(i, j) * static_cast<double>(sizes[static_cast<size_t>(i)]);
-    }
-  }
-  return used;
 }
 
 /// Writes the row Layout::AssignProportional(i, disks, fleet) writes into
@@ -648,7 +631,7 @@ Result<Layout> TsGreedySearch::GreedyWiden(const WorkloadProfile& profile,
   evaluator.set_journal(options_.journal);
   stats->initial_cost = evaluator.Bind(layout);
   stats->telemetry.cost_trajectory.push_back(stats->initial_cost);
-  std::vector<double> used = FractionalUsed(layout, sizes);
+  std::vector<double> used = layout.FractionalUsed(sizes);
 
   // Per-group state of this call. The allowed drives and the jump targets
   // depend only on the constraints and the fleet. `moves` lists the group's
@@ -1130,7 +1113,7 @@ Result<SearchResult> ExhaustiveSearch(const Database& db, const DiskFleet& fleet
     if (gi == groups.size()) {
       const Layout& current = evaluator.layout();
       // Fractional capacity check.
-      const std::vector<double> used = FractionalUsed(current, sizes);
+      const std::vector<double> used = current.FractionalUsed(sizes);
       for (int j = 0; j < m; ++j) {
         if (used[static_cast<size_t>(j)] >
             static_cast<double>(fleet.disk(j).capacity_blocks) + kEps) {

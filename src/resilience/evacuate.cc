@@ -14,30 +14,13 @@ namespace dblayout {
 
 namespace {
 
-/// Mirrors the search's capacity margin (layout/search.cc): leave a sliver
-/// of slack so the exact rounded validation at the end cannot flip a
-/// fractional fit.
-constexpr double kCapacityMargin = 0.999;
-
-/// Fractional blocks of each drive used by `layout`.
-std::vector<double> UsedBlocks(const Layout& layout, const std::vector<int64_t>& sizes) {
-  std::vector<double> used(static_cast<size_t>(layout.num_disks()), 0.0);
-  for (int i = 0; i < layout.num_objects(); ++i) {
-    for (int j = 0; j < layout.num_disks(); ++j) {
-      used[static_cast<size_t>(j)] +=
-          layout.FractionalBlocks(i, j, sizes[static_cast<size_t>(i)]);
-    }
-  }
-  return used;
-}
-
 /// Force-evicts every object off `failed`: objects with surviving drives are
 /// rescaled onto them; objects entirely on the failed drive go to the
 /// smallest fastest-first prefix of eligible drives with room.
 Status ForceEvict(const Database& db, const DiskFleet& fleet,
                   const ResolvedConstraints& constraints, int failed,
                   const std::vector<int64_t>& sizes, Layout* start) {
-  std::vector<double> used = UsedBlocks(*start, sizes);
+  std::vector<double> used = start->FractionalUsed(sizes);
   std::vector<int> eligible;
   for (int j : fleet.ByDecreasingTransferRate()) {
     if (j != failed) eligible.push_back(j);

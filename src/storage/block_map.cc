@@ -12,9 +12,10 @@ Result<BlockMap> BlockMap::Materialize(const Layout& layout,
   map.extents_.resize(static_cast<size_t>(layout.num_objects()));
   map.used_.assign(static_cast<size_t>(fleet.num_disks()), 0);
   for (int i = 0; i < layout.num_objects(); ++i) {
-    const int64_t size = object_blocks[static_cast<size_t>(i)];
+    const std::vector<int64_t> row =
+        layout.RowBlocks(i, object_blocks[static_cast<size_t>(i)]);
     for (int j = 0; j < layout.num_disks(); ++j) {
-      const int64_t count = layout.BlocksOnDisk(i, j, size);
+      const int64_t count = row[static_cast<size_t>(j)];
       if (count <= 0) continue;
       auto& used = map.used_[static_cast<size_t>(j)];
       if (used + count > fleet.disk(j).capacity_blocks) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.h"
 #include "common/strutil.h"
 #include "storage/block_map.h"
@@ -130,8 +132,8 @@ TEST(LayoutTest, ValidateNamesFirstDriveOverCapacity) {
   l.AssignEqual(0, {0, 2});
   // Object 1: 3 blocks, one per drive.
   l.AssignEqual(1, {0, 1, 2});
-  ASSERT_EQ(l.BlocksOnDisk(0, 0, 2 * cap + 1), cap + 1);
-  ASSERT_EQ(l.BlocksOnDisk(0, 2, 2 * cap + 1), cap);
+  ASSERT_EQ(l.RowBlocks(0, 2 * cap + 1)[0], cap + 1);
+  ASSERT_EQ(l.RowBlocks(0, 2 * cap + 1)[2], cap);
   const Status st = l.Validate({2 * cap + 1, 3}, fleet);
   EXPECT_EQ(st.code(), StatusCode::kCapacityExceeded);
   EXPECT_EQ(st.message(),
@@ -149,6 +151,32 @@ TEST(LayoutTest, ValidateDimensionMismatch) {
   EXPECT_EQ(l2.Validate({10}, fleet).code(), StatusCode::kInvalidArgument);
 }
 
+// NaN compares false against both the negativity and the row-sum bound.
+TEST(LayoutTest, ValidateRejectsNaNFraction) {
+  DiskFleet fleet = DiskFleet::Uniform(2, 1.0);
+  Layout l(1, 2);
+  l.set_x(0, 0, 1.0);
+  l.set_x(0, 1, std::nan(""));
+  const Status st = l.Validate({10}, fleet);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(), "layout invalid: object 0 has fraction NaN on disk 'D2'");
+}
+
+TEST(LayoutTest, CsvNaNFractionFailsValidation) {
+  DiskFleet fleet = DiskFleet::Uniform(2, 1.0);
+  auto l = Layout::FromCsv("object,D1,D2\na,nan,1\n", {"a"}, fleet);
+  ASSERT_TRUE(l.ok()) << l.status().ToString();
+  EXPECT_EQ(l->Validate({10}, fleet).message(),
+            "layout invalid: object 0 has fraction NaN on disk 'D1'");
+}
+
+TEST(LayoutTest, CsvRejectsTrailingJunkInFraction) {
+  DiskFleet fleet = DiskFleet::Uniform(2, 1.0);
+  auto l = Layout::FromCsv("object,D1,D2\na,0.2abc,0.8\n", {"a"}, fleet);
+  EXPECT_EQ(l.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(l.status().message(), "layout csv: bad fraction '0.2abc'");
+}
+
 TEST(LayoutTest, BlocksOnDiskApportionsExactly) {
   DiskFleet fleet = DiskFleet::Uniform(3, 1.0);
   Layout l(1, 3);
@@ -157,11 +185,11 @@ TEST(LayoutTest, BlocksOnDiskApportionsExactly) {
   l.set_x(0, 2, 1.0 / 3);
   // 100 blocks over thirds: 34+33+33 in some order, total exact.
   int64_t total = 0;
-  for (int j = 0; j < 3; ++j) total += l.BlocksOnDisk(0, j, 100);
+  for (int j = 0; j < 3; ++j) total += l.RowBlocks(0, 100)[j];
   EXPECT_EQ(total, 100);
   for (int j = 0; j < 3; ++j) {
-    EXPECT_GE(l.BlocksOnDisk(0, j, 100), 33);
-    EXPECT_LE(l.BlocksOnDisk(0, j, 100), 34);
+    EXPECT_GE(l.RowBlocks(0, 100)[j], 33);
+    EXPECT_LE(l.RowBlocks(0, 100)[j], 34);
   }
 }
 
@@ -169,8 +197,8 @@ TEST(LayoutTest, BlocksOnDiskZeroFractionGetsNothing) {
   DiskFleet fleet = DiskFleet::Uniform(3, 1.0);
   Layout l(1, 3);
   l.AssignEqual(0, {0, 2});
-  EXPECT_EQ(l.BlocksOnDisk(0, 1, 999), 0);
-  EXPECT_EQ(l.BlocksOnDisk(0, 0, 999) + l.BlocksOnDisk(0, 2, 999), 999);
+  EXPECT_EQ(l.RowBlocks(0, 999)[1], 0);
+  EXPECT_EQ(l.RowBlocks(0, 999)[0] + l.RowBlocks(0, 999)[2], 999);
 }
 
 TEST(LayoutTest, AssignProportionalUsesRates) {
@@ -320,7 +348,7 @@ TEST_P(ApportionPropertyTest, RoundingConservesBlocks) {
   for (int j = 0; j < m; ++j) l.set_x(0, j, f[static_cast<size_t>(j)] / total);
   const int64_t size = rng.UniformInt(1, 100000);
   int64_t allocated = 0;
-  for (int j = 0; j < m; ++j) allocated += l.BlocksOnDisk(0, j, size);
+  for (int j = 0; j < m; ++j) allocated += l.RowBlocks(0, size)[j];
   EXPECT_EQ(allocated, size);
 }
 
