@@ -7,17 +7,19 @@
 #      observed, promoted only after K consecutive qualifying windows, and
 #      auto-rolled-back when the shifted workload's realized cost regresses
 #      past the tolerance
-#   2. --observe-only journals the promotion decision (serve_would_promote)
+#   2. thread invariance: the baseline run at --threads 4 writes the same
+#      journal (from line 2 on) and the same final layouts
+#   3. --observe-only journals the promotion decision (serve_would_promote)
 #      but never moves data: every session's final layout is still the
 #      full-striping starting point and serve_promote never appears
-#   3. crash recovery: kill -9 mid-stream, restart with --resume, and the
+#   4. crash recovery: kill -9 mid-stream, restart with --resume, and the
 #      final layouts + per-session guardrail counters are byte-identical to
 #      the uninterrupted baseline
-#   4. an unusable service configuration (movement budget below the largest
+#   5. an unusable service configuration (movement budget below the largest
 #      object) is refused at startup with exit 2 and the
 #      service-config-sane diagnostic
-#   5. a corrupted checkpoint is rejected with a clear error (exit 2)
-#   6. graceful degradation: an over-budget session (compressed profile past
+#   6. a corrupted checkpoint is rejected with a clear error (exit 2)
+#   7. graceful degradation: an over-budget session (compressed profile past
 #      --max-profile-statements) sheds to observe-only while the other
 #      tenant keeps advising — degradation is per-session, never global
 #
@@ -69,6 +71,17 @@ grep -q 'session 1: .* 1 promotions, 1 rollbacks' "${WORK}/baseline.out" \
   || fail "session summary does not report the promotion + rollback"
 grep -q 'session 2: .* 0 promotions, 0 rollbacks' "${WORK}/baseline.out" \
   || fail "the light tenant's layout should never have moved"
+
+log "thread invariance: --threads 4 journals and lands exactly as the baseline"
+"${BIN}" serve "${COMMON[@]}" --threads 4 \
+  --journal-out "${WORK}/threads4.jsonl" \
+  --final-layout "${WORK}/threads4_layout.csv" \
+  > /dev/null || fail "--threads 4 serve run exited non-zero"
+# Line 1 is the run header, which records the thread count.
+cmp <(tail -n +2 "${WORK}/baseline.jsonl") <(tail -n +2 "${WORK}/threads4.jsonl") \
+  || fail "--threads 4 journal differs from the 1-thread baseline"
+cmp "${WORK}/baseline_layout.csv" "${WORK}/threads4_layout.csv" \
+  || fail "--threads 4 final layouts differ from the 1-thread baseline"
 
 log "observe-only mode journals decisions but never moves data"
 "${BIN}" serve "${COMMON[@]}" --observe-only \
