@@ -22,6 +22,7 @@
 #include "benchdata/tpch.h"
 #include "obs/journal.h"
 #include "optimizer/optimizer.h"
+#include "tests/optimizer_test_util.h"
 
 namespace dblayout {
 namespace {
@@ -146,6 +147,84 @@ TEST(PlanDigestTest, Qgen352OnTpch1g4) {
 TEST(PlanDigestTest, Apb800) {
   const Database db = benchdata::MakeApbDatabase();
   CheckWorkload("apb800", db, benchdata::MakeApb800Workload(db));
+}
+
+/// Parses `sqls` into one workload, failing the calling test on SQL the
+/// parser rejects.
+Workload WorkloadOf(const std::string& name, const std::vector<std::string>& sqls) {
+  Workload wl(name);
+  for (const std::string& sql : sqls) EXPECT_TRUE(wl.Add(sql).ok()) << sql;
+  return wl;
+}
+
+// The join enumeration's edges: the DP at its 12-table limit, the greedy
+// order one table past it, several predicates between one pair of tables
+// (the exponential selectivity backoff over more than two terms), and FROM
+// lists whose tables no join predicate reaches (the cross-join pass).
+TEST(PlanDigestTest, WideJoinsAndJoinEnumerationEdges) {
+  const Database db = testutil::MakeWideDb();
+  CheckWorkload(
+      "widejoin", db,
+      WorkloadOf("widejoin",
+                 {testutil::WideJoinSql(12), testutil::WideJoinSql(13),
+                  // Four predicates between w3 and w4, two between w4 and
+                  // w5, one non-equi join between w3 and w5.
+                  "SELECT COUNT(*) FROM w3, w4, w5 WHERE w3_next = w4_key AND "
+                  "w3_val = w4_val AND w3_key = w4_next AND w3_val > w4_val AND "
+                  "w4_next = w5_key AND w4_val = w5_val AND w3_val < w5_val",
+                  "SELECT COUNT(*) FROM w1 a, w2 b WHERE a.w1_next = b.w2_key AND "
+                  "a.w1_val = b.w2_val AND a.w1_key = b.w2_next AND "
+                  "a.w1_val <= b.w2_val AND a.w1_next >= b.w2_next",
+                  // w12 joins nothing; w7 and w8 join each other only.
+                  "SELECT COUNT(*) FROM w0, w1, w2, w3, w12 WHERE w0_next = w1_key "
+                  "AND w1_next = w2_key AND w2_next = w3_key AND w0_val < 50",
+                  "SELECT COUNT(*) FROM w4, w5, w7, w8 WHERE w4_next = w5_key "
+                  "AND w7_next = w8_key",
+                  "SELECT COUNT(*) FROM w9, w6, w10"}));
+}
+
+/// 66 tables t0..t65, each clustered on t<i>_key with t<i>_next referencing
+/// t<i+1>_key, so object ids run 0..65 and t<i> and t<i+64> (i = 0, 1) are
+/// distinct objects whose ids are equal mod 64. A 1000-byte payload makes
+/// the tables wide enough that a same-object surcharge on a merge join of
+/// two of them outweighs hash join's per-row work.
+Database MakeMod64Db() {
+  Database db("mod64db");
+  for (int i = 0; i < 66; ++i) {
+    const std::string name = "t" + std::to_string(i);
+    Table t;
+    t.name = name;
+    t.row_count = int64_t{4000} << (i % 3);
+    t.columns = {testutil::MakeKey(name + "_key", t.row_count),
+                 testutil::MakeKey(name + "_next", int64_t{4000} << ((i + 1) % 3)),
+                 testutil::MakeNum(name + "_val", 0, 100, 100)};
+    Column pay;
+    pay.name = name + "_pay";
+    pay.type = ColumnType::kChar;
+    pay.declared_length = 1000;
+    t.columns.push_back(pay);
+    t.clustered_key = {name + "_key"};
+    EXPECT_TRUE(db.AddTable(t).ok());
+  }
+  return db;
+}
+
+// Merge joins whose inputs read distinct objects with ids equal mod 64 pay
+// no same-object surcharge, so they stay merge joins; the self joins next to
+// them pay it and turn into hash joins.
+TEST(PlanDigestTest, DistinctObjectsWithIdsEqualMod64) {
+  const Database db = MakeMod64Db();
+  ASSERT_EQ(db.ObjectIdOfTable("t64").value(), 64);
+  CheckWorkload("mod64", db,
+                WorkloadOf("mod64",
+                           {"SELECT COUNT(*) FROM t0, t64 WHERE t0_key = t64_key",
+                            "SELECT COUNT(*) FROM t1, t65 WHERE t1_key = t65_key",
+                            "SELECT COUNT(*) FROM t0, t64, t1 WHERE t0_key = t64_key "
+                            "AND t64_key = t1_key",
+                            "SELECT COUNT(*) FROM t0 a, t0 b, t64 c WHERE "
+                            "a.t0_key = b.t0_key AND b.t0_key = c.t64_key",
+                            "SELECT COUNT(*) FROM t64 a, t0 b, t64 c WHERE "
+                            "a.t64_key = b.t0_key AND b.t0_key = c.t64_key"}));
 }
 
 // The benchmark schemas index no join column, so index nested-loops joins
