@@ -1,14 +1,16 @@
 // Microbenchmarks (google-benchmark) of the hot paths the paper's
 // scalability depends on: the analytic cost model (invoked thousands of
 // times by the search), access-graph construction, max-cut partitioning,
-// workload analysis and the full TS-GREEDY search.
+// workload analysis, join-order planning and the full TS-GREEDY search.
 
 #include <benchmark/benchmark.h>
 
+#include "benchdata/sales.h"
 #include "benchdata/tpch.h"
 #include "graph/partition.h"
 #include "io/queue_sim.h"
 #include "layout/search.h"
+#include "optimizer/optimizer.h"
 #include "workload/analyzer.h"
 
 namespace dblayout {
@@ -48,6 +50,20 @@ void BM_AnalyzeWorkload(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AnalyzeWorkload);
+
+// Optimizer::Plan alone over SALES-45's 5- to 10-table joins, where the
+// join-order DP is most of an advise.
+void BM_PlanSales45(benchmark::State& state) {
+  static const Database db = benchdata::MakeSalesDatabase();
+  const Workload wl = benchdata::MakeSales45Workload(db).value();
+  const Optimizer optimizer(db);
+  for (auto _ : state) {
+    for (const WorkloadStatement& s : wl.statements()) {
+      benchmark::DoNotOptimize(optimizer.Plan(s.parsed).ok());
+    }
+  }
+}
+BENCHMARK(BM_PlanSales45)->Unit(benchmark::kMillisecond);
 
 void BM_BuildAccessGraph(benchmark::State& state) {
   for (auto _ : state) {

@@ -8,15 +8,19 @@
 //  - Access paths: heap/clustered scan, clustered-index seek, non-clustered
 //    index seek + RID lookup, chosen by estimated block cost.
 //  - Join order: left-deep dynamic programming over table subsets (System R)
-//    for up to OptimizerOptions::dp_join_table_limit tables; cross joins
-//    only when a subset has no connected extension. Longer FROM lists fall
-//    back to a greedy smallest-intermediate-result left-deep order.
+//    for up to 12 tables; cross joins only when a subset has no connected
+//    extension. Longer FROM lists fall back to a greedy
+//    smallest-intermediate-result left-deep order.
 //  - Join pricing: each extension is priced, not built. The DP keeps one
-//    small state per subset (rows, cost, first sort key, the plan's
-//    (object, blocks) leaves, the table joined last), prices merge,
-//    index-NL and hash alternatives from it with the same sums a
-//    System-R-style cost function takes over the built tree, and builds
-//    only the winning chain at the end. The greedy path prices the same way.
+//    small state per subset (rows, cost, first sort key, a 64-bit mask of
+//    the plan's leaf objects, the table joined last and how it was joined)
+//    and one memoized join edge (backed-off selectivity, first equi-join
+//    keys) per table and set of its join neighbours. From these it prices
+//    merge, index-NL and hash alternatives with the same sums a
+//    System-R-style cost function takes over the built tree, rebuilding the
+//    outer plan's leaves only when a merge join's inputs may read the same
+//    object, and builds only the winning chain at the end. The greedy path
+//    prices the same way.
 //  - Join algorithms: merge join when both inputs arrive sorted on the join
 //    key (the common TPC-H case with clustered PKs; otherwise with explicit
 //    Sorts when that is cheaper), index nested loops when the inner has a
@@ -44,9 +48,6 @@ struct OptimizerOptions {
   /// Cost multiplier for a random block access relative to a sequential one
   /// when choosing access paths.
   double random_io_penalty = 4.0;
-  /// Join orders are enumerated with left-deep dynamic programming for up to
-  /// this many tables; larger FROM lists fall back to a greedy order.
-  int dp_join_table_limit = 12;
   /// Physical cost knobs, in sequential-block-equivalents per row, used to
   /// compare join implementations (hash joins pay build/probe work; merge
   /// joins of pre-sorted inputs are nearly free; sorts are expensive).
