@@ -336,16 +336,21 @@ class ConstraintMovementBoundRule : public ConstraintRuleBase {
 
 // --- Layout layer ----------------------------------------------------------
 
-/// True when the layout's dimensions match the schema (and fleet, if given);
-/// layout rules other than layout-invalid skip silently on mismatch.
-bool LayoutDimensionsMatch(const LintContext& ctx) {
+/// True when the layout's dimensions match the schema (and fleet, if given)
+/// and its rows pass Layout::ValidateRows. The layout rules other than
+/// layout-invalid skip silently otherwise: their arithmetic assumes finite
+/// fractions (RoundedUsed casts each drive's share to an integer).
+bool LayoutUsable(const LintContext& ctx) {
   const Layout* layout = ctx.input.layout;
   if (layout == nullptr) return false;
   if (layout->num_objects() != static_cast<int>(ctx.db().Objects().size())) {
     return false;
   }
-  return ctx.input.fleet == nullptr ||
-         layout->num_disks() == ctx.input.fleet->num_disks();
+  if (ctx.input.fleet != nullptr &&
+      layout->num_disks() != ctx.input.fleet->num_disks()) {
+    return false;
+  }
+  return layout->ValidateRows(ctx.input.fleet).ok();
 }
 
 std::string LayoutLabel(const LintContext& ctx) {
@@ -372,18 +377,20 @@ class LayoutInvalidRule : public LintRule {
           "regenerate the layout against this schema"));
       return;
     }
-    if (ctx.input.fleet == nullptr) return;
-    if (layout->num_disks() != ctx.input.fleet->num_disks()) {
+    const DiskFleet* fleet = ctx.input.fleet;
+    if (fleet != nullptr && layout->num_disks() != fleet->num_disks()) {
       out->push_back(MakeDiagnostic(
           *this,
           StrFormat("%s covers %d drives but the fleet has %d",
                     LayoutLabel(ctx).c_str(), layout->num_disks(),
-                    ctx.input.fleet->num_disks()),
+                    fleet->num_disks()),
           "regenerate the layout against this drive list"));
       return;
     }
-    const Status st =
-        layout->Validate(ctx.db().ObjectSizes(), *ctx.input.fleet);
+    // Without a fleet only the rows can be checked.
+    const Status st = fleet != nullptr
+                          ? layout->Validate(ctx.db().ObjectSizes(), *fleet)
+                          : layout->ValidateRows(nullptr);
     if (st.ok()) return;
     out->push_back(MakeDiagnostic(
         *this,
@@ -403,7 +410,7 @@ class LayoutCoaccessSharedDiskRule : public LintRule {
   }
   LintSeverity severity() const override { return LintSeverity::kWarning; }
   void Check(const LintContext& ctx, std::vector<Diagnostic>* out) const override {
-    if (!LayoutDimensionsMatch(ctx) || !ctx.has_access_graph ||
+    if (!LayoutUsable(ctx) || !ctx.has_access_graph ||
         ctx.input.fleet == nullptr) {
       return;
     }
@@ -465,7 +472,7 @@ class LayoutCapacityHeadroomRule : public LintRule {
   }
   LintSeverity severity() const override { return LintSeverity::kWarning; }
   void Check(const LintContext& ctx, std::vector<Diagnostic>* out) const override {
-    if (!LayoutDimensionsMatch(ctx) || ctx.input.fleet == nullptr) return;
+    if (!LayoutUsable(ctx) || ctx.input.fleet == nullptr) return;
     const Layout& layout = *ctx.input.layout;
     const DiskFleet& fleet = *ctx.input.fleet;
     const std::vector<int64_t> blocks_on = layout.RoundedUsed(ctx.db().ObjectSizes());
@@ -501,7 +508,7 @@ class LayoutThinStripeRule : public LintRule {
   }
   LintSeverity severity() const override { return LintSeverity::kWarning; }
   void Check(const LintContext& ctx, std::vector<Diagnostic>* out) const override {
-    if (!LayoutDimensionsMatch(ctx)) return;
+    if (!LayoutUsable(ctx)) return;
     const Layout& layout = *ctx.input.layout;
     const std::vector<int64_t> sizes = ctx.db().ObjectSizes();
     for (int i = 0; i < layout.num_objects(); ++i) {
@@ -543,7 +550,7 @@ class LayoutSinglePointOfFailureRule : public LintRule {
   }
   LintSeverity severity() const override { return LintSeverity::kWarning; }
   void Check(const LintContext& ctx, std::vector<Diagnostic>* out) const override {
-    if (!LayoutDimensionsMatch(ctx) || ctx.input.fleet == nullptr) return;
+    if (!LayoutUsable(ctx) || ctx.input.fleet == nullptr) return;
     const Layout& layout = *ctx.input.layout;
     const DiskFleet& fleet = *ctx.input.fleet;
     double total_blocks = 0;

@@ -133,30 +133,7 @@ Status Layout::Validate(const std::vector<int64_t>& object_blocks,
     return Status::InvalidArgument(
         StrFormat("layout has %d disks but fleet has %d", m_, fleet.num_disks()));
   }
-  for (int i = 0; i < n_; ++i) {
-    double row = 0;
-    for (int j = 0; j < m_; ++j) {
-      const double v = x(i, j);
-      // NaN compares false against both bounds below, so it is named here.
-      if (std::isnan(v)) {
-        return Status::InvalidArgument(
-            StrFormat("layout invalid: object %d has fraction NaN on disk '%s'", i,
-                      fleet.disk(j).name.c_str()));
-      }
-      if (v < -kLayoutFractionTolerance) {
-        return Status::InvalidArgument(StrFormat(
-            "layout invalid: object %d has negative fraction %g on disk '%s'",
-            i, v, fleet.disk(j).name.c_str()));
-      }
-      row += v;
-    }
-    if (std::abs(row - 1.0) > kLayoutFractionTolerance) {
-      return Status::InvalidArgument(StrFormat(
-          "layout invalid: object %d is allocated fraction %.9g != 1 "
-          "(tolerance %g)",
-          i, row, kLayoutFractionTolerance));
-    }
-  }
+  DBLAYOUT_RETURN_NOT_OK(ValidateRows(&fleet));
   // The first drive over capacity is named.
   const std::vector<int64_t> used = RoundedUsed(object_blocks);
   for (int j = 0; j < m_; ++j) {
@@ -166,6 +143,36 @@ Status Layout::Validate(const std::vector<int64_t>& object_blocks,
           fleet.disk(j).name.c_str(),
           static_cast<long long>(used[static_cast<size_t>(j)]),
           static_cast<long long>(fleet.disk(j).capacity_blocks)));
+    }
+  }
+  return Status::OK();
+}
+
+Status Layout::ValidateRows(const DiskFleet* fleet) const {
+  auto disk = [fleet](int j) {
+    return fleet != nullptr ? "'" + fleet->disk(j).name + "'" : std::to_string(j);
+  };
+  for (int i = 0; i < n_; ++i) {
+    double row = 0;
+    for (int j = 0; j < m_; ++j) {
+      const double v = x(i, j);
+      // NaN compares false against both bounds below, so it is named here.
+      if (std::isnan(v)) {
+        return Status::InvalidArgument(StrFormat(
+            "layout invalid: object %d has fraction NaN on disk %s", i, disk(j).c_str()));
+      }
+      if (v < -kLayoutFractionTolerance) {
+        return Status::InvalidArgument(
+            StrFormat("layout invalid: object %d has negative fraction %g on disk %s", i, v,
+                      disk(j).c_str()));
+      }
+      row += v;
+    }
+    if (std::abs(row - 1.0) > kLayoutFractionTolerance) {
+      return Status::InvalidArgument(StrFormat(
+          "layout invalid: object %d is allocated fraction %.9g != 1 "
+          "(tolerance %g)",
+          i, row, kLayoutFractionTolerance));
     }
   }
   return Status::OK();

@@ -81,6 +81,11 @@ class Layout {
   /// no drive's capacity is exceeded by the rounded allocation.
   Status Validate(const std::vector<int64_t>& object_blocks, const DiskFleet& fleet) const;
 
+  /// Validate's row checks alone: no entry NaN or negative, and every row
+  /// summing to 1 (so every entry is finite and RowBlocks is defined).
+  /// Drives are named after `fleet`'s when it is given, else by index.
+  Status ValidateRows(const DiskFleet* fleet) const;
+
   /// Full striping: every object on every drive, fractions proportional to
   /// read transfer rate (footnote 1 of the paper).
   static Layout FullStriping(int num_objects, const DiskFleet& fleet);

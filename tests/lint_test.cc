@@ -4,6 +4,7 @@
 // SARIF rendering is well-formed JSON carrying the right rule ids and
 // logical locations.
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "lint/lint.h"
+#include "sql/ddl.h"
 
 namespace dblayout {
 namespace {
@@ -504,6 +506,78 @@ TEST(LintTest, LayoutInvalidQuietOnFullStriping) {
   input.fleet = &fleet;
   input.layout = &fs;
   EXPECT_TRUE(ById(RunLintOn(input), "layout-invalid").empty());
+}
+
+std::string ReadExampleData(const std::string& file) {
+  std::ifstream in(std::string(DBLAYOUT_TESTDATA_DIR) + "/../../examples/data/" + file);
+  EXPECT_TRUE(in) << "missing example data " << file;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Lints examples/data's schema, workload and drives against the
+/// lint/striped_coaccess.csv fixture with its first "0.2" replaced by
+/// `fraction`, and returns the layout-rule diagnostics.
+std::vector<Diagnostic> LayoutDiagnosticsOfStripedCoaccessWith(const std::string& fraction) {
+  auto db = ParseSchemaScript("examples", ReadExampleData("schema.sql"));
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  auto wl = Workload::FromScript("workload", ReadExampleData("workload.sql"));
+  EXPECT_TRUE(wl.ok()) << wl.status().ToString();
+  auto fleet = DiskFleet::FromSpec(ReadExampleData("disks.txt"), "disks.txt");
+  EXPECT_TRUE(fleet.ok()) << fleet.status().ToString();
+  std::string csv = ReadExampleData("lint/striped_coaccess.csv");
+  const size_t at = csv.find("0.2");
+  EXPECT_NE(at, std::string::npos);
+  csv.replace(at, 3, fraction);
+  std::vector<std::string> names;
+  for (const DatabaseObject& o : db->Objects()) names.push_back(o.name);
+  auto layout = Layout::FromCsv(csv, names, fleet.value());
+  EXPECT_TRUE(layout.ok()) << layout.status().ToString();
+  if (!db.ok() || !wl.ok() || !fleet.ok() || !layout.ok()) return {};
+  LintInput input;
+  input.db = &db.value();
+  input.workload = &wl.value();
+  input.fleet = &fleet.value();
+  input.layout = &layout.value();
+  std::vector<Diagnostic> out;
+  for (const Diagnostic& d : RunLintOn(input).diagnostics) {
+    if (d.rule_id.rfind("layout-", 0) == 0) out.push_back(d);
+  }
+  return out;
+}
+
+// A NaN or huge fraction fails Definition 2's row checks: layout-invalid
+// names it, and the other layout rules, which would apportion or compare
+// the fractions, skip the layout.
+TEST(LintTest, NanFractionIsOnlyLayoutInvalid) {
+  const auto diags = LayoutDiagnosticsOfStripedCoaccessWith("nan");
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule_id, "layout-invalid");
+  EXPECT_NE(diags[0].message.find("NaN"), std::string::npos) << diags[0].message;
+}
+
+TEST(LintTest, HugeFractionIsOnlyLayoutInvalid) {
+  const auto diags = LayoutDiagnosticsOfStripedCoaccessWith("1e300");
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule_id, "layout-invalid");
+  EXPECT_NE(diags[0].message.find("allocated fraction"), std::string::npos)
+      << diags[0].message;
+}
+
+TEST(LintTest, LayoutInvalidChecksRowsWithoutAFleet) {
+  Database db = LintDb();
+  Layout layout =
+      Layout::FullStriping(static_cast<int>(db.Objects().size()), DiskFleet::Uniform(4));
+  layout.set_x(1, 2, std::nan(""));
+  LintInput input;
+  input.db = &db;
+  input.layout = &layout;
+  const LintReport report = RunLintOn(input);
+  ASSERT_EQ(ById(report, "layout-invalid").size(), 1u);
+  EXPECT_NE(ById(report, "layout-invalid")[0].message.find("object 1 has fraction NaN on disk 2"),
+            std::string::npos);
+  EXPECT_TRUE(ById(report, "layout-thin-stripe").empty());
 }
 
 TEST(LintTest, CoaccessSharedDiskFiresOnFullStriping) {
