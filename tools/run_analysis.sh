@@ -10,7 +10,8 @@
 #                             dblayout)
 #   3b. dblayout check        (determinism & concurrency rules over src/ and
 #                             bench/; zero unsuppressed findings required)
-#   4. ASan+UBSan build+ctest (DBLAYOUT_SANITIZE=address,undefined; the AUTO
+#   4. ASan+UBSan build+ctest (DBLAYOUT_SANITIZE=address,undefined,
+#                             float-cast-overflow; the AUTO
 #                             dcheck policy also enables the runtime
 #                             invariant audits in this pass)
 #   5. TSan build+ctest       (optional, --thread; preset for the future
@@ -118,7 +119,7 @@ case "${check_rc}" in
 esac
 
 # 4. AddressSanitizer + UndefinedBehaviorSanitizer, with invariant audits on.
-configure_and_build asan-ubsan "-DDBLAYOUT_SANITIZE=address,undefined"
+configure_and_build asan-ubsan "-DDBLAYOUT_SANITIZE=address,undefined,float-cast-overflow"
 run_tests asan-ubsan
 
 # 5. ThreadSanitizer preset (opt-in until the search goes parallel).
