@@ -8,58 +8,6 @@
 
 namespace dblayout {
 
-Status InvariantAuditor::AuditLayoutRows(const Layout& layout) const {
-  const double tol = options_.fraction_tolerance;
-  for (int i = 0; i < layout.num_objects(); ++i) {
-    double row = 0;
-    for (int j = 0; j < layout.num_disks(); ++j) {
-      const double v = layout.x(i, j);
-      if (!std::isfinite(v)) {
-        return Status::InvalidArgument(StrFormat(
-            "audit: object %d has non-finite fraction %g on disk %d", i, v, j));
-      }
-      if (v < -tol) {
-        return Status::InvalidArgument(StrFormat(
-            "audit: object %d has negative fraction %g on disk %d", i, v, j));
-      }
-      row += v;
-    }
-    if (std::abs(row - 1.0) > tol) {
-      return Status::InvalidArgument(StrFormat(
-          "audit: object %d is allocated fraction %.9g != 1 (tolerance %g)", i,
-          row, tol));
-    }
-  }
-  return Status::OK();
-}
-
-Status InvariantAuditor::AuditLayout(const Layout& layout,
-                                     const std::vector<int64_t>& object_blocks,
-                                     const DiskFleet& fleet) const {
-  if (static_cast<int>(object_blocks.size()) != layout.num_objects()) {
-    return Status::InvalidArgument(
-        StrFormat("audit: layout has %d objects but %zu sizes given",
-                  layout.num_objects(), object_blocks.size()));
-  }
-  if (fleet.num_disks() != layout.num_disks()) {
-    return Status::InvalidArgument(
-        StrFormat("audit: layout has %d disks but fleet has %d",
-                  layout.num_disks(), fleet.num_disks()));
-  }
-  DBLAYOUT_RETURN_NOT_OK(AuditLayoutRows(layout));
-  const std::vector<int64_t> used = layout.RoundedUsed(object_blocks);
-  for (int j = 0; j < layout.num_disks(); ++j) {
-    if (used[static_cast<size_t>(j)] > fleet.disk(j).capacity_blocks) {
-      return Status::CapacityExceeded(StrFormat(
-          "audit: disk '%s' holds %lld blocks, capacity %lld",
-          fleet.disk(j).name.c_str(),
-          static_cast<long long>(used[static_cast<size_t>(j)]),
-          static_cast<long long>(fleet.disk(j).capacity_blocks)));
-    }
-  }
-  return Status::OK();
-}
-
 Status InvariantAuditor::AuditGraphWeights(const WeightedGraph& g) const {
   for (size_t u = 0; u < g.num_nodes(); ++u) {
     const double nw = g.node_weight(u);
@@ -96,7 +44,7 @@ Status InvariantAuditor::AuditGraphWeights(const WeightedGraph& g) const {
 Status InvariantAuditor::AuditAccessGraph(const WeightedGraph& g) const {
   DBLAYOUT_RETURN_NOT_OK(AuditGraphWeights(g));
   if (!options_.strict_coaccess_bound) return Status::OK();
-  const double tol = options_.fraction_tolerance;
+  const double tol = kLayoutFractionTolerance;
   for (size_t u = 0; u < g.num_nodes(); ++u) {
     // Sorted order: same first-failure determinism as AuditGraphWeights.
     for (const auto& [v, w] : g.SortedNeighbors(u)) {
@@ -221,7 +169,7 @@ Status InvariantAuditor::AuditSubplanCost(const SubplanAccess& subplan,
   double max_cost = 0;
   DBLAYOUT_RETURN_NOT_OK(RecomputeSubplanCost(subplan, layout, fleet, &max_cost));
   const double tol =
-      options_.cost_relative_tolerance * std::max(1.0, std::abs(max_cost));
+      kAuditCostRelativeTolerance * std::max(1.0, std::abs(max_cost));
   if (!std::isfinite(reported_cost) || std::abs(reported_cost - max_cost) > tol) {
     return Status::InvalidArgument(StrFormat(
         "audit: reported sub-plan cost %.9g != max-over-disks recomputation "
@@ -250,7 +198,7 @@ Status InvariantAuditor::AuditWorkloadTotal(
     total += s.weight * statement_cost;
   }
   const double tol =
-      options_.cost_relative_tolerance * std::max(1.0, std::abs(total));
+      kAuditCostRelativeTolerance * std::max(1.0, std::abs(total));
   if (!std::isfinite(reported_total) || std::abs(reported_total - total) > tol) {
     return Status::InvalidArgument(StrFormat(
         "audit: reported workload total %.9g != from-scratch recomputation "

@@ -4,12 +4,13 @@
 // (§4), the search mutates a fraction matrix through thousands of greedy
 // moves and KL swaps (§6.2), and the analytic cost model (§5) scores every
 // intermediate state. A single silently-invalid intermediate — a negative
-// fraction, an under-allocated row, a negative edge weight — corrupts every
-// downstream recommendation without necessarily failing Layout::Validate at
-// the API boundary. The InvariantAuditor re-derives each structural
-// invariant independently of the code that maintains it, so hot paths can
+// edge weight, a split co-location group, a drifted cost — corrupts every
+// downstream recommendation. The InvariantAuditor re-derives each of these
+// invariants independently of the code that maintains it, so hot paths can
 // assert them via DBLAYOUT_DCHECK_OK in debug/sanitizer builds at zero
-// release-build cost (see common/logging.h for the macro policy).
+// release-build cost (see common/logging.h for the macro policy). The
+// fraction matrix itself (§2 Definition 2) has one check, Layout::Validate
+// and its row half Layout::ValidateRows, which the same DCHECK sites call.
 //
 // Layering: this library depends only on common/ and storage/ (plus the
 // header-only graph and plan types), so graph/ and layout/ may call into it
@@ -30,12 +31,10 @@
 
 namespace dblayout {
 
+/// Relative tolerance of the cost-recomputation comparisons.
+inline constexpr double kAuditCostRelativeTolerance = 1e-9;
+
 struct AuditOptions {
-  /// Tolerance for fraction-matrix constraints (rows sum to 1, entries
-  /// non-negative). Shared with Layout::Validate.
-  double fraction_tolerance = kLayoutFractionTolerance;
-  /// Relative tolerance for cost-recomputation comparisons.
-  double cost_relative_tolerance = 1e-9;
   /// When true, AuditAccessGraph additionally enforces the co-access bound
   /// edge(u,v) <= node(u) + node(v) and "positive edge implies positive
   /// endpoint node weights". Both follow from the §4 accumulation rule
@@ -55,26 +54,15 @@ class InvariantAuditor {
  public:
   explicit InvariantAuditor(AuditOptions options = {}) : options_(options) {}
 
-  /// §2 Definition 2, row constraints only: every entry finite and >=
-  /// -fraction_tolerance, every row sums to 1 within fraction_tolerance.
-  /// Cheap enough to run after every accepted search move.
-  Status AuditLayoutRows(const Layout& layout) const;
-
-  /// Full Definition 2 validity: row constraints plus rounded per-disk
-  /// capacity. Equivalent to (and sharing tolerances with) Layout::Validate,
-  /// re-derived independently.
-  Status AuditLayout(const Layout& layout,
-                     const std::vector<int64_t>& object_blocks,
-                     const DiskFleet& fleet) const;
-
   /// Structural sanity of any weighted graph fed to the partitioner: all
   /// node and edge weights finite and non-negative, adjacency symmetric,
   /// no self-loops.
   Status AuditGraphWeights(const WeightedGraph& g) const;
 
   /// Access-graph consistency (§4): AuditGraphWeights plus, when
-  /// strict_coaccess_bound is set, edge(u,v) <= node(u) + node(v) and
-  /// edge(u,v) > 0 implying node(u) > 0 and node(v) > 0.
+  /// strict_coaccess_bound is set, edge(u,v) <= node(u) + node(v) (within a
+  /// relative kLayoutFractionTolerance) and edge(u,v) > 0 implying
+  /// node(u) > 0 and node(v) > 0.
   Status AuditAccessGraph(const WeightedGraph& g) const;
 
   /// Partitioning consistency: one label per node, every label in
@@ -86,7 +74,7 @@ class InvariantAuditor {
   /// Cost-model sanity (§5): independently recomputes the per-disk transfer
   /// and seek times of `subplan` under `layout` and checks that (a) each
   /// per-disk time is finite and non-negative and (b) `reported_cost` equals
-  /// the max over disks within cost_relative_tolerance. Guards future
+  /// the max over disks within kAuditCostRelativeTolerance. Guards future
   /// incremental/vectorized cost-model rewrites against drift.
   Status AuditSubplanCost(const SubplanAccess& subplan, const Layout& layout,
                           const DiskFleet& fleet, double reported_cost) const;
@@ -103,9 +91,9 @@ class InvariantAuditor {
   /// Workload-total sanity (§5, Fig. 2): independently recomputes
   /// sum_Q w_Q * sum_P max_j(transfer + seek) over `statements` under
   /// `layout` and checks `reported_total` against it within
-  /// cost_relative_tolerance. This is the full-recompute parity check behind
-  /// the LayoutEvaluator's incremental delta costing: the delta path may
-  /// only ever disagree with a from-scratch evaluation by FP tolerance.
+  /// kAuditCostRelativeTolerance. This is the full-recompute parity check
+  /// behind the LayoutEvaluator's incremental delta costing: the delta path
+  /// may only ever disagree with a from-scratch evaluation by FP tolerance.
   Status AuditWorkloadTotal(const std::vector<WeightedSubplanSpan>& statements,
                             const Layout& layout, const DiskFleet& fleet,
                             double reported_total) const;

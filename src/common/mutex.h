@@ -3,14 +3,15 @@
 // The repo's bit-identical-at-any-thread-count guarantee (DESIGN.md §10)
 // depends on every piece of shared mutable state having an explicit, named
 // owner: either an atomic with documented ordering, or a field guarded by a
-// specific mutex. This header makes that ownership machine-checkable twice
-// over:
-//   - `dblayout check`'s lock-discipline rules (src/staticcheck/) verify at
-//     token level that DBLAYOUT_GUARDED_BY-annotated fields are only touched
-//     inside a scope that locks the named mutex;
-//   - under Clang, the same macros expand to the thread-safety-analysis
-//     attributes, so `-Wthread-safety` re-proves the discipline in the
-//     compiler (the CI `clang-thread-safety` matrix leg builds that way).
+// specific mutex. This header makes that ownership machine-checkable:
+//   - under Clang, the macros expand to the thread-safety-analysis
+//     attributes, so `-Wthread-safety` proves in the compiler that every
+//     DBLAYOUT_GUARDED_BY field is only touched with its mutex held (the CI
+//     `clang-thread-safety` matrix leg builds that way, with
+//     -Werror=thread-safety-analysis);
+//   - the compiler only checks fields that carry an annotation, so
+//     `dblayout check`'s unannotated-mutex-field rule (src/staticcheck/)
+//     requires one on every mutable field of a class that owns a Mutex.
 // Everywhere else (GCC, MSVC) the macros expand to nothing.
 //
 // Use the wrappers, not std::mutex, for new guarded state:
@@ -27,8 +28,8 @@
 //   };
 //
 // A private helper that assumes the lock is already held is annotated
-// `DBLAYOUT_REQUIRES(mu_)` and may then touch guarded fields freely; both
-// checkers verify its callers hold the mutex.
+// `DBLAYOUT_REQUIRES(mu_)` and may then touch guarded fields freely; Clang
+// verifies that its callers hold the mutex.
 
 #ifndef DBLAYOUT_COMMON_MUTEX_H_
 #define DBLAYOUT_COMMON_MUTEX_H_
@@ -38,9 +39,9 @@
 
 // --- Attribute macros -------------------------------------------------------
 //
-// Modeled on Clang's thread-safety-analysis attribute set. The token names
-// (not the expansion) are what dblayout check keys on, so the static gate
-// works identically under every compiler.
+// Modeled on Clang's thread-safety-analysis attribute set. dblayout check's
+// unannotated-mutex-field rule keys on the token DBLAYOUT_GUARDED_BY (not its
+// expansion), so that rule works identically under every compiler.
 
 #if defined(__clang__) && defined(__has_attribute)
 #if __has_attribute(guarded_by)
@@ -75,8 +76,7 @@
 #define DBLAYOUT_TRY_ACQUIRE(...) \
   DBLAYOUT_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
 /// Opts one function out of the compiler analysis (CondVar internals that
-/// hand a held mutex to std primitives). Use sparingly; dblayout check's
-/// token rules still apply.
+/// hand a held mutex to std primitives). Use sparingly.
 #define DBLAYOUT_NO_THREAD_SAFETY_ANALYSIS \
   DBLAYOUT_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
@@ -102,7 +102,7 @@ class DBLAYOUT_CAPABILITY("mutex") Mutex {
 };
 
 /// RAII lock for the scope it lives in. The scope of the guard *is* the
-/// locked region both checkers reason about, so keep it tight.
+/// locked region the analysis reasons about, so keep it tight.
 class DBLAYOUT_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) DBLAYOUT_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
@@ -118,7 +118,7 @@ class DBLAYOUT_SCOPED_CAPABILITY MutexLock {
 
 /// Condition variable over Mutex. Wait takes the live MutexLock; write the
 /// predicate as an explicit while-loop in the caller so guarded reads in the
-/// condition happen in a scope both checkers can see holds the mutex:
+/// condition happen in a scope the analysis can see holds the mutex:
 ///
 ///   MutexLock lock(mu_);
 ///   while (!ready_) cv_.Wait(lock);

@@ -33,40 +33,23 @@ void ThreadPool::WorkerLoop() {
   for (;;) {
     Batch* b = nullptr;
     int worker = 0;
-    std::function<void()> task;
     {
       MutexLock lock(mu_);
-      while (!shutdown_ && tasks_.empty() &&
+      while (!shutdown_ &&
              (batch_ == nullptr || batch_->joined >= batch_->helpers)) {
         work_cv_.Wait(lock);
       }
       if (shutdown_) return;
-      // Batches take priority over queued tasks: a ParallelFor caller is
-      // actively blocked, a Submit()ter is not.
-      if (batch_ != nullptr && batch_->joined < batch_->helpers) {
-        b = batch_;
-        worker = ++b->joined;  // claim a worker id under mu_; ids 1..helpers
-      } else {
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
-        ++tasks_running_;
-      }
+      b = batch_;
+      worker = ++b->joined;  // claim a worker id under mu_; ids 1..helpers
     }
-    if (b != nullptr) {
-      int64_t i;
-      while ((i = b->next.fetch_add(1, std::memory_order_relaxed)) < b->n) {
-        (*b->fn)(i, worker);
-      }
-      {
-        MutexLock lock(mu_);
-        ++b->finished;
-      }
-    } else {
-      task();
-      {
-        MutexLock lock(mu_);
-        --tasks_running_;
-      }
+    int64_t i;
+    while ((i = b->next.fetch_add(1, std::memory_order_relaxed)) < b->n) {
+      (*b->fn)(i, worker);
+    }
+    {
+      MutexLock lock(mu_);
+      ++b->finished;
     }
     done_cv_.NotifyAll();
   }
@@ -107,44 +90,6 @@ void ThreadPool::ParallelFor(
     // Unpublish under mu_: any worker whose wait predicate fires afterwards
     // sees batch_ == nullptr, so no late joiner can touch the dead Batch.
     batch_ = nullptr;
-  }
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    // No workers to hand the task to; run it eagerly so Submit/Wait keeps
-    // its contract in the degenerate single-threaded configuration.
-    task();
-    return;
-  }
-  {
-    MutexLock lock(mu_);
-    tasks_.push_back(std::move(task));
-  }
-  work_cv_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(mu_);
-      if (tasks_.empty()) {
-        // A running task may Submit follow-up work, so the queue can refill
-        // while we wait; only an empty queue with nothing in flight is done.
-        while (tasks_running_ > 0 && tasks_.empty()) done_cv_.Wait(lock);
-        if (tasks_.empty()) return;
-      }
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
-      ++tasks_running_;
-    }
-    task();
-    {
-      MutexLock lock(mu_);
-      --tasks_running_;
-    }
-    done_cv_.NotifyAll();
   }
 }
 

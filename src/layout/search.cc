@@ -241,6 +241,8 @@ void MoveLoop(const Source& source, const SearchOptions& options,
   std::vector<double> costs;
   std::vector<uint64_t> eval_ns;       ///< journal wall-clock mode only
   std::vector<uint8_t> batch_scored;   ///< per scoring batch
+  // ParallelFor's own clamp of num_threads: its worker ids stay below
+  // min(parallelism, batches), which sizes `scratches`.
   const int parallelism = std::max(
       1, std::min(options.num_threads, ThreadPool::Shared().num_workers() + 1));
   std::vector<LayoutEvaluator::Scratch> scratches;
@@ -271,11 +273,12 @@ void MoveLoop(const Source& source, const SearchOptions& options,
     source.enumerate(base, &cands, reject);
 
     // Phase 2: score the candidates (delta costing) in contiguous batches of
-    // LayoutEvaluator::kLanes, each scored in one evaluator pass. Each
-    // score lands in a fixed slot, so the parallel path (one pool task per
-    // batch) computes exactly the values the sequential one would. The
-    // deadline is checked before every batch; `scored` ends at the first
-    // batch left unscored.
+    // LayoutEvaluator::kLanes, each scored in one evaluator pass, one
+    // ParallelFor index per batch (inline on this thread at parallelism 1).
+    // Each score lands in a fixed slot, so every thread count computes the
+    // same values. The deadline is checked before every batch; it stays
+    // expired once it is, so every batch after the first unscored one is
+    // unscored too, and `scored` ends at the first batch left unscored.
     constexpr auto kBatch = static_cast<size_t>(LayoutEvaluator::kLanes);
     const size_t num_batches = (cands.size() + kBatch - 1) / kBatch;
     costs.assign(cands.size(), 0.0);
@@ -307,23 +310,15 @@ void MoveLoop(const Source& source, const SearchOptions& options,
       }
       batch_scored[b] = 1;
     };
-    if (parallelism > 1 && num_batches > 1) {
-      scratches.resize(static_cast<size_t>(parallelism));
-      for (auto& s : scratches) s = evaluator.MakeScratch();
-      ThreadPool::Shared().ParallelFor(
-          static_cast<int64_t>(num_batches), parallelism,
-          [&score_batch, &scratches](int64_t b, int worker) {
-            score_batch(static_cast<size_t>(b),
-                        &scratches[static_cast<size_t>(worker)]);
-          });
-    } else {
-      scratches.resize(1);
-      scratches[0] = evaluator.MakeScratch();
-      for (size_t b = 0; b < num_batches; ++b) {
-        score_batch(b, &scratches[0]);
-        if (batch_scored[b] == 0) break;
-      }
-    }
+    // One scratch per ParallelFor worker id.
+    scratches.resize(std::min(static_cast<size_t>(parallelism), num_batches));
+    for (auto& s : scratches) s = evaluator.MakeScratch();
+    ThreadPool::Shared().ParallelFor(
+        static_cast<int64_t>(num_batches), parallelism,
+        [&score_batch, &scratches](int64_t b, int worker) {
+          score_batch(static_cast<size_t>(b),
+                      &scratches[static_cast<size_t>(worker)]);
+        });
     // Batch-granularity deadline: the layout held here is valid, so stopping
     // mid-iteration still returns a usable best-so-far (the improvement
     // found among the candidates already scored, if any, is accepted below
@@ -430,7 +425,7 @@ void MoveLoop(const Source& source, const SearchOptions& options,
     }
     // Debug-build audit: every accepted move must leave the fraction matrix
     // fully allocated and non-negative.
-    DBLAYOUT_DCHECK_OK(InvariantAuditor().AuditLayoutRows(evaluator.layout()));
+    DBLAYOUT_DCHECK_OK(evaluator.layout().ValidateRows(nullptr));
   }
   stats->cost = cost;
   telemetry.delta_evals += evaluator.delta_evaluations();
@@ -608,7 +603,7 @@ Result<Layout> TsGreedySearch::InitialLayout(
   }
   // Debug-build audit: step 1's output must already be a fully allocated
   // fraction matrix — greedy widening assumes it.
-  DBLAYOUT_DCHECK_OK(InvariantAuditor().AuditLayoutRows(layout));
+  DBLAYOUT_DCHECK_OK(layout.ValidateRows(&fleet_));
   return layout;
 }
 

@@ -64,8 +64,8 @@ Result<ResilienceReport> EvaluateResilience(const Database& db, const DiskFleet&
   }
 
   // Resolve every single-drive failure sequentially (ApplyFaultPlan can
-  // fail), then cost the independent scenarios — in parallel on the shared
-  // pool when asked to. Each scenario's cost lands in a fixed slot and the
+  // fail), then cost the independent scenarios on the shared pool (inline
+  // at one thread). Each scenario's cost lands in a fixed slot and the
   // aggregation below is sequential, so the report is bit-identical for any
   // thread count.
   const int m = fleet.num_disks();
@@ -88,13 +88,7 @@ Result<ResilienceReport> EvaluateResilience(const Database& db, const DiskFleet&
     const CostModel cm(resolved[static_cast<size_t>(j)].degraded_fleet);
     degraded[static_cast<size_t>(j)] = LayoutEvaluator(profile, cm).Bind(layout);
   };
-  const int parallelism = std::max(
-      1, std::min(options.num_threads, ThreadPool::Shared().num_workers() + 1));
-  if (parallelism > 1 && m > 1) {
-    ThreadPool::Shared().ParallelFor(m, parallelism, score);
-  } else {
-    for (int j = 0; j < m; ++j) score(j, 0);
-  }
+  ThreadPool::Shared().ParallelFor(m, options.num_threads, score);
 
   double total = 0;
   for (int j = 0; j < m; ++j) {

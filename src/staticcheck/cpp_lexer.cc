@@ -186,4 +186,17 @@ LexedSource LexCpp(const std::string& content) {
   return out;
 }
 
+size_t MatchForward(const std::vector<Tok>& toks, size_t open) {
+  int depth = 0;
+  for (size_t i = open; i < toks.size(); ++i) {
+    const std::string& t = toks[i].text;
+    if (t == "(" || t == "[" || t == "{") {
+      ++depth;
+    } else if (t == ")" || t == "]" || t == "}") {
+      if (--depth == 0) return i;
+    }
+  }
+  return toks.size();
+}
+
 }  // namespace dblayout::staticcheck

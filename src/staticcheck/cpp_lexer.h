@@ -59,6 +59,10 @@ struct LexedSource {
 /// punct tokens, an unterminated literal consumes to end of input.
 LexedSource LexCpp(const std::string& content);
 
+/// Index of the token matching the opener at `open` ("(", "[", "{"); tracks
+/// all three bracket kinds. Returns toks.size() when unbalanced.
+size_t MatchForward(const std::vector<Tok>& toks, size_t open);
+
 }  // namespace dblayout::staticcheck
 
 #endif  // DBLAYOUT_STATICCHECK_CPP_LEXER_H_

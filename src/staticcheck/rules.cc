@@ -1,7 +1,7 @@
 // The token-level dblayout check rules: deterministic walks over one file's
-// token stream plus the cross-file SymbolIndex. The scope-aware families
-// (lock discipline, capture escape, determinism taint) live in
-// rules_scoped.cc; DESIGN.md §11 maps each rule to the guarantee it protects.
+// token stream plus the cross-file SymbolIndex. The scope-aware rules
+// (unannotated-mutex-field, determinism-taint) live in rules_scoped.cc;
+// DESIGN.md §11 maps each rule to the guarantee it protects.
 
 #include <set>
 #include <string>
@@ -14,21 +14,6 @@ namespace dblayout::staticcheck {
 namespace {
 
 using Toks = std::vector<Tok>;
-
-/// Index of the token matching the opener at `open` ("(", "[", "{"); tracks
-/// all three bracket kinds. Returns toks.size() when unbalanced.
-size_t MatchForward(const Toks& toks, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < toks.size(); ++i) {
-    const std::string& t = toks[i].text;
-    if (t == "(" || t == "[" || t == "{") {
-      ++depth;
-    } else if (t == ")" || t == "]" || t == "}") {
-      if (--depth == 0) return i;
-    }
-  }
-  return toks.size();
-}
 
 /// Index of the token matching the closer at `close`, scanning backwards.
 /// Returns npos-like 0 on imbalance (callers bound-check).
@@ -49,17 +34,6 @@ bool IsMutatingPunct(const Tok& t) {
   return t.is("++") || t.is("--") || t.is("=") || t.is("+=") || t.is("-=") ||
          t.is("*=") || t.is("/=") || t.is("%=") || t.is("&=") || t.is("|=") ||
          t.is("^=") || t.is("<<=") || t.is(">>=");
-}
-
-Diagnostic MakeDiag(const char* rule, LintSeverity severity, int line,
-                    std::string message, std::string fix = "") {
-  Diagnostic d;
-  d.rule_id = rule;
-  d.severity = severity;
-  d.line = line;
-  d.message = std::move(message);
-  d.fix_it = std::move(fix);
-  return d;
 }
 
 /// One detected range-for whose range expression resolves to an unordered
@@ -248,15 +222,15 @@ class RawRandomRule : public CheckRule {
 };
 
 /// parallel-default-ref-capture: a `[&]` lambda handed to
-/// ThreadPool::ParallelFor/Submit captures every enclosing local by
-/// reference, hiding which shared state the workers touch. Deterministic
-/// fan-out requires naming the captures (self-documenting the sharing) or
-/// visible synchronization in the body.
+/// ThreadPool::ParallelFor captures every enclosing local by reference,
+/// hiding which shared state the workers touch. Deterministic fan-out
+/// requires naming the captures (self-documenting the sharing) or visible
+/// synchronization in the body.
 class ParallelCaptureRule : public CheckRule {
  public:
   const char* id() const override { return "parallel-default-ref-capture"; }
   const char* summary() const override {
-    return "lambdas given to ThreadPool::ParallelFor/Submit must name their "
+    return "lambdas given to ThreadPool::ParallelFor must name their "
            "captures (no bare [&]) unless the body shows synchronization";
   }
   LintSeverity severity() const override { return LintSeverity::kWarning; }
@@ -264,10 +238,7 @@ class ParallelCaptureRule : public CheckRule {
              std::vector<Diagnostic>* out) const override {
     const Toks& toks = file.lex.tokens;
     for (size_t i = 0; i + 1 < toks.size(); ++i) {
-      if (!(toks[i].ident("ParallelFor") || toks[i].ident("Submit")) ||
-          !toks[i + 1].is("(")) {
-        continue;
-      }
+      if (!toks[i].ident("ParallelFor") || !toks[i + 1].is("(")) continue;
       const size_t close = MatchForward(toks, i + 1);
       for (size_t j = i + 2; j + 2 < close; ++j) {
         if (!(toks[j].is("[") && toks[j + 1].is("&") && toks[j + 2].is("]"))) {

@@ -1,6 +1,6 @@
 #include "staticcheck/scope_parser.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "staticcheck/staticcheck.h"
 
@@ -9,36 +9,6 @@ namespace dblayout::staticcheck {
 namespace {
 
 using Toks = std::vector<Tok>;
-
-/// Index of the token matching the opener at `open` ("(", "[", "{").
-/// Returns toks.size() when unbalanced.
-size_t MatchForward(const Toks& toks, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < toks.size(); ++i) {
-    const std::string& t = toks[i].text;
-    if (t == "(" || t == "[" || t == "{") {
-      ++depth;
-    } else if (t == ")" || t == "]" || t == "}") {
-      if (--depth == 0) return i;
-    }
-  }
-  return toks.size();
-}
-
-/// Index of the token matching the closer at `close`, scanning backwards.
-/// Returns 0 on imbalance (callers bound-check).
-size_t MatchBackward(const Toks& toks, size_t close) {
-  int depth = 0;
-  for (size_t i = close + 1; i-- > 0;) {
-    const std::string& t = toks[i].text;
-    if (t == ")" || t == "]" || t == "}") {
-      ++depth;
-    } else if (t == "(" || t == "[" || t == "{") {
-      if (--depth == 0) return i;
-    }
-  }
-  return 0;
-}
 
 /// Token index just past the `>` matching the `<` at `open`; `>>` closes two
 /// levels. Returns open + 1 when this is not a template argument list.
@@ -92,7 +62,6 @@ struct BraceInfo {
   enum Kind { kClass, kEnum, kNamespace, kFunction } kind = kClass;
   std::string name;        ///< class/function name
   std::string class_name;  ///< function only: out-of-line qualifier
-  std::vector<std::string> requires_mutexes;  ///< function only
   int line = 1;
 };
 
@@ -105,7 +74,6 @@ struct FunctionHeader {
   size_t body = 0;
   std::string name;
   std::string class_name;
-  std::vector<std::string> requires_mutexes;
   int line = 1;
 };
 
@@ -141,15 +109,7 @@ FunctionHeader ParseFunctionHeader(const Toks& toks, size_t i) {
     }
     if (t.kind == TokKind::kIdentifier && StartsWith(t.text, "DBLAYOUT_")) {
       if (j + 1 < toks.size() && toks[j + 1].is("(")) {
-        const size_t mac_close = MatchForward(toks, j + 1);
-        if (t.text == "DBLAYOUT_REQUIRES") {
-          for (size_t k = j + 2; k < mac_close && k < toks.size(); ++k) {
-            if (toks[k].kind == TokKind::kIdentifier) {
-              h.requires_mutexes.push_back(toks[k].text);
-            }
-          }
-        }
-        j = mac_close + 1;
+        j = MatchForward(toks, j + 1) + 1;  // annotation macro
       } else {
         ++j;  // parenless annotation (DBLAYOUT_NO_THREAD_SAFETY_ANALYSIS)
       }
@@ -248,7 +208,7 @@ std::map<size_t, BraceInfo> ClassifyBraces(const Toks& toks) {
             } else if (u == ")" || u == "]") {
               --depth;
             } else if (u == "{" && depth == 0) {
-              braces[k] = BraceInfo{BraceInfo::kClass, name, "", {}, tok.line};
+              braces[k] = BraceInfo{BraceInfo::kClass, name, "", tok.line};
               break;
             } else if (u == ";" || u == "}") {
               break;
@@ -258,7 +218,7 @@ std::map<size_t, BraceInfo> ClassifyBraces(const Toks& toks) {
           break;
         }
         if (t.is("{")) {
-          braces[j] = BraceInfo{BraceInfo::kClass, name, "", {}, tok.line};
+          braces[j] = BraceInfo{BraceInfo::kClass, name, "", tok.line};
           break;
         }
         break;  // ';' forward declaration, template parameter, etc.
@@ -273,7 +233,7 @@ std::map<size_t, BraceInfo> ClassifyBraces(const Toks& toks) {
         ++j;
       }
       if (j < toks.size() && toks[j].is("{")) {
-        braces[j] = BraceInfo{BraceInfo::kEnum, "", "", {}, tok.line};
+        braces[j] = BraceInfo{BraceInfo::kEnum, "", "", tok.line};
       }
       continue;
     }
@@ -284,15 +244,15 @@ std::map<size_t, BraceInfo> ClassifyBraces(const Toks& toks) {
         ++j;
       }
       if (j < toks.size() && toks[j].is("{")) {
-        braces[j] = BraceInfo{BraceInfo::kNamespace, "", "", {}, tok.line};
+        braces[j] = BraceInfo{BraceInfo::kNamespace, "", "", tok.line};
       }
       continue;
     }
     if (i + 1 < toks.size() && toks[i + 1].is("(")) {
       const FunctionHeader h = ParseFunctionHeader(toks, i);
       if (h.valid && h.has_body && braces.count(h.body) == 0) {
-        braces[h.body] = BraceInfo{BraceInfo::kFunction, h.name, h.class_name,
-                                   h.requires_mutexes, h.line};
+        braces[h.body] =
+            BraceInfo{BraceInfo::kFunction, h.name, h.class_name, h.line};
       }
     }
   }
@@ -372,32 +332,6 @@ void HarvestClassBody(const Toks& toks, size_t begin, size_t end,
           field.line = toks[i - 1].line;
           ClassifyFieldDecl(toks, begin, i - 1, &field);
           UpsertField(model, std::move(field));
-        }
-        i = close + 1;
-        continue;
-      }
-      if (t.text == "DBLAYOUT_REQUIRES" && has_parens) {
-        const size_t close = MatchForward(toks, i + 1);
-        std::vector<std::string> mutexes;
-        for (size_t k = i + 2; k < close && k < toks.size(); ++k) {
-          if (toks[k].kind == TokKind::kIdentifier) {
-            mutexes.push_back(toks[k].text);
-          }
-        }
-        // The annotated method's name sits before its parameter list;
-        // qualifiers (const, noexcept, ref-qualifiers) may intervene.
-        size_t back = i;
-        while (back >= 1 &&
-               (toks[back - 1].ident("const") || toks[back - 1].ident("noexcept") ||
-                toks[back - 1].ident("override") || toks[back - 1].ident("final") ||
-                toks[back - 1].is("&") || toks[back - 1].is("&&"))) {
-          --back;
-        }
-        if (back >= 1 && toks[back - 1].is(")")) {
-          const size_t open = MatchBackward(toks, back - 1);
-          if (open >= 1 && toks[open - 1].kind == TokKind::kIdentifier) {
-            model->method_requires[toks[open - 1].text] = std::move(mutexes);
-          }
         }
         i = close + 1;
         continue;
@@ -544,7 +478,6 @@ FileModel BuildFileModel(const LexedSource& lex) {
                                 : fn.class_name + "::" + fn.name;
         fn.line = info.line;
         fn.body_begin = i + 1;
-        fn.requires_mutexes = info.requires_mutexes;
         scope.index = model.functions.size();
         scope.tracked = true;
         model.functions.push_back(std::move(fn));
@@ -601,19 +534,6 @@ ProgramModel BuildProgramModel(const std::vector<SourceFile>& files) {
   // files_ is pre-sorted by AddPath; iterate the map (path order) so the
   // function table and name index are independent of insertion order.
   for (const auto& [path, model] : program.files) {
-    for (const ClassModel& cls : model.classes) {
-      auto [it, inserted] = program.classes.emplace(cls.name, cls);
-      if (!inserted) {
-        for (const FieldDecl& f : cls.fields) {
-          if (it->second.FindField(f.name) == nullptr) {
-            it->second.fields.push_back(f);
-          }
-        }
-        for (const auto& [method, mutexes] : cls.method_requires) {
-          it->second.method_requires.emplace(method, mutexes);
-        }
-      }
-    }
     for (const FunctionDef& fn : model.functions) {
       const size_t idx = program.functions.size();
       program.functions.push_back(ProgramModel::DefinedFunction{path, &fn});
@@ -624,54 +544,6 @@ ProgramModel BuildProgramModel(const std::vector<SourceFile>& files) {
     }
   }
   return program;
-}
-
-TokRange FindLocalDeclScope(const std::vector<Tok>& toks, const FunctionDef& fn,
-                            size_t use, const std::string& name) {
-  // Brace pairs inside the body, innermost-last per open order.
-  std::vector<std::pair<size_t, size_t>> pairs;
-  {
-    std::vector<size_t> open;
-    for (size_t i = fn.body_begin; i < fn.body_end && i < toks.size(); ++i) {
-      if (toks[i].is("{")) {
-        open.push_back(i);
-      } else if (toks[i].is("}") && !open.empty()) {
-        pairs.emplace_back(open.back(), i);
-        open.pop_back();
-      }
-    }
-  }
-  auto scope_of = [&](size_t p) {
-    TokRange best{fn.body_begin, fn.body_end};
-    for (const auto& [b, e] : pairs) {
-      if (b < p && p < e && (e - b) < (best.end - best.begin)) {
-        best = TokRange{b + 1, e};
-      }
-    }
-    return best;
-  };
-
-  TokRange found;
-  size_t found_size = 0;
-  for (size_t p = fn.body_begin; p < use && p < toks.size(); ++p) {
-    if (toks[p].kind != TokKind::kIdentifier || toks[p].text != name) continue;
-    if (p + 1 >= toks.size() || p == fn.body_begin) continue;
-    const Tok& nxt = toks[p + 1];
-    const bool decl_next = nxt.is("=") || nxt.is(";") || nxt.is("(") ||
-                           nxt.is("{") || nxt.is(":");
-    if (!decl_next || !IsTypeishPrev(toks[p - 1])) continue;
-    const TokRange scope = scope_of(p);
-    // The innermost declaration whose scope still contains the use wins
-    // (shadowing); declarations in scopes already closed at `use` are not
-    // visible there.
-    if (!(scope.begin <= use && use < scope.end)) continue;
-    const size_t size = scope.end - scope.begin;
-    if (!found.valid() || size < found_size) {
-      found = scope;
-      found_size = size;
-    }
-  }
-  return found;
 }
 
 }  // namespace dblayout::staticcheck

@@ -161,6 +161,8 @@ void HarvestFile(const SourceFile& f, SymbolIndex* index) {
   }
 }
 
+}  // namespace
+
 bool PathMatchesAny(const std::string& path,
                     const std::vector<std::string>& fragments) {
   for (const std::string& fragment : fragments) {
@@ -169,7 +171,16 @@ bool PathMatchesAny(const std::string& path,
   return false;
 }
 
-}  // namespace
+Diagnostic MakeDiag(const char* rule, LintSeverity severity, int line,
+                    std::string message, std::string fix) {
+  Diagnostic d;
+  d.rule_id = rule;
+  d.severity = severity;
+  d.line = line;
+  d.message = std::move(message);
+  d.fix_it = std::move(fix);
+  return d;
+}
 
 CheckOptions::CheckOptions() {
   // Sanctioned homes for otherwise-banned constructs. Kept deliberately
@@ -477,16 +488,9 @@ LintReport CheckRunner::Run(CheckStats* stats) const {
                    .count();
   };
 
-  const int jobs = std::max(1, options_.jobs);
-  if (jobs > 1 && files_.size() > 1) {
-    ThreadPool pool(jobs - 1);
-    pool.ParallelFor(static_cast<int64_t>(files_.size()), jobs,
-                     [&analyze](int64_t i, int) {
-                       analyze(static_cast<size_t>(i));
-                     });
-  } else {
-    for (size_t fi = 0; fi < files_.size(); ++fi) analyze(fi);
-  }
+  ThreadPool::Shared().ParallelFor(
+      static_cast<int64_t>(files_.size()), options_.jobs,
+      [&analyze](int64_t i, int) { analyze(static_cast<size_t>(i)); });
 
   CheckStats local;
   local.files = files_.size();

@@ -6,9 +6,11 @@
 // guarantee is enforced dynamically (DCHECK parity audits, TSan CI); this
 // module enforces it *statically*, at the source level, so the classes of
 // change that silently break determinism — hash-order iteration feeding
-// ordered output or float accumulation, raw entropy reads, unguarded shared
-// state, by-reference captures outliving their scope — are caught at review
-// time, before any benchmark notices.
+// ordered output or float accumulation, raw entropy reads, shared state
+// without a named owner, hidden by-reference sharing in a fan-out — are
+// caught at review time, before any benchmark notices. (Whether annotated
+// state is accessed under its lock is proven by the compiler: Clang's
+// -Wthread-safety in the clang-thread-safety CI leg.)
 //
 // Architecture mirrors src/lint/ (rule registry + runner + shared
 // Diagnostic/renderers), but the input is our token-lexed C++ files
@@ -19,9 +21,9 @@
 //      with DBLAYOUT_GUARDED_BY annotations, and a call graph;
 //   3. TaintAnalysis — interprocedural clock/env/entropy reachability over
 //      that call graph.
-// Files are analyzed independently (optionally in parallel on the
-// ThreadPool; finding order is invariant to the job count because results
-// merge in file order before the final stable sort).
+// Files are analyzed independently, in parallel on the shared ThreadPool
+// under --jobs; finding order is invariant to the job count because results
+// merge in file order before the final stable sort.
 //
 // False positives are silenced inline with
 //     // dblayout-check(<rule>): <justification>
@@ -114,6 +116,14 @@ TaintAnalysis ComputeTaint(const ProgramModel& program,
                            const std::vector<std::string>& source_allow,
                            const std::vector<std::string>& entry_prefixes);
 
+/// True when `path` contains any of `fragments` (allowlists, layer prefixes).
+bool PathMatchesAny(const std::string& path,
+                    const std::vector<std::string>& fragments);
+
+/// A finding of `rule` at `line`; the runner fills in the file.
+Diagnostic MakeDiag(const char* rule, LintSeverity severity, int line,
+                    std::string message, std::string fix = "");
+
 /// Everything a rule may consult beyond the file it is checking.
 struct CheckContext {
   const SymbolIndex& index;
@@ -137,7 +147,8 @@ struct CheckOptions {
   /// partition reproduction plus the resilience layer built on it.
   std::vector<std::string> taint_entry_prefixes;
 
-  /// Worker threads for per-file analysis (1 = sequential). The report is
+  /// Parallelism of the per-file analysis on the shared ThreadPool (1 = on
+  /// the calling thread; capped at the pool's workers + 1). The report is
   /// byte-identical at any value.
   int jobs = 1;
 
@@ -159,12 +170,12 @@ class CheckRule {
 };
 
 /// The built-in determinism/concurrency rule set: the token-level rules
-/// (rules.cc) plus the scope-aware families (rules_scoped.cc). The README
+/// (rules.cc) plus the scope-aware rules (rules_scoped.cc). The README
 /// lists each rule with the guarantee it protects.
 std::vector<std::unique_ptr<CheckRule>> DefaultCheckRules();
 
-/// The scope-aware rule families alone (guarded-by-violation,
-/// unannotated-mutex-field, capture-escape, determinism-taint).
+/// The scope-aware rules alone (unannotated-mutex-field,
+/// determinism-taint).
 std::vector<std::unique_ptr<CheckRule>> ScopedCheckRules();
 
 /// Harvests the SymbolIndex from every file (exposed for tests).

@@ -1,8 +1,11 @@
-// Tests for the invariant-audit subsystem (src/analysis/): the auditor must
-// accept everything the pipeline legitimately produces and reject each §2/§4
-// violation with a Status naming the offender — and, in debug builds, a
-// corrupted intermediate layout must trip a DBLAYOUT_DCHECK inside the
-// search itself.
+// Tests for the invariant audits: the checks the debug-build DCHECK sites
+// call must accept everything the pipeline legitimately produces and reject
+// each §2/§4 violation with a Status naming the offender — and, in debug
+// builds, a corrupted intermediate layout must trip a DBLAYOUT_DCHECK inside
+// the search itself. The §2 fraction-matrix audits are Layout::ValidateRows
+// and Layout::Validate (the one Definition 2 check); the §4 graph,
+// partitioning and §5 cost audits are the InvariantAuditor's
+// (src/analysis/).
 
 #include "analysis/invariant_auditor.h"
 
@@ -59,9 +62,8 @@ TEST(InvariantAuditorTest, AcceptsValidLayout) {
   const DiskFleet fleet = SmallFleet(3);
   const Layout layout = EqualLayout(2, fleet);
   const std::vector<int64_t> sizes = {100, 200};
-  const InvariantAuditor auditor;
-  EXPECT_TRUE(auditor.AuditLayoutRows(layout).ok());
-  EXPECT_TRUE(auditor.AuditLayout(layout, sizes, fleet).ok());
+  EXPECT_TRUE(layout.ValidateRows(nullptr).ok());
+  EXPECT_TRUE(layout.Validate(sizes, fleet).ok());
 }
 
 TEST(InvariantAuditorTest, RejectsNegativeFraction) {
@@ -69,7 +71,7 @@ TEST(InvariantAuditorTest, RejectsNegativeFraction) {
   Layout layout = EqualLayout(1, fleet);
   layout.set_x(0, 0, -0.2);
   layout.set_x(0, 1, 1.2);  // row still sums to 1: only negativity violated
-  const Status st = InvariantAuditor().AuditLayoutRows(layout);
+  const Status st = layout.ValidateRows(nullptr);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("negative fraction"), std::string::npos) << st.ToString();
   EXPECT_NE(st.message().find("object 0"), std::string::npos) << st.ToString();
@@ -80,7 +82,7 @@ TEST(InvariantAuditorTest, RejectsUnderallocatedRow) {
   Layout layout = EqualLayout(2, fleet);
   layout.set_x(1, 0, 0.5);
   layout.set_x(1, 1, 0.0);
-  const Status st = InvariantAuditor().AuditLayoutRows(layout);
+  const Status st = layout.ValidateRows(nullptr);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("object 1"), std::string::npos) << st.ToString();
 }
@@ -91,12 +93,14 @@ TEST(InvariantAuditorTest, RejectsOvercapacityDisk) {
   const Layout layout = EqualLayout(1, fleet);
   // One object larger than the whole fleet.
   const std::vector<int64_t> sizes = {3 * cap};
-  const Status st = InvariantAuditor().AuditLayout(layout, sizes, fleet);
+  const Status st = layout.Validate(sizes, fleet);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCapacityExceeded);
   EXPECT_NE(st.message().find(fleet.disk(0).name), std::string::npos) << st.ToString();
 }
 
+// The post-move audit (ValidateRows without a fleet) and the API-boundary
+// Validate draw the kLayoutFractionTolerance boundary in the same place.
 TEST(InvariantAuditorTest, SharesToleranceWithLayoutValidate) {
   const DiskFleet fleet = SmallFleet(2);
   const std::vector<int64_t> sizes = {100};
@@ -104,11 +108,11 @@ TEST(InvariantAuditorTest, SharesToleranceWithLayoutValidate) {
   // Within the shared tolerance: both accept.
   layout.set_x(0, 0, 0.5 + kLayoutFractionTolerance / 4);
   EXPECT_TRUE(layout.Validate(sizes, fleet).ok());
-  EXPECT_TRUE(InvariantAuditor().AuditLayoutRows(layout).ok());
+  EXPECT_TRUE(layout.ValidateRows(nullptr).ok());
   // Beyond it: both reject.
   layout.set_x(0, 0, 0.5 + 100 * kLayoutFractionTolerance);
   EXPECT_FALSE(layout.Validate(sizes, fleet).ok());
-  EXPECT_FALSE(InvariantAuditor().AuditLayoutRows(layout).ok());
+  EXPECT_FALSE(layout.ValidateRows(nullptr).ok());
 }
 
 TEST(InvariantAuditorTest, RejectsInconsistentAccessGraph) {
@@ -205,9 +209,9 @@ TEST(InvariantAuditorTest, SubplanCostAuditMatchesCostModel) {
 }
 
 // Acceptance demo: a negative fraction injected into the working layout
-// mid-search trips the auditor's DBLAYOUT_DCHECK after the next accepted
-// greedy move. Only meaningful when dchecks are compiled in (debug or
-// sanitizer builds).
+// mid-search trips the post-move DBLAYOUT_DCHECK (Layout::ValidateRows)
+// after the next accepted greedy move. Only meaningful when dchecks are
+// compiled in (debug or sanitizer builds).
 TEST(InvariantAuditorDeathTest, CorruptedLayoutMidSearchTripsDcheck) {
   if (!DBLAYOUT_DCHECK_IS_ON()) {
     GTEST_SKIP() << "DBLAYOUT_DCHECK compiled out in this build type";

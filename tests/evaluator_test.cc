@@ -682,61 +682,6 @@ TEST(ThreadPoolTest, SharedPoolIsUsableConcurrently) {
   EXPECT_EQ(total.load(), 256);
 }
 
-TEST(ThreadPoolTest, SubmitRunsEveryTaskBeforeWaitReturns) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.Submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 200);
-  // The pool is reusable after a Wait().
-  pool.Submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-  pool.Wait();
-  EXPECT_EQ(done.load(), 201);
-}
-
-TEST(ThreadPoolTest, SubmitRunsInlineWithZeroWorkers) {
-  // A zero-worker pool degenerates to eager inline execution, so Submit's
-  // capture-lifetime contract holds trivially.
-  ThreadPool pool(0);
-  int ran = 0;
-  pool.Submit([&ran] { ++ran; });
-  EXPECT_EQ(ran, 1);  // already ran, before Wait
-  pool.Wait();
-  EXPECT_EQ(ran, 1);
-}
-
-TEST(ThreadPoolTest, WaitDrainsTasksSubmittedDuringTasks) {
-  // A task may Submit follow-up work; Wait must not return until the whole
-  // transitive set has drained.
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  pool.Submit([&pool, &done] {
-    done.fetch_add(1, std::memory_order_relaxed);
-    pool.Submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-  });
-  pool.Wait();
-  EXPECT_EQ(done.load(), 2);
-}
-
-TEST(ThreadPoolTest, SubmitAndParallelForCoexist) {
-  // Queued tasks and a blocking batch share the worker set; both must
-  // complete and neither may deadlock the other.
-  ThreadPool pool(3);
-  std::atomic<int> task_hits{0};
-  std::atomic<int64_t> batch_sum{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&task_hits] { task_hits.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.ParallelFor(500, 4, [&batch_sum](int64_t i, int) {
-    batch_sum.fetch_add(i, std::memory_order_relaxed);
-  });
-  pool.Wait();
-  EXPECT_EQ(task_hits.load(), 50);
-  EXPECT_EQ(batch_sum.load(), 500 * 499 / 2);
-}
-
 /// Runs the full search at a given thread count.
 SearchResult RunAtThreads(const Database& db, const DiskFleet& fleet,
                           const WorkloadProfile& profile,
@@ -777,6 +722,45 @@ TEST(ParallelSearchTest, ThreadCountDoesNotChangeTheResult) {
             << "object " << i << " disk " << j << " at " << threads
             << " threads";
       }
+    }
+  }
+}
+
+TEST(ParallelSearchTest, CancelledSearchIsThreadCountInvariant) {
+  // Cancellation raised from the progress hook after the 2nd accepted move
+  // is seen before the 3rd iteration scores anything, at any thread count:
+  // the search stops with two moves and the same best-so-far.
+  Database db = MicroDb();
+  DiskFleet fleet = DiskFleet::Heterogeneous(4, 0.3, 42);
+  WorkloadProfile profile = MicroProfile(db);
+  ResolvedConstraints rc = NoConstraints(db);
+  ASSERT_GT(RunAtThreads(db, fleet, profile, rc, 1).greedy_iterations, 2);
+
+  auto run_cancelled = [&](int threads) {
+    std::atomic<bool> cancel{false};
+    SearchOptions opts;
+    opts.num_threads = threads;
+    opts.cancel_requested = &cancel;
+    opts.progress_hook = [&cancel](const SearchProgress& p) {
+      if (p.iteration == 2) cancel.store(true, std::memory_order_relaxed);
+    };
+    auto result = TsGreedySearch(db, fleet, opts).Run(profile, rc);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return std::move(result).value();
+  };
+  const SearchResult one = run_cancelled(1);
+  const SearchResult four = run_cancelled(4);
+  for (const SearchResult* r : {&one, &four}) {
+    EXPECT_TRUE(r->timed_out);
+    EXPECT_EQ(r->greedy_iterations, 2);
+  }
+  EXPECT_EQ(one.cost, four.cost);
+  EXPECT_EQ(one.telemetry.cost_trajectory, four.telemetry.cost_trajectory);
+  ASSERT_EQ(one.layout.num_objects(), four.layout.num_objects());
+  for (int i = 0; i < one.layout.num_objects(); ++i) {
+    for (int j = 0; j < one.layout.num_disks(); ++j) {
+      ASSERT_EQ(one.layout.x(i, j), four.layout.x(i, j))
+          << "object " << i << " disk " << j;
     }
   }
 }

@@ -1,8 +1,8 @@
 // Tests for the declaration/scope parser (src/staticcheck/scope_parser.h):
-// function-definition recognition (free, inline member, out-of-line),
-// class-field harvesting with DBLAYOUT_GUARDED_BY / DBLAYOUT_REQUIRES,
-// local-scope resolution with nesting and shadowing, and call-graph /
-// taint-propagation behavior on recursive and mutually-recursive chains.
+// function-definition recognition (free, inline member, out-of-line,
+// annotated), class-field harvesting with DBLAYOUT_GUARDED_BY, and
+// call-graph / taint-propagation behavior on recursive and
+// mutually-recursive chains.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +33,13 @@ const ClassModel* FindCls(const FileModel& fm, const std::string& name) {
   return nullptr;
 }
 
+const FieldDecl* FindField(const ClassModel& cls, const std::string& name) {
+  for (const FieldDecl& f : cls.fields) {
+    if (f.name == name) return &f;
+  }
+  return nullptr;
+}
+
 // --- Function definitions --------------------------------------------------
 
 TEST(ScopeParserTest, RecognizesFreeInlineAndOutOfLineFunctions) {
@@ -45,7 +52,10 @@ TEST(ScopeParserTest, RecognizesFreeInlineAndOutOfLineFunctions) {
       " private:\n"
       "  int v_ = 0;\n"
       "};\n"
-      "void Widget::OutOfLine(int x) { v_ = x; }\n");
+      "void Widget::OutOfLine(int x) { v_ = x; }\n"
+      "void Registry::AddLocked(int v) DBLAYOUT_REQUIRES(mu_) {\n"
+      "  items_.push_back(v);\n"
+      "}\n");
   const FunctionDef* free_fn = FindFn(fm, "Free");
   ASSERT_NE(free_fn, nullptr);
   EXPECT_EQ(free_fn->class_name, "");
@@ -63,6 +73,13 @@ TEST(ScopeParserTest, RecognizesFreeInlineAndOutOfLineFunctions) {
   EXPECT_EQ(out_fn->class_name, "Widget");
   EXPECT_EQ(out_fn->qualified_name, "Widget::OutOfLine");
   EXPECT_EQ(out_fn->line, 9);
+
+  // An annotation macro between the parameter list and the body does not
+  // hide the definition.
+  const FunctionDef* annotated = FindFn(fm, "AddLocked");
+  ASSERT_NE(annotated, nullptr);
+  EXPECT_EQ(annotated->qualified_name, "Registry::AddLocked");
+  EXPECT_GT(annotated->body_end, annotated->body_begin);
 }
 
 TEST(ScopeParserTest, DeclarationsWithoutBodiesAreNotDefinitions) {
@@ -71,17 +88,6 @@ TEST(ScopeParserTest, DeclarationsWithoutBodiesAreNotDefinitions) {
       "int Defined(int a) { return a; }\n");
   EXPECT_EQ(FindFn(fm, "Declared"), nullptr);
   ASSERT_NE(FindFn(fm, "Defined"), nullptr);
-}
-
-TEST(ScopeParserTest, RequiresAnnotationOnDefinitionIsCaptured) {
-  const FileModel fm = Parse(
-      "void Registry::AddLocked(int v) DBLAYOUT_REQUIRES(mu_) {\n"
-      "  items_.push_back(v);\n"
-      "}\n");
-  const FunctionDef* fn = FindFn(fm, "AddLocked");
-  ASSERT_NE(fn, nullptr);
-  ASSERT_EQ(fn->requires_mutexes.size(), 1u);
-  EXPECT_EQ(fn->requires_mutexes[0], "mu_");
 }
 
 // --- Class fields ----------------------------------------------------------
@@ -104,37 +110,34 @@ TEST(ScopeParserTest, HarvestsFieldsWithAnnotationsAndKinds) {
   ASSERT_NE(cls, nullptr);
   EXPECT_TRUE(cls->has_mutex_member());
 
-  const FieldDecl* mu = cls->FindField("mu_");
+  const FieldDecl* mu = FindField(*cls, "mu_");
   ASSERT_NE(mu, nullptr);
   EXPECT_TRUE(mu->is_mutex);
 
-  const FieldDecl* cv = cls->FindField("cv_");
+  const FieldDecl* cv = FindField(*cls, "cv_");
   ASSERT_NE(cv, nullptr);
   EXPECT_TRUE(cv->is_condvar);
 
-  const FieldDecl* done = cls->FindField("done_");
+  const FieldDecl* done = FindField(*cls, "done_");
   ASSERT_NE(done, nullptr);
   EXPECT_TRUE(done->is_atomic);
 
-  const FieldDecl* name = cls->FindField("name_");
+  const FieldDecl* name = FindField(*cls, "name_");
   ASSERT_NE(name, nullptr);
   EXPECT_TRUE(name->is_const);
 
-  const FieldDecl* items = cls->FindField("items_");
+  const FieldDecl* items = FindField(*cls, "items_");
   ASSERT_NE(items, nullptr);
   EXPECT_EQ(items->guarded_by, "mu_");
 
-  const FieldDecl* plain = cls->FindField("plain_");
+  const FieldDecl* plain = FindField(*cls, "plain_");
   ASSERT_NE(plain, nullptr);
   EXPECT_TRUE(plain->guarded_by.empty());
   EXPECT_FALSE(plain->is_mutex || plain->is_condvar || plain->is_atomic ||
                plain->is_const);
 
-  // REQUIRES harvested from the in-class declaration, not just definitions.
-  auto it = cls->method_requires.find("Size");
-  ASSERT_NE(it, cls->method_requires.end());
-  ASSERT_EQ(it->second.size(), 1u);
-  EXPECT_EQ(it->second[0], "mu_");
+  // Methods, annotated or not, are not fields.
+  EXPECT_EQ(cls->fields.size(), 6u);
 }
 
 TEST(ScopeParserTest, MethodsAndStaticsAreNotFields) {
@@ -150,74 +153,11 @@ TEST(ScopeParserTest, MethodsAndStaticsAreNotFields) {
       "};\n");
   const ClassModel* cls = FindCls(fm, "Pool");
   ASSERT_NE(cls, nullptr);
-  EXPECT_EQ(cls->FindField("Drain"), nullptr);
-  EXPECT_EQ(cls->FindField("operator"), nullptr);
-  EXPECT_EQ(cls->FindField("kMax"), nullptr);
-  EXPECT_EQ(cls->FindField("Clock"), nullptr);
-  EXPECT_NE(cls->FindField("real_"), nullptr);
-}
-
-// --- Local scopes, nesting, shadowing --------------------------------------
-
-TEST(ScopeParserTest, FindLocalDeclScopeResolvesNesting) {
-  const std::string src =
-      "void F() {\n"
-      "  int outer = 0;\n"
-      "  {\n"
-      "    int inner = 1;\n"
-      "    Use(outer, inner);\n"
-      "  }\n"
-      "  Use(outer);\n"
-      "}\n";
-  const LexedSource lex = LexCpp(src);
-  const FileModel fm = BuildFileModel(lex);
-  const FunctionDef* fn = FindFn(fm, "F");
-  ASSERT_NE(fn, nullptr);
-  // Find the token index of the first Use call.
-  size_t use = 0;
-  for (size_t i = fn->body_begin; i < fn->body_end; ++i) {
-    if (lex.tokens[i].ident("Use")) {
-      use = i;
-      break;
-    }
-  }
-  ASSERT_GT(use, 0u);
-  const TokRange outer = FindLocalDeclScope(lex.tokens, *fn, use, "outer");
-  const TokRange inner = FindLocalDeclScope(lex.tokens, *fn, use, "inner");
-  ASSERT_TRUE(outer.valid());
-  ASSERT_TRUE(inner.valid());
-  // The inner block is strictly contained in the function body scope.
-  EXPECT_GE(inner.begin, outer.begin);
-  EXPECT_LT(inner.end, outer.end);
-  // Parameters and unknown names have no local scope.
-  EXPECT_FALSE(FindLocalDeclScope(lex.tokens, *fn, use, "nothere").valid());
-}
-
-TEST(ScopeParserTest, FindLocalDeclScopeResolvesShadowingToInnermost) {
-  const std::string src =
-      "void F() {\n"
-      "  int v = 0;\n"
-      "  {\n"
-      "    int v = 1;\n"
-      "    Use(v);\n"
-      "  }\n"
-      "}\n";
-  const LexedSource lex = LexCpp(src);
-  const FileModel fm = BuildFileModel(lex);
-  const FunctionDef* fn = FindFn(fm, "F");
-  ASSERT_NE(fn, nullptr);
-  size_t use = 0;
-  for (size_t i = fn->body_begin; i < fn->body_end; ++i) {
-    if (lex.tokens[i].ident("Use")) {
-      use = i;
-      break;
-    }
-  }
-  ASSERT_GT(use, 0u);
-  const TokRange scope = FindLocalDeclScope(lex.tokens, *fn, use, "v");
-  ASSERT_TRUE(scope.valid());
-  // Innermost wins: the scope must end before the function body does.
-  EXPECT_LT(scope.end, fn->body_end);
+  EXPECT_EQ(FindField(*cls, "Drain"), nullptr);
+  EXPECT_EQ(FindField(*cls, "operator"), nullptr);
+  EXPECT_EQ(FindField(*cls, "kMax"), nullptr);
+  EXPECT_EQ(FindField(*cls, "Clock"), nullptr);
+  EXPECT_NE(FindField(*cls, "real_"), nullptr);
 }
 
 // --- Program model & call graph --------------------------------------------
@@ -239,10 +179,6 @@ TEST(ScopeParserTest, ProgramModelIndexesQualifiedAndBareNames) {
   EXPECT_EQ(pm.functions_by_name.count("W::Run"), 1u);
   EXPECT_EQ(pm.functions_by_name.count("Run"), 1u);
   EXPECT_EQ(pm.functions_by_name.count("Helper"), 1u);
-  // Class merged from the header is visible via the program model.
-  const ClassModel* cls = pm.Class("W");
-  ASSERT_NE(cls, nullptr);
-  EXPECT_EQ(cls->FindField("v_")->guarded_by, "mu_");
   // The call from W::Run resolves to Helper's definition.
   const FunctionDef* run = nullptr;
   for (const auto& df : pm.functions) {

@@ -1,9 +1,9 @@
 // Tests for dblayout check (src/staticcheck/): positive + negative fixture
-// snippets per rule (including the scope-aware lock-discipline,
-// capture-escape and determinism-taint families), suppression and baseline
-// semantics (stale entries included), job-count invariance of the parallel
-// runner, the cross-file symbol harvest, and a golden SARIF rendering —
-// mirroring the lint_test.cc conventions.
+// snippets per rule (including the scope-aware annotation-completeness and
+// determinism-taint rules), suppression and baseline semantics (stale
+// entries included), job-count invariance of the parallel runner, the
+// cross-file symbol harvest, and a golden SARIF rendering — mirroring the
+// lint_test.cc conventions.
 
 #include <gtest/gtest.h>
 
@@ -579,108 +579,6 @@ TEST(BaselineTest, BaselineDoesNotAbsorbNewFindings) {
   EXPECT_NE(diags[0].message.find("random_device"), std::string::npos);
 }
 
-// --- guarded-by-violation --------------------------------------------------
-
-TEST(GuardedByTest, FiresOnUnlockedFieldAccess) {
-  const LintReport report = Check("src/x.cc",
-                                  "class Registry {\n"
-                                  " public:\n"
-                                  "  void Add(int v) { items_.push_back(v); }\n"
-                                  " private:\n"
-                                  "  Mutex mu_;\n"
-                                  "  std::vector<int> items_ DBLAYOUT_GUARDED_BY(mu_);\n"
-                                  "};\n");
-  const auto diags = ById(report, "guarded-by-violation");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].severity, LintSeverity::kError);
-  EXPECT_EQ(diags[0].line, 3);
-  EXPECT_NE(diags[0].message.find("items_"), std::string::npos);
-  EXPECT_NE(diags[0].message.find("mu_"), std::string::npos);
-}
-
-TEST(GuardedByTest, QuietWhenMutexLockInScope) {
-  const LintReport report = Check("src/x.cc",
-                                  "class Registry {\n"
-                                  " public:\n"
-                                  "  void Add(int v) {\n"
-                                  "    MutexLock lock(mu_);\n"
-                                  "    items_.push_back(v);\n"
-                                  "  }\n"
-                                  " private:\n"
-                                  "  Mutex mu_;\n"
-                                  "  std::vector<int> items_ DBLAYOUT_GUARDED_BY(mu_);\n"
-                                  "};\n");
-  EXPECT_TRUE(ById(report, "guarded-by-violation").empty());
-}
-
-TEST(GuardedByTest, LockScopeEndsAtItsBlock) {
-  // The MutexLock lives in an inner block; the access after the block runs
-  // unlocked and must be flagged.
-  const LintReport report = Check("src/x.cc",
-                                  "class Registry {\n"
-                                  " public:\n"
-                                  "  void Flush() {\n"
-                                  "    { MutexLock lock(mu_); }\n"
-                                  "    items_.clear();\n"
-                                  "  }\n"
-                                  " private:\n"
-                                  "  Mutex mu_;\n"
-                                  "  std::vector<int> items_ DBLAYOUT_GUARDED_BY(mu_);\n"
-                                  "};\n");
-  const auto diags = ById(report, "guarded-by-violation");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].line, 5);
-}
-
-TEST(GuardedByTest, OutOfLineDefinitionInheritsRequires) {
-  // DBLAYOUT_REQUIRES lives on the in-class declaration; the out-of-line
-  // definition in the .cc must inherit it across files.
-  CheckRunner runner;
-  runner.AddSource("src/r.h",
-                   "class Registry {\n"
-                   " public:\n"
-                   "  void AddLocked(int v) DBLAYOUT_REQUIRES(mu_);\n"
-                   " private:\n"
-                   "  Mutex mu_;\n"
-                   "  std::vector<int> items_ DBLAYOUT_GUARDED_BY(mu_);\n"
-                   "};\n");
-  runner.AddSource("src/r.cc",
-                   "void Registry::AddLocked(int v) {\n"
-                   "  items_.push_back(v);\n"
-                   "}\n");
-  EXPECT_TRUE(ById(runner.Run(), "guarded-by-violation").empty());
-}
-
-TEST(GuardedByTest, ConstructorAndDestructorExempt) {
-  const LintReport report = Check("src/x.cc",
-                                  "class Registry {\n"
-                                  " public:\n"
-                                  "  Registry() { items_.reserve(8); }\n"
-                                  "  ~Registry() { items_.clear(); }\n"
-                                  " private:\n"
-                                  "  Mutex mu_;\n"
-                                  "  std::vector<int> items_ DBLAYOUT_GUARDED_BY(mu_);\n"
-                                  "};\n");
-  EXPECT_TRUE(ById(report, "guarded-by-violation").empty());
-}
-
-TEST(GuardedByTest, OtherObjectAccessSkipped) {
-  // `o.items_` is guarded by o's mutex, not ours; cross-object discipline is
-  // the clang -Wthread-safety CI leg's job.
-  const LintReport report = Check("src/x.cc",
-                                  "class Registry {\n"
-                                  " public:\n"
-                                  "  void CopyFrom(const Registry& o) {\n"
-                                  "    MutexLock lock(mu_);\n"
-                                  "    items_ = o.items_;\n"
-                                  "  }\n"
-                                  " private:\n"
-                                  "  Mutex mu_;\n"
-                                  "  std::vector<int> items_ DBLAYOUT_GUARDED_BY(mu_);\n"
-                                  "};\n");
-  EXPECT_TRUE(ById(report, "guarded-by-violation").empty());
-}
-
 // --- unannotated-mutex-field -----------------------------------------------
 
 TEST(UnannotatedFieldTest, FiresOnBareFieldInMutexHoldingClass) {
@@ -716,78 +614,6 @@ TEST(UnannotatedFieldTest, QuietWithoutAMutexMember) {
                                   "  int count_ = 0;\n"
                                   "};\n");
   EXPECT_TRUE(ById(report, "unannotated-mutex-field").empty());
-}
-
-// --- capture-escape --------------------------------------------------------
-
-TEST(CaptureEscapeTest, FiresOnRefCaptureOfDyingLocal) {
-  const LintReport report = Check("src/x.cc",
-                                  "void F(ThreadPool& pool) {\n"
-                                  "  {\n"
-                                  "    int local = 1;\n"
-                                  "    pool.Submit([&local] { Use(local); });\n"
-                                  "  }\n"
-                                  "  pool.Wait();\n"
-                                  "}\n");
-  const auto diags = ById(report, "capture-escape");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].severity, LintSeverity::kError);
-  EXPECT_EQ(diags[0].line, 4);
-  EXPECT_NE(diags[0].message.find("local"), std::string::npos);
-}
-
-TEST(CaptureEscapeTest, QuietWhenWaitInsideScope) {
-  const LintReport report = Check("src/x.cc",
-                                  "void F(ThreadPool& pool) {\n"
-                                  "  {\n"
-                                  "    int local = 1;\n"
-                                  "    pool.Submit([&local] { Use(local); });\n"
-                                  "    pool.Wait();\n"
-                                  "  }\n"
-                                  "}\n");
-  EXPECT_TRUE(ById(report, "capture-escape").empty());
-}
-
-TEST(CaptureEscapeTest, QuietOnParameterCapture) {
-  // Parameters have function lifetime; only block-scoped locals can die
-  // under the task.
-  const LintReport report = Check("src/x.cc",
-                                  "void F(ThreadPool& pool, int n) {\n"
-                                  "  pool.Submit([&n] { Use(n); });\n"
-                                  "  pool.Wait();\n"
-                                  "}\n");
-  EXPECT_TRUE(ById(report, "capture-escape").empty());
-}
-
-TEST(CaptureEscapeTest, DefaultRefCaptureNeedsWaitBeforeReturn) {
-  const LintReport no_wait = Check("src/x.cc",
-                                   "void F(ThreadPool& pool) {\n"
-                                   "  int x = 0;\n"
-                                   "  pool.Submit([&] { Use(x); });\n"
-                                   "}\n");
-  ASSERT_EQ(ById(no_wait, "capture-escape").size(), 1u);
-  const LintReport with_wait = Check("src/x.cc",
-                                     "void F(ThreadPool& pool) {\n"
-                                     "  int x = 0;\n"
-                                     "  pool.Submit([&] { Use(x); });\n"
-                                     "  pool.Wait();\n"
-                                     "}\n");
-  EXPECT_TRUE(ById(with_wait, "capture-escape").empty());
-}
-
-TEST(CaptureEscapeTest, ShadowedLocalResolvesToInnermostScope) {
-  // The inner `local` shadows the outer one; its scope ends with the inner
-  // block, and the Wait() out there only covers the outer declaration.
-  const LintReport report = Check("src/x.cc",
-                                  "void F(ThreadPool& pool) {\n"
-                                  "  int local = 0;\n"
-                                  "  {\n"
-                                  "    int local = 1;\n"
-                                  "    pool.Submit([&local] { Use(local); });\n"
-                                  "  }\n"
-                                  "  pool.Wait();\n"
-                                  "}\n");
-  EXPECT_EQ(ById(report, "capture-escape").size(), 1u);
 }
 
 // --- Parallel runner -------------------------------------------------------
@@ -868,7 +694,7 @@ TEST(ReportTest, DiagnosticsSortedAndRulesListed) {
   // Errors (raw-random) sort before warnings (unordered-iteration-order).
   EXPECT_EQ(report.diagnostics[0].rule_id, "raw-random");
   // Rule metadata present and id-sorted, including the meta rule.
-  ASSERT_EQ(report.rules.size(), 14u);
+  ASSERT_EQ(report.rules.size(), 12u);
   for (size_t i = 1; i < report.rules.size(); ++i) {
     EXPECT_LT(report.rules[i - 1].id, report.rules[i].id);
   }
@@ -906,32 +732,16 @@ TEST(ReportTest, JsonRenderingCarriesFileAndLine) {
 
 // --- Golden SARIF ----------------------------------------------------------
 
-// One finding per scope-aware rule family, rendered to SARIF and compared
+// One finding per scope-aware rule, rendered to SARIF and compared
 // byte-for-byte. Regenerate with DBLAYOUT_UPDATE_GOLDEN=1.
 TEST(ReportTest, ScopedRulesSarifMatchesGoldenFile) {
   CheckRunner runner;
-  runner.AddSource("src/guarded.cc",
-                   "class Registry {\n"
-                   " public:\n"
-                   "  void Add(int v) { items_.push_back(v); }\n"
-                   " private:\n"
-                   "  Mutex mu_;\n"
-                   "  std::vector<int> items_ DBLAYOUT_GUARDED_BY(mu_);\n"
-                   "};\n");
   runner.AddSource("src/unannotated.cc",
                    "class Pool {\n"
                    " private:\n"
                    "  Mutex mu_;\n"
                    "  int count_ = 0;\n"
                    "};\n");
-  runner.AddSource("src/escape.cc",
-                   "void F(ThreadPool& pool) {\n"
-                   "  {\n"
-                   "    int local = 1;\n"
-                   "    pool.Submit([&local] { Use(local); });\n"
-                   "  }\n"
-                   "  pool.Wait();\n"
-                   "}\n");
   runner.AddSource("src/layout/taint.cc",
                    "double Budget() {\n"
                    "  return std::chrono::steady_clock::now().time_since_epoch().count();\n"
@@ -952,10 +762,8 @@ TEST(ReportTest, ScopedRulesSarifMatchesGoldenFile) {
   EXPECT_EQ(got, want.str())
       << "SARIF renderer drifted from " << path
       << " (regenerate with DBLAYOUT_UPDATE_GOLDEN=1)";
-  // Sanity: every scoped family is present in the golden run.
-  for (const char* rule :
-       {"guarded-by-violation", "unannotated-mutex-field", "capture-escape",
-        "determinism-taint"}) {
+  // Sanity: every scoped rule is present in the golden run.
+  for (const char* rule : {"unannotated-mutex-field", "determinism-taint"}) {
     EXPECT_NE(got.find(std::string("\"ruleId\": \"") + rule + "\""),
               std::string::npos)
         << rule;

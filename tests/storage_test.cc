@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "common/strutil.h"
@@ -160,6 +161,30 @@ TEST(LayoutTest, ValidateRejectsNaNFraction) {
   const Status st = l.Validate({10}, fleet);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(st.message(), "layout invalid: object 0 has fraction NaN on disk 'D2'");
+}
+
+// +inf drives the row sum off 1 and -inf is negative, so neither reaches
+// RowBlocks' float-to-integer conversion.
+TEST(LayoutTest, ValidateRejectsInfiniteFraction) {
+  DiskFleet fleet = DiskFleet::Uniform(2, 1.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  Layout l(1, 2);
+  l.set_x(0, 0, 1.0);
+  l.set_x(0, 1, inf);
+  Status st = l.Validate({10}, fleet);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(),
+            "layout invalid: object 0 is allocated fraction inf != 1 "
+            "(tolerance 1e-06)");
+  l.set_x(0, 1, -inf);
+  st = l.ValidateRows(&fleet);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(),
+            "layout invalid: object 0 has negative fraction -inf on disk 'D2'");
+  // Opposite infinities in one row: the negative one is named.
+  l.set_x(0, 0, inf);
+  EXPECT_EQ(l.ValidateRows(nullptr).message(),
+            "layout invalid: object 0 has negative fraction -inf on disk 1");
 }
 
 TEST(LayoutTest, CsvNaNFractionFailsValidation) {

@@ -10,8 +10,9 @@
 //                              the gate requires a completely clean tree)
 //   --list-rules               print the rule table and exit
 //   --stats                    print files/suppressed/baselined counts
-//   --jobs N                   analyze files on N threads (default 1); the
-//                              report is byte-identical at any N
+//   --jobs N                   analyze files with parallelism N on the
+//                              shared thread pool (default 1; capped at its
+//                              size); the report is byte-identical at any N
 //   --verbose                  print per-file analysis time to stderr
 //   --prune-baseline           rewrite the --baseline file without entries
 //                              that no longer match any finding

@@ -14,8 +14,9 @@
 #                             float-cast-overflow; the AUTO
 #                             dcheck policy also enables the runtime
 #                             invariant audits in this pass)
-#   5. TSan build+ctest       (optional, --thread; preset for the future
-#                             parallel search work)
+#   5. TSan build+ctest       (optional, --thread: the whole suite under
+#                             ThreadSanitizer, including every
+#                             ThreadPool::ParallelFor site at 4 threads)
 #
 # Usage: tools/run_analysis.sh [--source DIR] [--build-root DIR]
 #                              [--tidy-only] [--no-tidy] [--thread] [-j N]
@@ -122,7 +123,8 @@ esac
 configure_and_build asan-ubsan "-DDBLAYOUT_SANITIZE=address,undefined,float-cast-overflow"
 run_tests asan-ubsan
 
-# 5. ThreadSanitizer preset (opt-in until the search goes parallel).
+# 5. ThreadSanitizer over the whole suite (opt-in: slow; CI's tsan job runs
+# the concurrency suites only).
 if [[ "${RUN_THREAD}" -eq 1 ]]; then
   configure_and_build tsan "-DDBLAYOUT_SANITIZE=thread"
   run_tests tsan
