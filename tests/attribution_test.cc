@@ -6,10 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "benchdata/tpch.h"
 #include "common/rng.h"
+#include "layout/advisor.h"
 #include "layout/cost_model.h"
 #include "layout/search.h"
 #include "obs/attribution.h"
@@ -213,6 +218,90 @@ TEST(AttributionTest, JournalEventsParseAndMatchTables) {
   EXPECT_EQ(statements, 2);  // top_k caps the statement table
   EXPECT_EQ(drives, fleet.num_disks());
   EXPECT_GT(objects, 0);
+}
+
+/// Every field of the attribution, rendered as JSON (round-trip doubles, so
+/// every bit), against tests/testdata/attribution_golden.txt. TPC-H-22 plus
+/// an INSERT and an in-place UPDATE exercise the read, write and
+/// read-modify-write rates on plain, RAID-1 and RAID-5 drives, under full
+/// striping, the advisor's recommendation and three random layouts.
+///
+/// Regenerate (only when the attribution is meant to change):
+///   DBLAYOUT_UPDATE_GOLDEN=1 build/tests/dblayout_tests --gtest_filter='AttributionTest.JsonMatchesGolden'
+TEST(AttributionTest, JsonMatchesGolden) {
+  const Database db = benchdata::MakeTpchDatabase(0.1);
+  auto wl = benchdata::MakeTpch22Workload(db);
+  ASSERT_TRUE(wl.ok()) << wl.status().ToString();
+  ASSERT_TRUE(wl->Add("INSERT INTO orders VALUES (1, 2, 'O', 3.5, "
+                      "'1995-01-01', 'x', 'y', 0, 'z')",
+                      20)
+                  .ok());
+  ASSERT_TRUE(
+      wl->Add("UPDATE lineitem SET l_discount = 0.05 WHERE l_orderkey < 60000", 10)
+          .ok());
+  auto profile = AnalyzeWorkload(db, *wl);
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  bool reads = false, writes = false, rmw = false;
+  for (const StatementProfile& s : profile->statements) {
+    for (const SubplanAccess& sp : s.subplans) {
+      for (const ObjectAccess& a : sp.accesses) {
+        rmw |= a.read_modify_write;
+        writes |= a.is_write && !a.read_modify_write;
+        reads |= !a.is_write && !a.read_modify_write;
+      }
+    }
+  }
+  ASSERT_TRUE(reads && writes && rmw);
+
+  auto fleet = DiskFleet::FromSpec(
+      "plain1 6 9 40 32 none\n"
+      "plain2 6 8 55 45 none\n"
+      "mirror1 6 9 38 30 mirroring\n"
+      "mirror2 6 7.5 42 35 mirroring\n"
+      "parity1 6 9 60 50 parity\n"
+      "parity2 6 10 35 28 parity\n");
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  auto rec = LayoutAdvisor(db, *fleet).Recommend(*wl);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+
+  std::vector<std::pair<std::string, Layout>> layouts = {
+      {"full striping",
+       Layout::FullStriping(static_cast<int>(db.Objects().size()), *fleet)},
+      {"recommendation", rec->layout}};
+  for (uint64_t seed : {3u, 17u, 41u}) {
+    Rng rng(seed);
+    auto layout = RandomLayout(db, *fleet, &rng);
+    ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+    layouts.emplace_back("random seed " + std::to_string(seed), *layout);
+  }
+
+  std::string got;
+  auto render = [&](const std::string& name, const Layout& layout,
+                    bool sample_queues) {
+    AttributionOptions opts;
+    opts.sample_queues = sample_queues;
+    auto attr = AttributeCost(*profile, layout, *fleet, db.ObjectSizes(),
+                              ObjectNames(db), opts);
+    ASSERT_TRUE(attr.ok()) << name << ": " << attr.status().ToString();
+    got += "== " + name + (sample_queues ? ", sampled queues" : "") + "\n" +
+           obs::AttributionJson(*attr) + "\n";
+  };
+  for (const auto& [name, layout] : layouts) render(name, layout, false);
+  render("recommendation", rec->layout, true);
+
+  const std::string path =
+      std::string(DBLAYOUT_TESTDATA_DIR) + "/attribution_golden.txt";
+  if (std::getenv("DBLAYOUT_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    out << got;
+    ASSERT_TRUE(out) << "cannot regenerate " << path;
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing golden file " << path;
+  std::ostringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(got, want.str()) << "attribution drifted from " << path;
 }
 
 }  // namespace
