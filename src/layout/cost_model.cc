@@ -1,8 +1,6 @@
 #include "layout/cost_model.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "analysis/invariant_auditor.h"
 #include "common/logging.h"
@@ -16,39 +14,12 @@ double CostModel::SubplanCost(const SubplanAccess& subplan, const Layout& layout
   // the sub-plans they price (cost_model/subplan_evals) in bulk.
   double max_cost = 0;
   for (int j = 0; j < fleet_.num_disks(); ++j) {
-    const DiskDrive& d = fleet_.disk(j);
-    double transfer = 0;
-    double min_blocks_on_disk = std::numeric_limits<double>::infinity();
-    int k = 0;
-    for (const ObjectAccess& a : subplan.accesses) {
-      const double frac = layout.x(a.object_id, j);
-      if (frac <= 0) continue;
-      const double blocks_on_disk = frac * a.blocks;
-      const double ms_per_block =
-          a.read_modify_write ? d.ReadMsPerBlock() + d.WriteMsPerBlock()
-          : a.is_write        ? d.WriteMsPerBlock()
-                              : d.ReadMsPerBlock();
-      transfer += blocks_on_disk * ms_per_block;
-      min_blocks_on_disk = std::min(min_blocks_on_disk, blocks_on_disk);
-      ++k;
-    }
-    // Empty placement on this disk: every access of the sub-plan has
-    // frac <= 0 here, so there is no transfer and min_blocks_on_disk is
-    // still the +inf sentinel. Skip before the seek term so the sentinel can
-    // never reach an arithmetic path (k > 1 alone also guards it, but only
-    // implicitly — the explicit contract is "no placement, zero cost", and
-    // the InvariantAuditor recomputation skips such disks identically).
-    if (k == 0) continue;
-    double seek = 0;
-    if (k > 1) {
-      DBLAYOUT_DCHECK(std::isfinite(min_blocks_on_disk));
-      seek = static_cast<double>(k) * d.seek_ms * min_blocks_on_disk;
-    }
+    const DriveTerm t = SubplanDriveTerm(subplan, layout, j, fleet_.disk(j));
     // Per-disk times are sums of non-negative terms; anything else means a
     // corrupted layout fraction or drive parameter reached the hot path.
-    DBLAYOUT_DCHECK(std::isfinite(transfer) && transfer >= 0);
-    DBLAYOUT_DCHECK(std::isfinite(seek) && seek >= 0);
-    if (transfer + seek > max_cost) max_cost = transfer + seek;
+    DBLAYOUT_DCHECK(std::isfinite(t.transfer) && t.transfer >= 0);
+    DBLAYOUT_DCHECK(std::isfinite(t.seek) && t.seek >= 0);
+    if (t.transfer + t.seek > max_cost) max_cost = t.transfer + t.seek;
   }
   // Debug-build audit: independent recomputation must agree that the
   // sub-plan costs the max over disks (guards future incremental or

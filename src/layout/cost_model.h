@@ -14,15 +14,66 @@
 #ifndef DBLAYOUT_LAYOUT_COST_MODEL_H_
 #define DBLAYOUT_LAYOUT_COST_MODEL_H_
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "catalog/catalog.h"
+#include "common/logging.h"
 #include "storage/disk.h"
 #include "storage/layout.h"
 #include "workload/analyzer.h"
 
 namespace dblayout {
+
+/// The §5 terms of one sub-plan on one drive.
+struct DriveTerm {
+  double transfer = 0;  ///< TransferCost
+  double seek = 0;      ///< SeekCost (0 unless k > 1)
+  int k = 0;            ///< accesses with a positive fraction on the drive
+};
+
+/// The §5 terms of `subplan` on drive `j` (`d`) under `layout`. Accesses
+/// with no positive fraction there are skipped; for every other one, in
+/// access order, `on_access(access_index, its transfer time)` is called.
+/// The one copy of the formula: CostModel::SubplanCost and cost attribution
+/// both read it (the InvariantAuditor keeps an independent recomputation).
+template <typename OnAccess>
+inline DriveTerm SubplanDriveTerm(const SubplanAccess& subplan, const Layout& layout,
+                                  int j, const DiskDrive& d, OnAccess&& on_access) {
+  DriveTerm t;
+  double min_blocks_on_disk = std::numeric_limits<double>::infinity();
+  for (size_t ai = 0; ai < subplan.accesses.size(); ++ai) {
+    const ObjectAccess& a = subplan.accesses[ai];
+    const double frac = layout.x(a.object_id, j);
+    if (frac <= 0) continue;
+    const double blocks_on_disk = frac * a.blocks;
+    const double ms_per_block =
+        a.read_modify_write ? d.ReadMsPerBlock() + d.WriteMsPerBlock()
+        : a.is_write        ? d.WriteMsPerBlock()
+                            : d.ReadMsPerBlock();
+    const double transfer = blocks_on_disk * ms_per_block;
+    t.transfer += transfer;
+    on_access(ai, transfer);
+    min_blocks_on_disk = std::min(min_blocks_on_disk, blocks_on_disk);
+    ++t.k;
+  }
+  // With k <= 1 the +inf sentinel never reaches arithmetic: no placement
+  // costs nothing, and one object alone is read without interleaving seeks.
+  if (t.k > 1) {
+    DBLAYOUT_DCHECK(std::isfinite(min_blocks_on_disk));
+    t.seek = static_cast<double>(t.k) * d.seek_ms * min_blocks_on_disk;
+  }
+  return t;
+}
+
+inline DriveTerm SubplanDriveTerm(const SubplanAccess& subplan, const Layout& layout,
+                                  int j, const DiskDrive& d) {
+  return SubplanDriveTerm(subplan, layout, j, d, [](size_t, double) {});
+}
 
 class CostModel {
  public:

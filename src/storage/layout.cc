@@ -189,16 +189,7 @@ Layout Layout::FullStriping(int num_objects, const DiskFleet& fleet) {
 double Layout::DataMovementBlocks(const Layout& from, const Layout& to,
                                   const std::vector<int64_t>& object_blocks) {
   DBLAYOUT_CHECK(from.n_ == to.n_ && from.m_ == to.m_);
-  double moved = 0;
-  for (int i = 0; i < from.n_; ++i) {
-    for (int j = 0; j < from.m_; ++j) {
-      const double delta = to.x(i, j) - from.x(i, j);
-      if (delta > 0) {
-        moved += delta * static_cast<double>(object_blocks[static_cast<size_t>(i)]);
-      }
-    }
-  }
-  return moved;
+  return MovementBlocks(from, [&to](int i) { return to.row(i); }, object_blocks);
 }
 
 bool Layout::ApproxEquals(const Layout& other, double eps) const {

@@ -44,6 +44,8 @@ class Layout {
 
   double x(int i, int j) const { return x_[Idx(i, j)]; }
   void set_x(int i, int j, double v) { x_[Idx(i, j)] = v; }
+  /// Object i's m fractions, contiguous.
+  const double* row(int i) const { return x_.data() + Idx(i, 0); }
 
   /// Replaces object i's row: allocated across `disks` in proportion to each
   /// chosen drive's read transfer rate (the paper's allocation rule for both
@@ -94,6 +96,25 @@ class Layout {
   /// sum_i sum_j max(0, to.x(i,j) - from.x(i,j)) * |R_i|.
   static double DataMovementBlocks(const Layout& from, const Layout& to,
                                    const std::vector<int64_t>& object_blocks);
+
+  /// The movement loop: DataMovementBlocks toward the layout whose row i is
+  /// `to_row(i)` (a pointer to its m fractions), so a candidate that
+  /// replaces some rows is checked without being built.
+  template <typename RowOf>
+  static double MovementBlocks(const Layout& from, const RowOf& to_row,
+                               const std::vector<int64_t>& object_blocks) {
+    double moved = 0;
+    for (int i = 0; i < from.n_; ++i) {
+      const double* to = to_row(i);
+      for (int j = 0; j < from.m_; ++j) {
+        const double delta = to[j] - from.x(i, j);
+        if (delta > 0) {
+          moved += delta * static_cast<double>(object_blocks[static_cast<size_t>(i)]);
+        }
+      }
+    }
+    return moved;
+  }
 
   /// True if both layouts place every object on the same disk sets with
   /// fractions equal within `eps`.
