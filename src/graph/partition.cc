@@ -30,6 +30,9 @@ double InternalWeight(const WeightedGraph& g, const Partitioning& part) {
 
 namespace {
 
+/// Maximum number of full improvement sweeps.
+constexpr int kMaxPasses = 30;
+
 /// Simple union-find for contracting co-location groups into supernodes.
 class UnionFind {
  public:
@@ -139,7 +142,7 @@ Partitioning MaxCutPartition(const WeightedGraph& g, const PartitionOptions& opt
   constexpr double kEps = 1e-9;
   int64_t kl_passes = 0;
   int64_t kl_moves = 0;
-  for (int pass = 0; pass < options.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     ++kl_passes;
     bool improved = false;
     for (size_t u = 0; u < sn; ++u) {

@@ -28,8 +28,6 @@ double InternalWeight(const WeightedGraph& g, const Partitioning& part);
 struct PartitionOptions {
   /// Number of partitions p. The paper sets p = m (number of disk drives).
   int num_partitions = 2;
-  /// Maximum number of full improvement sweeps.
-  int max_passes = 30;
   /// Optional list of node groups that must stay in one partition
   /// (co-location constraints). Each inner vector is a group of node ids.
   std::vector<std::vector<size_t>> must_co_locate;

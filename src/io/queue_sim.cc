@@ -17,6 +17,18 @@ namespace {
 /// advertised average seek time.
 constexpr double kMeanSqrtDistance = 8.0 / 15.0;
 
+/// Fixed per-seek overhead (head settle + controller), ms.
+constexpr double kSettleMs = 1.0;
+/// Spindle speed; rotational latency is half a revolution per
+/// non-contiguous request.
+constexpr double kRpm = 10'000;
+/// Blocks per sequential I/O request (read-ahead unit). Scattered
+/// accesses always issue single-block requests.
+constexpr int64_t kRequestBlocks = 2;
+/// Seed of the deterministic failure-draw stream (independent of the
+/// per-stream address randomness).
+constexpr uint64_t kFaultSeed = 0x9e3779b97f4a7c15ull;
+
 /// Deterministic xorshift64* draw in [0, 1) for transient-failure decisions.
 double NextUnitDouble(uint64_t& state) {
   state ^= state >> 12;
@@ -82,7 +94,7 @@ double SimulateQueueDisk(const DiskDrive& d, const std::vector<QueueStream>& str
     st.spec = &s;
     st.remaining = s.blocks;
     st.rng = s.seed | 1;
-    st.Issue(options.request_blocks);
+    st.Issue(kRequestBlocks);
     states.push_back(st);
   }
   if (states.empty()) return 0;
@@ -92,8 +104,8 @@ double SimulateQueueDisk(const DiskDrive& d, const std::vector<QueueStream>& str
   const double capacity =
       static_cast<double>(std::max<int64_t>(1, d.capacity_blocks));
   const double k_seek =
-      std::max(0.0, (d.seek_ms - options.settle_ms) / kMeanSqrtDistance);
-  const double rotation_ms = options.rpm > 0 ? 30'000.0 / options.rpm : 0;
+      std::max(0.0, (d.seek_ms - kSettleMs) / kMeanSqrtDistance);
+  const double rotation_ms = 30'000.0 / kRpm;
 
   double time_ms = 0;
   int64_t head = 0;
@@ -104,7 +116,7 @@ double SimulateQueueDisk(const DiskDrive& d, const std::vector<QueueStream>& str
   int64_t transient_errors = 0;
   int64_t request_retries = 0;
   int64_t requests_abandoned = 0;
-  uint64_t fault_rng = options.fault_seed | 1;
+  uint64_t fault_rng = kFaultSeed | 1;
   const RetryPolicy& retry = options.retry;
 
   // Fair elevator sweeps: each sweep services exactly one outstanding
@@ -131,7 +143,7 @@ double SimulateQueueDisk(const DiskDrive& d, const std::vector<QueueStream>& str
       const int64_t dist = std::llabs(addr - head);
       if (dist != 0) {
         // Reposition: seek over the distance plus half a rotation.
-        time_ms += options.settle_ms +
+        time_ms += kSettleMs +
                    k_seek * std::sqrt(static_cast<double>(dist) / capacity) +
                    rotation_ms;
       }
@@ -163,7 +175,7 @@ double SimulateQueueDisk(const DiskDrive& d, const std::vector<QueueStream>& str
       ++requests_serviced;
       st->Complete();
     }
-    for (StreamState* st : batch) st->Issue(options.request_blocks);
+    for (StreamState* st : batch) st->Issue(kRequestBlocks);
   }
   // Accumulated locally (one request per elevator-sweep slot), flushed once:
   // the sweep loop stays free of global atomics.

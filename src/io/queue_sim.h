@@ -21,23 +21,12 @@
 namespace dblayout {
 
 struct QueueSimOptions {
-  /// Fixed per-seek overhead (head settle + controller), ms.
-  double settle_ms = 1.0;
-  /// Spindle speed; rotational latency is half a revolution per
-  /// non-contiguous request.
-  double rpm = 10'000;
-  /// Blocks per sequential I/O request (read-ahead unit). Scattered
-  /// accesses always issue single-block requests.
-  int64_t request_blocks = 2;
   /// Transient-error retry model. Each service attempt of a request may
   /// fail with retry.transient_error_rate; failed attempts pay an
   /// exponential backoff (capped) and replay the transfer in place. After
   /// retry.max_retries failed retries the request is abandoned (counted in
   /// io/requests_abandoned) so degraded runs always terminate.
   RetryPolicy retry;
-  /// Seed of the deterministic failure-draw stream (independent of the
-  /// per-stream address randomness).
-  uint64_t fault_seed = 0x9e3779b97f4a7c15ull;
 };
 
 /// One closed-loop client stream on a drive.

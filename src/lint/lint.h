@@ -63,17 +63,6 @@ struct Diagnostic {
 /// Tunable thresholds for the heuristic layout rules.
 struct LintOptions {
   OptimizerOptions optimizer;  ///< used to plan workload statements
-  /// An access-graph edge is "heavy" when its weight reaches this fraction
-  /// of the total edge weight (layout-coaccess-shared-disk).
-  double coaccess_min_edge_fraction = 0.10;
-  /// Minimum shared-disk overlap sum_j min(x_uj, x_vj) for a heavy pair to
-  /// be flagged (1.0 = identical placement).
-  double coaccess_min_overlap = 0.5;
-  /// Drive-fill fraction above which layout-capacity-headroom warns.
-  double capacity_headroom_warn = 0.90;
-  /// Stripe fractions materializing to fewer blocks than this are slivers
-  /// (layout-thin-stripe). One block = one transfer unit (64 KiB extent).
-  double min_stripe_blocks = 1.0;
   /// Statement count at which workload-progress-recommended (an opt-in rule,
   /// see MakeWorkloadProgressRule) suggests running with --progress.
   int progress_recommend_statements = 100;

@@ -41,10 +41,6 @@ struct AttributionOptions {
   /// queue_sim queue depths). Costs one simulator pass per drive; off for
   /// callers that only need the exact cost decomposition.
   bool sample_queues = true;
-  /// Blocks cap per sampled queue-sim stream: queue-depth and service-mix
-  /// sampling does not need every block of a TPC-H scale-1 scan, so streams
-  /// are truncated (ratios preserved) to bound the request walk.
-  int64_t queue_sample_blocks = 4096;
   /// Seed for the queue simulator's scattered-access streams.
   uint64_t seed = 1;
 };

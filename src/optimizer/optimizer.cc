@@ -32,6 +32,14 @@ std::string QualName(const std::string& bind, const std::string& col) {
 constexpr int kDpJoinTableLimit = 12;
 static_assert(kDpJoinTableLimit < 64, "DP subset masks are 64-bit");
 
+/// Cost multiplier for a random block access relative to a sequential one
+/// when choosing access paths.
+constexpr double kRandomIoPenalty = 4.0;
+/// Physical cost knobs, in sequential-block-equivalents per row (see
+/// OptimizerOptions for the hash-join ones): sorts are expensive.
+constexpr double kSortCostPerRow = 0.05;
+constexpr double kNljCostPerOuterRow = 0.01;
+
 /// One leaf I/O of a plan: a node touching `blocks` blocks of `object_id`.
 struct PlanLeaf {
   int object_id = -1;
@@ -458,7 +466,7 @@ Result<std::unique_ptr<PlanNode>> SelectPlanner::BuildAccessPath(size_t t) {
                                        data_blocks,
                                        static_cast<double>(table.row_count));
       const double cost = std::max(1.0, psel * index_blocks) +
-                          options_.random_io_penalty * lookups;
+                          kRandomIoPenalty * lookups;
       if (cost < best_cost) {
         best_cost = cost;
         best_path = Path::kNcSeek;
@@ -621,10 +629,9 @@ void SelectPlanner::PriceJoin(const JoinSide& left, LeftLeaves&& left_leaves, si
   // ImplCost's terms in ImplCost's order: the node's own surcharge, then
   // its children left to right; a Sort costs its per-row charge, then its
   // input.
-  const double penalty = options_.random_io_penalty;
   auto sorted_cost = [&](const JoinSide& input, bool already_sorted) {
     return already_sorted ? input.cost
-                          : options_.sort_cost_per_row * input.rows + input.cost;
+                          : kSortCostPerRow * input.rows + input.cost;
   };
   JoinStep& step = price->step;
   price->feasible[kMergeImpl] = false;
@@ -660,14 +667,15 @@ void SelectPlanner::PriceJoin(const JoinSide& left, LeftLeaves&& left_leaves, si
       step.seek_blocks = YaoBlocks(std::max(out_rows, left.rows), inner->data_blocks,
                                    inner->table_rows);
       step.lookup_blocks = 0;
-      inner_cost = step.seek_blocks * penalty;
+      inner_cost = step.seek_blocks * kRandomIoPenalty;
     } else {
       step.seek_blocks = YaoBlocks(left.rows, inner->index_blocks, inner->table_rows);
       step.lookup_blocks = YaoBlocks(out_rows, inner->data_blocks, inner->table_rows);
-      inner_cost = step.lookup_blocks * penalty + step.seek_blocks * penalty;
+      inner_cost = step.lookup_blocks * kRandomIoPenalty +
+                   step.seek_blocks * kRandomIoPenalty;
     }
     double c = 0.0;
-    c += options_.nlj_cost_per_outer_row * left.rows;
+    c += kNljCostPerOuterRow * left.rows;
     c += left.cost;
     c += inner_cost;
     price->feasible[kIndexNljImpl] = true;
@@ -858,11 +866,11 @@ void LeafObjects(const PlanNode& node, std::map<int, double>* blocks) {
 
 double SelectPlanner::ImplCost(const PlanNode& node) const {
   double c = node.blocks_accessed *
-             (node.random_access ? options_.random_io_penalty : 1.0);
+             (node.random_access ? kRandomIoPenalty : 1.0);
   switch (node.op) {
     case PlanOp::kSort:
       if (!node.children.empty()) {
-        c += options_.sort_cost_per_row * node.children[0]->out_rows;
+        c += kSortCostPerRow * node.children[0]->out_rows;
       }
       break;
     case PlanOp::kMergeJoin:
@@ -895,7 +903,7 @@ double SelectPlanner::ImplCost(const PlanNode& node) const {
       break;
     case PlanOp::kNestedLoopsJoin:
       if (!node.children.empty()) {
-        c += options_.nlj_cost_per_outer_row * node.children[0]->out_rows;
+        c += kNljCostPerOuterRow * node.children[0]->out_rows;
       }
       break;
     default:

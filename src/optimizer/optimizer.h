@@ -45,16 +45,12 @@ struct OptimizerOptions {
   /// Maximum estimated outer rows for which index nested-loops join is
   /// considered over hash join.
   double nlj_outer_rows_threshold = 2000;
-  /// Cost multiplier for a random block access relative to a sequential one
-  /// when choosing access paths.
-  double random_io_penalty = 4.0;
   /// Physical cost knobs, in sequential-block-equivalents per row, used to
   /// compare join implementations (hash joins pay build/probe work; merge
-  /// joins of pre-sorted inputs are nearly free; sorts are expensive).
+  /// joins of pre-sorted inputs are nearly free; sorts are expensive; the
+  /// sort and nested-loops knobs are constants in optimizer.cc).
   double hash_build_cost_per_row = 0.012;
   double hash_probe_cost_per_row = 0.004;
-  double sort_cost_per_row = 0.05;
-  double nlj_cost_per_outer_row = 0.01;
 };
 
 class Optimizer {

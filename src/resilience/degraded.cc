@@ -77,7 +77,7 @@ Result<ResilienceReport> EvaluateResilience(const Database& db, const DiskFleet&
     fault.failed = true;
     plan.faults.push_back(std::move(fault));
     DBLAYOUT_ASSIGN_OR_RETURN(resolved[static_cast<size_t>(j)],
-                              ApplyFaultPlan(fleet, plan, options));
+                              ApplyFaultPlan(fleet, plan));
   }
 
   std::vector<double> degraded(static_cast<size_t>(m), 0.0);
@@ -143,13 +143,13 @@ std::string RenderResilienceReport(const ResilienceReport& report) {
 
 Result<FaultPlanImpact> EvaluateFaultPlanCost(const Database& db, const DiskFleet& fleet,
                                               const WorkloadProfile& profile,
-                                              const Layout& layout, const FaultPlan& plan,
-                                              const ResilienceOptions& options) {
+                                              const Layout& layout,
+                                              const FaultPlan& plan) {
   DBLAYOUT_TRACE_SPAN("resilience/fault_plan_cost");
   DBLAYOUT_RETURN_NOT_OK(CheckInputs(db, fleet, profile, layout));
 
   FaultPlanImpact impact;
-  DBLAYOUT_ASSIGN_OR_RETURN(impact.resolved, ApplyFaultPlan(fleet, plan, options));
+  DBLAYOUT_ASSIGN_OR_RETURN(impact.resolved, ApplyFaultPlan(fleet, plan));
   {
     const CostModel healthy(fleet);
     impact.healthy_cost_ms = LayoutEvaluator(profile, healthy).Bind(layout);

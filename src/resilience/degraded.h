@@ -79,8 +79,8 @@ struct FaultPlanImpact {
 /// Costs `layout` under `plan` (healthy vs degraded) and lists lost objects.
 Result<FaultPlanImpact> EvaluateFaultPlanCost(const Database& db, const DiskFleet& fleet,
                                               const WorkloadProfile& profile,
-                                              const Layout& layout, const FaultPlan& plan,
-                                              const ResilienceOptions& options = {});
+                                              const Layout& layout,
+                                              const FaultPlan& plan);
 
 /// Objects of `layout` that lose blocks when `drive` hard-fails: those with a
 /// positive fraction on a drive whose availability is kNone. Redundant drives

@@ -92,6 +92,33 @@ Status ForceEvict(const Database& db, const DiskFleet& fleet,
 
 }  // namespace
 
+std::vector<ObjectMove> ObjectMoves(const Database& db, const Layout& from,
+                                    const Layout& to) {
+  const std::vector<int64_t> sizes = db.ObjectSizes();
+  std::vector<ObjectMove> moves;
+  for (int i = 0; i < to.num_objects(); ++i) {
+    const int64_t size = sizes[static_cast<size_t>(i)];
+    double moved = 0;
+    for (int j = 0; j < to.num_disks(); ++j) {
+      moved += std::max(0.0, to.x(i, j) - from.x(i, j)) * static_cast<double>(size);
+    }
+    if (moved <= kLayoutFractionTolerance) continue;
+    ObjectMove& move = moves.emplace_back();
+    move.object = i;
+    move.object_name = db.Objects()[static_cast<size_t>(i)].name;
+    move.from_disks = from.DisksOf(i);
+    move.to_disks = to.DisksOf(i);
+    move.blocks_moved = std::llround(moved);
+  }
+  return moves;
+}
+
+std::string DriveNames(const std::vector<int>& disks, const DiskFleet& fleet) {
+  std::vector<std::string> names;
+  for (int j : disks) names.push_back(fleet.disk(j).name);
+  return Join(names, ",");
+}
+
 Result<EvacuationPlan> PlanEvacuation(const Database& db, const DiskFleet& fleet,
                                       const WorkloadProfile& profile,
                                       const Layout& current,
@@ -168,23 +195,11 @@ Result<EvacuationPlan> PlanEvacuation(const Database& db, const DiskFleet& fleet
   plan.current_cost_ms = evaluator.Bind(current);
   plan.target_cost_ms = evaluator.Bind(plan.target);
 
-  for (int i = 0; i < plan.target.num_objects(); ++i) {
-    const int64_t size = sizes[static_cast<size_t>(i)];
-    double moved = 0;
-    for (int j = 0; j < plan.target.num_disks(); ++j) {
-      moved += std::max(0.0, plan.target.x(i, j) - current.x(i, j)) *
-               static_cast<double>(size);
-    }
-    if (moved <= kLayoutFractionTolerance) continue;
-    EvacuationMove move;
-    move.object = i;
-    move.object_name = db.Objects()[static_cast<size_t>(i)].name;
-    move.from_disks = current.DisksOf(i);
-    move.to_disks = plan.target.DisksOf(i);
-    move.blocks_moved = std::llround(moved);
-    move.blocks_off_failed =
-        std::llround(current.x(i, failed) * static_cast<double>(size));
-    plan.moves.push_back(std::move(move));
+  for (ObjectMove& m : ObjectMoves(db, current, plan.target)) {
+    EvacuationMove& move = plan.moves.emplace_back(EvacuationMove{std::move(m)});
+    move.blocks_off_failed = std::llround(
+        current.x(move.object, failed) *
+        static_cast<double>(sizes[static_cast<size_t>(move.object)]));
   }
   std::sort(plan.moves.begin(), plan.moves.end(),
             [](const EvacuationMove& a, const EvacuationMove& b) {
@@ -217,13 +232,10 @@ std::string RenderEvacuationPlan(const EvacuationPlan& plan, const DiskFleet& fl
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"object", "off-failed", "moved", "from", "to"});
   for (const EvacuationMove& m : plan.moves) {
-    std::vector<std::string> from_names, to_names;
-    for (int j : m.from_disks) from_names.push_back(fleet.disk(j).name);
-    for (int j : m.to_disks) to_names.push_back(fleet.disk(j).name);
     rows.push_back({m.object_name,
                     StrFormat("%lld", static_cast<long long>(m.blocks_off_failed)),
                     StrFormat("%lld", static_cast<long long>(m.blocks_moved)),
-                    Join(from_names, ","), Join(to_names, ",")});
+                    DriveNames(m.from_disks, fleet), DriveNames(m.to_disks, fleet)});
   }
   out += RenderTable(rows);
   return out;

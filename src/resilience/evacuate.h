@@ -11,6 +11,7 @@
 #ifndef DBLAYOUT_RESILIENCE_EVACUATE_H_
 #define DBLAYOUT_RESILIENCE_EVACUATE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -33,15 +34,29 @@ struct EvacuationOptions {
   SearchOptions search;
 };
 
-/// One object's migration step, ordered most-urgent first (blocks coming off
-/// the failed drive, descending).
-struct EvacuationMove {
+/// One object's migration step between two layouts.
+struct ObjectMove {
   int object = -1;
   std::string object_name;
   std::vector<int> from_disks;  ///< drive indices before the move
   std::vector<int> to_disks;    ///< drive indices after the move
   /// Blocks written at new locations for this object.
   int64_t blocks_moved = 0;
+};
+
+/// The objects that move from `from` to `to`, in object order. An object
+/// moves sum_j max(0, to_ij - from_ij) * |R_i| blocks (rounded in
+/// blocks_moved); objects moving at most kLayoutFractionTolerance are left
+/// out. Shared by the evacuation and rollback plans.
+std::vector<ObjectMove> ObjectMoves(const Database& db, const Layout& from,
+                                    const Layout& to);
+
+/// `disks` as comma-separated drive names: a move table's from/to cell.
+std::string DriveNames(const std::vector<int>& disks, const DiskFleet& fleet);
+
+/// One object's evacuation step, ordered most-urgent first (blocks coming off
+/// the failed drive, descending).
+struct EvacuationMove : ObjectMove {
   /// Blocks of this object that were on the failed drive.
   int64_t blocks_off_failed = 0;
 };

@@ -1,5 +1,6 @@
 #include "resilience/fault.h"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "common/strutil.h"
@@ -19,7 +20,8 @@ Status ParseScalar(const std::string& source, int line, const std::string& key,
                                         source.c_str(), line, key.c_str(),
                                         value.c_str()));
   }
-  if (v < lo || (hi_open ? v >= hi : v > hi)) {
+  // Written so that NaN, which every comparison rejects, is out of range.
+  if (!(v >= lo && (hi_open ? v < hi : v <= hi))) {
     return Status::InvalidArgument(
         StrFormat("%s:%d: %s=%g out of range [%g, %g%s", source.c_str(), line,
                   key.c_str(), v, lo, hi, hi_open ? ")" : "]"));
@@ -103,15 +105,7 @@ Result<FaultPlan> FaultPlan::FromSpec(const std::string& text,
   return plan;
 }
 
-Result<ResolvedFaultPlan> ApplyFaultPlan(const DiskFleet& fleet, const FaultPlan& plan,
-                                         const ResilienceOptions& options) {
-  if (options.mirror_degraded_slowdown < 1.0 ||
-      options.parity_rebuild_amplification < 1.0 ||
-      options.lost_restore_penalty < 1.0) {
-    return Status::InvalidArgument(
-        "resilience penalties must be >= 1 (degraded service is never faster "
-        "than healthy)");
-  }
+Result<ResolvedFaultPlan> ApplyFaultPlan(const DiskFleet& fleet, const FaultPlan& plan) {
   ResolvedFaultPlan resolved;
   resolved.failed.assign(static_cast<size_t>(fleet.num_disks()), false);
   resolved.transient_rate.assign(static_cast<size_t>(fleet.num_disks()), 0.0);
@@ -136,12 +130,13 @@ Result<ResolvedFaultPlan> ApplyFaultPlan(const DiskFleet& fleet, const FaultPlan
           "fault plan lists drive '%s' more than once", fault.drive_name.c_str()));
     }
     seen[static_cast<size_t>(drive)] = true;
-    if (fault.transfer_scale <= 0.0 || fault.transfer_scale > 1.0 ||
-        fault.seek_scale < 1.0 || fault.transient_error_rate < 0.0 ||
-        fault.transient_error_rate >= 1.0) {
+    // Every comparison fails for NaN, so each must hold for a valid fault.
+    if (!(fault.transfer_scale > 0.0 && fault.transfer_scale <= 1.0 &&
+          fault.seek_scale >= 1.0 && std::isfinite(fault.seek_scale) &&
+          fault.transient_error_rate >= 0.0 && fault.transient_error_rate < 1.0)) {
       return Status::InvalidArgument(StrFormat(
-          "fault for drive '%s' out of range (want 0 < transfer <= 1, seek >= 1, "
-          "0 <= errors < 1)",
+          "fault for drive '%s' out of range (want 0 < transfer <= 1, "
+          "finite seek >= 1, 0 <= errors < 1)",
           fault.drive_name.c_str()));
     }
 
@@ -165,16 +160,16 @@ Result<ResolvedFaultPlan> ApplyFaultPlan(const DiskFleet& fleet, const FaultPlan
     // relies on.
     switch (d.avail) {
       case Availability::kMirroring:
-        d.read_mb_s /= options.mirror_degraded_slowdown;
+        d.read_mb_s /= kMirrorDegradedSlowdown;
         break;
       case Availability::kParity:
-        d.read_mb_s /= options.parity_rebuild_amplification;
-        d.write_mb_s /= options.parity_rebuild_amplification;
+        d.read_mb_s /= kParityRebuildAmplification;
+        d.write_mb_s /= kParityRebuildAmplification;
         break;
       case Availability::kNone:
-        d.read_mb_s /= options.lost_restore_penalty;
-        d.write_mb_s /= options.lost_restore_penalty;
-        d.seek_ms *= options.lost_restore_penalty;
+        d.read_mb_s /= kLostRestorePenalty;
+        d.write_mb_s /= kLostRestorePenalty;
+        d.seek_ms *= kLostRestorePenalty;
         break;
     }
   }

@@ -18,21 +18,27 @@
 
 namespace dblayout {
 
-/// Knobs for how a *failed* drive keeps serving (or not) by RAID level.
-/// Multipliers are applied to per-block service times, so every value >= 1
-/// preserves the degraded >= healthy cost monotonicity.
+// How a *failed* drive keeps serving (or not) by RAID level. Multipliers
+// are applied to per-block service times, so every value >= 1 preserves
+// the degraded >= healthy cost monotonicity.
+
+/// RAID 1 with one mirror gone: reads lose the two-way spread, so the
+/// surviving copy serves them at half rate.
+inline constexpr double kMirrorDegradedSlowdown = 2.0;
+/// RAID 5 with one member gone: reads of the failed member's stripes must
+/// be rebuilt from the k-1 survivors (read-amplification), writes lose the
+/// parity shortcut.
+inline constexpr double kParityRebuildAmplification = 2.0;
+/// Non-redundant drive gone: the data is *lost*; accesses stand in for a
+/// restore-from-backup path, costed at this slowdown so the scenario stays
+/// finite and comparable (lost objects are also reported explicitly).
+inline constexpr double kLostRestorePenalty = 8.0;
+static_assert(kMirrorDegradedSlowdown >= 1.0 && kParityRebuildAmplification >= 1.0 &&
+                  kLostRestorePenalty >= 1.0,
+              "degraded service is never faster than healthy");
+
+/// Options of EvaluateResilience.
 struct ResilienceOptions {
-  /// RAID 1 with one mirror gone: reads lose the two-way spread, so the
-  /// surviving copy serves them at half rate.
-  double mirror_degraded_slowdown = 2.0;
-  /// RAID 5 with one member gone: reads of the failed member's stripes must
-  /// be rebuilt from the k-1 survivors (read-amplification), writes lose the
-  /// parity shortcut.
-  double parity_rebuild_amplification = 2.0;
-  /// Non-redundant drive gone: the data is *lost*; accesses stand in for a
-  /// restore-from-backup path, costed at this slowdown so the scenario stays
-  /// finite and comparable (lost objects are also reported explicitly).
-  double lost_restore_penalty = 8.0;
   /// Threads used to cost the independent single-drive failure scenarios of
   /// EvaluateResilience (shared pool, fixed result slots, sequential
   /// aggregation — the report is bit-identical for any value). <= 1 runs in
@@ -89,9 +95,9 @@ struct ResolvedFaultPlan {
 };
 
 /// Resolves `plan` against `fleet` (drive names case-insensitive). Fails on
-/// unknown or duplicate drive names and on out-of-range scales/rates.
-Result<ResolvedFaultPlan> ApplyFaultPlan(const DiskFleet& fleet, const FaultPlan& plan,
-                                         const ResilienceOptions& options = {});
+/// unknown or duplicate drive names and on out-of-range or non-finite
+/// scales/rates.
+Result<ResolvedFaultPlan> ApplyFaultPlan(const DiskFleet& fleet, const FaultPlan& plan);
 
 }  // namespace dblayout
 

@@ -1,7 +1,6 @@
 #include "resilience/rollback.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/strutil.h"
 #include "layout/cost_model.h"
@@ -39,24 +38,9 @@ Result<RollbackPlan> PlanRollback(const Database& db, const DiskFleet& fleet,
   plan.current_cost_ms = evaluator.Bind(current);
   plan.target_cost_ms = evaluator.Bind(last_good);
 
-  for (int i = 0; i < num_objects; ++i) {
-    const int64_t size = sizes[static_cast<size_t>(i)];
-    double moved = 0;
-    for (int j = 0; j < fleet.num_disks(); ++j) {
-      moved += std::max(0.0, last_good.x(i, j) - current.x(i, j)) *
-               static_cast<double>(size);
-    }
-    if (moved <= kLayoutFractionTolerance) continue;
-    RollbackMove move;
-    move.object = i;
-    move.object_name = db.Objects()[static_cast<size_t>(i)].name;
-    move.from_disks = current.DisksOf(i);
-    move.to_disks = last_good.DisksOf(i);
-    move.blocks_moved = std::llround(moved);
-    plan.moves.push_back(std::move(move));
-  }
+  plan.moves = ObjectMoves(db, current, last_good);
   std::sort(plan.moves.begin(), plan.moves.end(),
-            [](const RollbackMove& a, const RollbackMove& b) {
+            [](const ObjectMove& a, const ObjectMove& b) {
               if (a.blocks_moved != b.blocks_moved) {
                 return a.blocks_moved > b.blocks_moved;
               }
@@ -93,13 +77,10 @@ std::string RenderRollbackPlan(const RollbackPlan& plan, const DiskFleet& fleet)
       plan.target_cost_ms, plan.RegressionPct());
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"object", "moved", "from", "to"});
-  for (const RollbackMove& m : plan.moves) {
-    std::vector<std::string> from_names, to_names;
-    for (int j : m.from_disks) from_names.push_back(fleet.disk(j).name);
-    for (int j : m.to_disks) to_names.push_back(fleet.disk(j).name);
+  for (const ObjectMove& m : plan.moves) {
     rows.push_back({m.object_name,
                     StrFormat("%lld", static_cast<long long>(m.blocks_moved)),
-                    Join(from_names, ","), Join(to_names, ",")});
+                    DriveNames(m.from_disks, fleet), DriveNames(m.to_disks, fleet)});
   }
   out += RenderTable(rows);
   int listed = 0;

@@ -21,22 +21,11 @@
 
 #include "catalog/catalog.h"
 #include "common/result.h"
+#include "resilience/evacuate.h"
 #include "storage/layout.h"
 #include "workload/analyzer.h"
 
 namespace dblayout {
-
-/// One object's migration step back toward the last-good layout, ordered
-/// most blocks moved first (big objects restore first so the bulk of the
-/// regression is undone earliest).
-struct RollbackMove {
-  int object = -1;
-  std::string object_name;
-  std::vector<int> from_disks;  ///< drive indices under the regressed layout
-  std::vector<int> to_disks;    ///< drive indices under the last-good layout
-  /// Blocks written at new locations to restore this object.
-  int64_t blocks_moved = 0;
-};
 
 /// One statement's share of the regression: how much costlier it is under
 /// the regressed layout than under the last-good target. Positive delta =
@@ -56,8 +45,10 @@ struct RollbackPlan {
   double current_cost_ms = 0;  ///< workload cost of the regressed layout
   double target_cost_ms = 0;   ///< workload cost after rollback
   double moved_blocks = 0;     ///< total blocks moved current -> target
-  /// Ordered move list, largest restores first.
-  std::vector<RollbackMove> moves;
+  /// Ordered move list back toward the last-good layout, most blocks moved
+  /// first (big objects restore first so the bulk of the regression is
+  /// undone earliest). from_disks are the regressed layout's drives.
+  std::vector<ObjectMove> moves;
   /// Per-statement regression attribution, worst offender first. Every
   /// profile statement appears (deltas can be negative — some statements
   /// were faster under the regressed layout); callers typically journal the

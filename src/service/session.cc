@@ -309,15 +309,18 @@ Status Session::ProcessWindow() {
                     {"benefit_pct", obs::JsonDouble(guardrail_.last_benefit_pct())},
                     {"moved_blocks", obs::JsonDouble(moved)}});
       // Benefit attribution of the newly promoted layout: which statements
-      // and objects the win comes from (journaled for run reports). Queue
-      // sampling off — the serve loop stays deterministic and cheap.
-      obs::AttributionOptions attr_options;
-      attr_options.sample_queues = false;
-      Result<obs::CostAttribution> attribution =
-          obs::AttributeCost(profile_, active_, fleet_, db_.ObjectSizes(),
-                             ObjectNames(db_), attr_options);
-      if (attribution.ok() && journal_ != nullptr) {
-        obs::AppendAttributionEvents(attribution.value(), journal_, 5);
+      // and objects the win comes from, built only for a journal (run
+      // reports read it there). Queue sampling off — the serve loop stays
+      // deterministic and cheap.
+      if (journal_ != nullptr) {
+        obs::AttributionOptions attr_options;
+        attr_options.sample_queues = false;
+        Result<obs::CostAttribution> attribution =
+            obs::AttributeCost(profile_, active_, fleet_, db_.ObjectSizes(),
+                               ObjectNames(db_), attr_options);
+        if (attribution.ok()) {
+          obs::AppendAttributionEvents(attribution.value(), journal_, 5);
+        }
       }
       break;
     }

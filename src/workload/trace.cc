@@ -1,6 +1,7 @@
 #include "workload/trace.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 
@@ -21,6 +22,11 @@ Result<std::vector<TraceEvent>> ParseTraceEvents(const std::string& text) {
     if (end == line.c_str()) {
       return Status::ParseError(
           StrFormat("trace line %d: expected timestamp", lineno));
+    }
+    // The stable_sort below needs a strict weak order, which NaN breaks.
+    if (!std::isfinite(ts)) {
+      return Status::ParseError(
+          StrFormat("trace line %d: timestamp is not a finite number", lineno));
     }
     const char* p = end;
     char* end2 = nullptr;

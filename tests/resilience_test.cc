@@ -110,6 +110,10 @@ TEST(FaultPlanTest, FromSpecRejectsOutOfRangeScales) {
   EXPECT_FALSE(FaultPlan::FromSpec("d1 degraded transfer=0\n").ok());
   EXPECT_FALSE(FaultPlan::FromSpec("d1 degraded seek=0.5\n").ok());
   EXPECT_FALSE(FaultPlan::FromSpec("d1 degraded errors=1\n").ok());
+  // NaN passes any range check written as `v < lo || v > hi`.
+  EXPECT_FALSE(FaultPlan::FromSpec("d1 degraded transfer=nan\n").ok());
+  EXPECT_FALSE(FaultPlan::FromSpec("d1 degraded seek=nan\n").ok());
+  EXPECT_FALSE(FaultPlan::FromSpec("d1 degraded errors=nan\n").ok());
   EXPECT_TRUE(FaultPlan::FromSpec("d1 degraded transfer=1 seek=1 errors=0\n").ok());
 }
 
@@ -135,36 +139,53 @@ TEST(ApplyFaultPlanTest, DegradedScalingSlowsTheDrive) {
 
 TEST(ApplyFaultPlanTest, HardFailureTransformDependsOnRaidLevel) {
   DiskFleet fleet = MixedFleet();
-  const ResilienceOptions opts;
   for (const char* name : {"plain0", "raid5", "raid1"}) {
     FaultPlan plan;
     plan.faults.push_back(DriveFault{name, true});
-    auto resolved = ApplyFaultPlan(fleet, plan, opts);
+    auto resolved = ApplyFaultPlan(fleet, plan);
     ASSERT_TRUE(resolved.ok()) << name << ": " << resolved.status().ToString();
     EXPECT_TRUE(resolved->AnyFailed());
   }
   // Mirroring: reads at half rate off the surviving copy.
   FaultPlan mirror_plan;
   mirror_plan.faults.push_back(DriveFault{"raid1", true});
-  auto mirror = ApplyFaultPlan(fleet, mirror_plan, opts).value();
+  auto mirror = ApplyFaultPlan(fleet, mirror_plan).value();
   EXPECT_DOUBLE_EQ(mirror.degraded_fleet.disk(3).read_mb_s,
-                   fleet.disk(3).read_mb_s / opts.mirror_degraded_slowdown);
+                   fleet.disk(3).read_mb_s / kMirrorDegradedSlowdown);
   // Parity: rebuild amplification hits reads and writes.
   FaultPlan parity_plan;
   parity_plan.faults.push_back(DriveFault{"raid5", true});
-  auto parity = ApplyFaultPlan(fleet, parity_plan, opts).value();
+  auto parity = ApplyFaultPlan(fleet, parity_plan).value();
   EXPECT_DOUBLE_EQ(parity.degraded_fleet.disk(2).read_mb_s,
-                   fleet.disk(2).read_mb_s / opts.parity_rebuild_amplification);
+                   fleet.disk(2).read_mb_s / kParityRebuildAmplification);
   EXPECT_DOUBLE_EQ(parity.degraded_fleet.disk(2).write_mb_s,
-                   fleet.disk(2).write_mb_s / opts.parity_rebuild_amplification);
+                   fleet.disk(2).write_mb_s / kParityRebuildAmplification);
   // Non-redundant: data is lost; accesses stand in for restore-from-backup.
   FaultPlan plain_plan;
   plain_plan.faults.push_back(DriveFault{"plain0", true});
-  auto plain = ApplyFaultPlan(fleet, plain_plan, opts).value();
+  auto plain = ApplyFaultPlan(fleet, plain_plan).value();
   EXPECT_DOUBLE_EQ(plain.degraded_fleet.disk(0).read_mb_s,
-                   fleet.disk(0).read_mb_s / opts.lost_restore_penalty);
+                   fleet.disk(0).read_mb_s / kLostRestorePenalty);
   EXPECT_DOUBLE_EQ(plain.degraded_fleet.disk(0).seek_ms,
-                   fleet.disk(0).seek_ms * opts.lost_restore_penalty);
+                   fleet.disk(0).seek_ms * kLostRestorePenalty);
+}
+
+TEST(ApplyFaultPlanTest, RejectsOutOfRangeAndNonFiniteScales) {
+  const DiskFleet fleet = MixedFleet();
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  for (const DriveFault& fault :
+       {DriveFault{"plain0", false, 1.5}, DriveFault{"plain0", false, nan},
+        DriveFault{"plain0", false, 1.0, 0.5}, DriveFault{"plain0", false, 1.0, nan},
+        DriveFault{"plain0", false, 1.0, inf}, DriveFault{"plain0", false, 1.0, 1.0, 1.0},
+        DriveFault{"plain0", false, 1.0, 1.0, nan}}) {
+    FaultPlan plan;
+    plan.faults.push_back(fault);
+    EXPECT_EQ(ApplyFaultPlan(fleet, plan).status().code(),
+              StatusCode::kInvalidArgument)
+        << fault.transfer_scale << " " << fault.seek_scale << " "
+        << fault.transient_error_rate;
+  }
 }
 
 TEST(ApplyFaultPlanTest, RejectsUnknownAndDuplicateDrives) {

@@ -31,6 +31,11 @@ TEST(TraceTest, ParseErrors) {
   EXPECT_EQ(ParseTraceEvents("100 x SELECT * FROM t").status().code(),
             StatusCode::kParseError);
   EXPECT_EQ(ParseTraceEvents("100 1 ;").status().code(), StatusCode::kParseError);
+  // A NaN timestamp would break the strict weak order the sort needs.
+  EXPECT_EQ(ParseTraceEvents("nan 1 SELECT * FROM t").status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(ParseTraceEvents("inf 1 SELECT * FROM t").status().code(),
+            StatusCode::kParseError);
 }
 
 TEST(TraceTest, SetOfStatementsAggregatesWeights) {

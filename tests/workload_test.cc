@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "catalog/catalog.h"
 #include "workload/analyzer.h"
 #include "workload/workload.h"
@@ -54,6 +57,9 @@ TEST(WorkloadTest, AddRejectsBadSqlAndWeights) {
   EXPECT_EQ(wl.Add("NOT SQL").code(), StatusCode::kParseError);
   EXPECT_EQ(wl.Add("SELECT * FROM t", 0).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(wl.Add("SELECT * FROM t", -2).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(wl.Add("SELECT * FROM t", std::nan("")).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(wl.Add("SELECT * FROM t", HUGE_VAL).code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(wl.empty());
 }
 
@@ -81,6 +87,14 @@ TEST(WorkloadTest, FromScriptErrors) {
             StatusCode::kParseError);
   EXPECT_EQ(Workload::FromScript("x", "garbage;").status().code(),
             StatusCode::kParseError);
+  // A directive's whole value must parse, and a weight must be finite.
+  for (const char* directive : {"-- weight: nan", "-- weight: inf", "-- weight: 50abc",
+                                "-- stream: 2x", "-- stream: 99999999999"}) {
+    const auto wl =
+        Workload::FromScript("x.sql", std::string(directive) + "\nSELECT * FROM t;");
+    EXPECT_EQ(wl.status().code(), StatusCode::kParseError) << directive;
+    EXPECT_NE(wl.status().message().find("x.sql:1:"), std::string::npos) << directive;
+  }
 }
 
 TEST(AnalyzerTest, ProfilesEveryStatement) {

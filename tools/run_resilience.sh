@@ -82,12 +82,16 @@ set +e
   --fault-plan /nonexistent/plan.txt >/dev/null 2>&1
 [[ $? -eq 2 ]] || fail "missing fault plan did not exit 2"
 bad="$(mktemp)"
-echo "data1 wobbly" > "${bad}"
-msg="$("${BIN}" advise --tpch 0.1 --disks "${DATA}/disks.txt" --fault-plan "${bad}" 2>&1)"
-code=$?
+# A NaN scale passes a range check written `v < lo || v > hi`; it must not
+# pass the reader.
+for plan in "data1 wobbly" "data2 degraded transfer=nan"; do
+  echo "${plan}" > "${bad}"
+  msg="$("${BIN}" advise --tpch 0.1 --disks "${DATA}/disks.txt" --fault-plan "${bad}" 2>&1)"
+  code=$?
+  [[ ${code} -eq 2 ]] || fail "fault plan '${plan}' did not exit 2"
+  grep -q ":1:" <<<"${msg}" || fail "'${plan}' error lacks file:line context: ${msg}"
+done
 rm -f "${bad}"
-[[ ${code} -eq 2 ]] || fail "malformed fault plan did not exit 2"
-grep -q ":1:" <<<"${msg}" || fail "parse error lacks file:line context: ${msg}"
 set -e
 
 printf '\nRESILIENCE DRIVER OK\n'
