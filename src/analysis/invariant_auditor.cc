@@ -142,8 +142,8 @@ Status RecomputeSubplanCost(const SubplanAccess& subplan, const Layout& layout,
     }
     // Empty placement on this drive (no access has a positive fraction):
     // min_blocks is still the +inf sentinel and must not reach arithmetic.
-    // The oracle (CostModel::SubplanCost) skips such drives the same way,
-    // so the two definitions of "zero-cost drive" cannot drift apart.
+    // The model's drive term (SubplanDriveTerm) gives such a drive no
+    // transfer and no seek, so it cannot set the max there either.
     if (co_resident == 0) continue;
     const double seek =
         co_resident > 1 ? static_cast<double>(co_resident) * d.seek_ms * min_blocks
