@@ -43,150 +43,82 @@ Result<double> ParseDateDays(const std::string& iso_date) {
 
 namespace {
 
-/// Stream of tokens with one-symbol lookahead helpers.
-class Cursor {
- public:
-  explicit Cursor(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
-
-  const Token& Peek(size_t ahead = 0) const {
-    const size_t k = pos_ + ahead;
-    return k < tokens_.size() ? tokens_[k] : tokens_.back();
-  }
-  const Token& Next() {
-    const Token& t = Peek();
-    if (pos_ < tokens_.size() - 1) ++pos_;
-    return t;
-  }
-  bool AtEnd() const { return Peek().kind == Token::Kind::kEnd; }
-
-  bool PeekKeyword(const char* kw, size_t ahead = 0) const {
-    const Token& t = Peek(ahead);
-    return t.kind == Token::Kind::kIdent && t.text == kw;
-  }
-  bool ConsumeKeyword(const char* kw) {
-    if (PeekKeyword(kw)) {
-      Next();
-      return true;
-    }
-    return false;
-  }
-  bool PeekPunct(const char* p) const {
-    const Token& t = Peek();
-    return t.kind == Token::Kind::kPunct && t.text == p;
-  }
-  bool ConsumePunct(const char* p) {
-    if (PeekPunct(p)) {
-      Next();
-      return true;
-    }
-    return false;
-  }
-  Status Expect(const char* what) const {
-    return Status::ParseError(StrFormat("expected %s near offset %zu (got '%s')", what,
-                                        Peek().pos, Peek().text.c_str()));
-  }
-
- private:
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
-};
-
-bool IsReserved(const std::string& word) {
-  static const char* kReserved[] = {
-      "select", "from",  "where", "group",  "order", "by",   "and",   "as",
-      "insert", "into",  "values", "update", "set",   "delete", "between",
-      "in",     "like",  "top",   "count",  "sum",   "avg",  "min",   "max",
-      "asc",    "desc",  "date",  "go", "distinct", "or", "not", "having"};
-  for (const char* r : kReserved) {
-    if (word == r) return true;
-  }
-  return false;
-}
-
-Result<std::string> ParseIdent(Cursor* c, const char* what) {
+/// DML identifiers: any identifier token except a reserved word.
+Status ParseIdent(TokenCursor* c, const char* what, std::string* out) {
   const Token& t = c->Peek();
-  if (t.kind != Token::Kind::kIdent || IsReserved(t.text)) return c->Expect(what);
-  c->Next();
-  return t.text;
+  if (t.kind != Token::Kind::kIdent || t.reserved) return c->Expect(what);
+  c->TakeText(out);
+  return Status::OK();
 }
 
-Result<ColumnRef> ParseColumnRef(Cursor* c) {
-  ColumnRef ref;
-  DBLAYOUT_ASSIGN_OR_RETURN(std::string first, ParseIdent(c, "column name"));
-  if (c->ConsumePunct(".")) {
-    ref.qualifier = first;
-    DBLAYOUT_ASSIGN_OR_RETURN(ref.column, ParseIdent(c, "column name after '.'"));
-  } else {
-    ref.column = first;
+Status ParseColumnRef(TokenCursor* c, ColumnRef* ref) {
+  DBLAYOUT_RETURN_NOT_OK(ParseIdent(c, "column name", &ref->column));
+  if (c->ConsumePunct('.')) {
+    ref->qualifier = std::move(ref->column);
+    DBLAYOUT_RETURN_NOT_OK(ParseIdent(c, "column name after '.'", &ref->column));
   }
-  return ref;
+  return Status::OK();
 }
 
-Result<Literal> ParseLiteral(Cursor* c) {
-  Literal lit;
+Status ParseLiteral(TokenCursor* c, Literal* lit) {
   const Token& t = c->Peek();
   if (t.kind == Token::Kind::kNumber) {
-    lit.kind = Literal::Kind::kNumber;
-    lit.number = t.number;
+    lit->kind = Literal::Kind::kNumber;
+    lit->number = t.number;
     c->Next();
-    return lit;
+    return Status::OK();
   }
   if (t.kind == Token::Kind::kString) {
-    lit.kind = Literal::Kind::kString;
-    lit.text = t.text;
-    c->Next();
-    return lit;
+    lit->kind = Literal::Kind::kString;
+    c->TakeText(&lit->text);
+    return Status::OK();
   }
   if (c->PeekKeyword("date")) {
     c->Next();
     const Token& s = c->Peek();
     if (s.kind != Token::Kind::kString) return c->Expect("date string");
-    DBLAYOUT_ASSIGN_OR_RETURN(double days, ParseDateDays(s.text));
-    lit.kind = Literal::Kind::kDate;
-    lit.number = days;
-    lit.text = s.text;
-    c->Next();
-    return lit;
+    DBLAYOUT_ASSIGN_OR_RETURN(lit->number, ParseDateDays(s.text));
+    lit->kind = Literal::Kind::kDate;
+    c->TakeText(&lit->text);
+    return Status::OK();
   }
-  if (c->PeekPunct("-")) {  // negative numbers
+  if (c->PeekPunct('-')) {  // negative numbers
     c->Next();
     const Token& num = c->Peek();
     if (num.kind != Token::Kind::kNumber) return c->Expect("number after '-'");
-    lit.kind = Literal::Kind::kNumber;
-    lit.number = -num.number;
+    lit->kind = Literal::Kind::kNumber;
+    lit->number = -num.number;
     c->Next();
-    return lit;
+    return Status::OK();
   }
   return c->Expect("literal");
 }
 
-Result<CompareOp> ParseCompareOp(Cursor* c) {
+Status ParseCompareOp(TokenCursor* c, CompareOp* op) {
   const Token& t = c->Peek();
   if (t.kind != Token::Kind::kPunct) return c->Expect("comparison operator");
-  CompareOp op;
   if (t.text == "=") {
-    op = CompareOp::kEq;
+    *op = CompareOp::kEq;
   } else if (t.text == "<>" || t.text == "!=") {
-    op = CompareOp::kNe;
+    *op = CompareOp::kNe;
   } else if (t.text == "<") {
-    op = CompareOp::kLt;
+    *op = CompareOp::kLt;
   } else if (t.text == "<=") {
-    op = CompareOp::kLe;
+    *op = CompareOp::kLe;
   } else if (t.text == ">") {
-    op = CompareOp::kGt;
+    *op = CompareOp::kGt;
   } else if (t.text == ">=") {
-    op = CompareOp::kGe;
+    *op = CompareOp::kGe;
   } else {
     return c->Expect("comparison operator");
   }
   c->Next();
-  return op;
+  return Status::OK();
 }
 
-Result<SelectStatement> ParseSelect(Cursor* c);
+Status ParseSelect(TokenCursor* c, SelectStatement* sel);
 
-Result<Predicate> ParsePredicate(Cursor* c) {
-  Predicate p;
+Status ParsePredicate(TokenCursor* c, Predicate* p) {
   // [NOT] EXISTS (subquery)
   const bool negated = c->PeekKeyword("not");
   if (negated || c->PeekKeyword("exists")) {
@@ -195,221 +127,208 @@ Result<Predicate> ParsePredicate(Cursor* c) {
       if (!c->PeekKeyword("exists")) return c->Expect("EXISTS after NOT");
     }
     c->Next();  // exists
-    if (!c->ConsumePunct("(")) return c->Expect("'(' after EXISTS");
-    DBLAYOUT_ASSIGN_OR_RETURN(SelectStatement sub, ParseSelect(c));
-    if (!c->ConsumePunct(")")) return c->Expect("')' closing EXISTS subquery");
-    p.kind = Predicate::Kind::kExists;
-    p.negated = negated;
-    p.subquery = std::make_shared<SelectStatement>(std::move(sub));
-    return p;
+    if (!c->ConsumePunct('(')) return c->Expect("'(' after EXISTS");
+    p->kind = Predicate::Kind::kExists;
+    p->negated = negated;
+    p->subquery = std::make_shared<SelectStatement>();
+    DBLAYOUT_RETURN_NOT_OK(ParseSelect(c, p->subquery.get()));
+    if (!c->ConsumePunct(')')) return c->Expect("')' closing EXISTS subquery");
+    return Status::OK();
   }
-  DBLAYOUT_ASSIGN_OR_RETURN(p.lhs, ParseColumnRef(c));
+  DBLAYOUT_RETURN_NOT_OK(ParseColumnRef(c, &p->lhs));
   if (c->ConsumeKeyword("between")) {
-    p.kind = Predicate::Kind::kBetween;
-    DBLAYOUT_ASSIGN_OR_RETURN(p.between_lo, ParseLiteral(c));
+    p->kind = Predicate::Kind::kBetween;
+    DBLAYOUT_RETURN_NOT_OK(ParseLiteral(c, &p->between_lo));
     if (!c->ConsumeKeyword("and")) return c->Expect("AND in BETWEEN");
-    DBLAYOUT_ASSIGN_OR_RETURN(p.between_hi, ParseLiteral(c));
-    return p;
+    return ParseLiteral(c, &p->between_hi);
   }
   if (c->ConsumeKeyword("in")) {
-    if (!c->ConsumePunct("(")) return c->Expect("'(' after IN");
+    if (!c->ConsumePunct('(')) return c->Expect("'(' after IN");
     if (c->PeekKeyword("select")) {
-      DBLAYOUT_ASSIGN_OR_RETURN(SelectStatement sub, ParseSelect(c));
-      if (!c->ConsumePunct(")")) return c->Expect("')' closing IN subquery");
-      if (sub.items.size() != 1 || sub.items[0].star) {
+      p->kind = Predicate::Kind::kInSubquery;
+      p->subquery = std::make_shared<SelectStatement>();
+      DBLAYOUT_RETURN_NOT_OK(ParseSelect(c, p->subquery.get()));
+      if (!c->ConsumePunct(')')) return c->Expect("')' closing IN subquery");
+      if (p->subquery->items.size() != 1 || p->subquery->items[0].star) {
         return Status::ParseError("IN subquery must select exactly one column");
       }
-      p.kind = Predicate::Kind::kInSubquery;
-      p.subquery = std::make_shared<SelectStatement>(std::move(sub));
-      return p;
+      return Status::OK();
     }
-    p.kind = Predicate::Kind::kIn;
+    p->kind = Predicate::Kind::kIn;
     do {
-      DBLAYOUT_ASSIGN_OR_RETURN(Literal lit, ParseLiteral(c));
-      p.in_list.push_back(std::move(lit));
-    } while (c->ConsumePunct(","));
-    if (!c->ConsumePunct(")")) return c->Expect("')' closing IN list");
-    return p;
+      DBLAYOUT_RETURN_NOT_OK(ParseLiteral(c, &p->in_list.emplace_back()));
+    } while (c->ConsumePunct(','));
+    if (!c->ConsumePunct(')')) return c->Expect("')' closing IN list");
+    return Status::OK();
   }
   if (c->ConsumeKeyword("like")) {
-    p.kind = Predicate::Kind::kLike;
-    const Token& s = c->Peek();
-    if (s.kind != Token::Kind::kString) return c->Expect("LIKE pattern string");
-    p.like_pattern = s.text;
-    c->Next();
-    return p;
+    p->kind = Predicate::Kind::kLike;
+    if (c->Peek().kind != Token::Kind::kString) return c->Expect("LIKE pattern string");
+    c->TakeText(&p->like_pattern);
+    return Status::OK();
   }
-  DBLAYOUT_ASSIGN_OR_RETURN(p.op, ParseCompareOp(c));
+  DBLAYOUT_RETURN_NOT_OK(ParseCompareOp(c, &p->op));
   // Column-vs-column (join) or column-vs-literal?
   const Token& rhs = c->Peek();
-  if (rhs.kind == Token::Kind::kIdent && !IsReserved(rhs.text)) {
-    p.kind = Predicate::Kind::kJoin;
-    DBLAYOUT_ASSIGN_OR_RETURN(p.rhs_column, ParseColumnRef(c));
-  } else {
-    p.kind = Predicate::Kind::kCompareLiteral;
-    DBLAYOUT_ASSIGN_OR_RETURN(p.rhs_literal, ParseLiteral(c));
+  if (rhs.kind == Token::Kind::kIdent && !rhs.reserved) {
+    p->kind = Predicate::Kind::kJoin;
+    return ParseColumnRef(c, &p->rhs_column);
   }
-  return p;
+  p->kind = Predicate::Kind::kCompareLiteral;
+  return ParseLiteral(c, &p->rhs_literal);
 }
 
-Result<std::vector<Predicate>> ParseWhere(Cursor* c) {
-  std::vector<Predicate> out;
-  if (!c->ConsumeKeyword("where")) return out;
+Status ParseWhere(TokenCursor* c, std::vector<Predicate>* where) {
+  if (!c->ConsumeKeyword("where")) return Status::OK();
   do {
-    DBLAYOUT_ASSIGN_OR_RETURN(Predicate p, ParsePredicate(c));
-    out.push_back(std::move(p));
+    DBLAYOUT_RETURN_NOT_OK(ParsePredicate(c, &where->emplace_back()));
   } while (c->ConsumeKeyword("and"));
-  return out;
+  return Status::OK();
 }
 
-Result<SelectItem> ParseSelectItem(Cursor* c) {
-  SelectItem item;
-  const Token& t = c->Peek();
-  auto agg_of = [](const std::string& w) {
-    if (w == "count") return AggFunc::kCount;
-    if (w == "sum") return AggFunc::kSum;
-    if (w == "avg") return AggFunc::kAvg;
-    if (w == "min") return AggFunc::kMin;
-    if (w == "max") return AggFunc::kMax;
-    return AggFunc::kNone;
-  };
-  if (t.kind == Token::Kind::kIdent && agg_of(t.text) != AggFunc::kNone &&
-      c->Peek(1).kind == Token::Kind::kPunct && c->Peek(1).text == "(") {
-    item.agg = agg_of(t.text);
+AggFunc AggOf(const Token& t) {
+  if (!t.reserved) return AggFunc::kNone;
+  if (t.text == "count") return AggFunc::kCount;
+  if (t.text == "sum") return AggFunc::kSum;
+  if (t.text == "avg") return AggFunc::kAvg;
+  if (t.text == "min") return AggFunc::kMin;
+  if (t.text == "max") return AggFunc::kMax;
+  return AggFunc::kNone;
+}
+
+Status ParseSelectItem(TokenCursor* c, SelectItem* item) {
+  const AggFunc agg = AggOf(c->Peek());
+  if (agg != AggFunc::kNone && c->PeekPunct('(', 1)) {
+    item->agg = agg;
     c->Next();
     c->Next();  // '('
-    if (c->ConsumePunct("*")) {
-      item.star = true;
+    if (c->ConsumePunct('*')) {
+      item->star = true;
     } else {
-      DBLAYOUT_ASSIGN_OR_RETURN(item.column, ParseColumnRef(c));
+      DBLAYOUT_RETURN_NOT_OK(ParseColumnRef(c, &item->column));
     }
-    if (!c->ConsumePunct(")")) return c->Expect("')' closing aggregate");
-  } else if (c->ConsumePunct("*")) {
-    item.star = true;
+    if (!c->ConsumePunct(')')) return c->Expect("')' closing aggregate");
+  } else if (c->ConsumePunct('*')) {
+    item->star = true;
   } else {
-    DBLAYOUT_ASSIGN_OR_RETURN(item.column, ParseColumnRef(c));
+    DBLAYOUT_RETURN_NOT_OK(ParseColumnRef(c, &item->column));
   }
-  if (c->ConsumeKeyword("as")) {
-    DBLAYOUT_ASSIGN_OR_RETURN(item.alias, ParseIdent(c, "alias"));
-  }
-  return item;
+  if (c->ConsumeKeyword("as")) return ParseIdent(c, "alias", &item->alias);
+  return Status::OK();
 }
 
-Result<SelectStatement> ParseSelect(Cursor* c) {
-  SelectStatement sel;
+/// TOP counts at or above 2^63 (or not finite) do not fit `top`.
+constexpr double kTopLimit = 9223372036854775808.0;
+
+Status ParseSelect(TokenCursor* c, SelectStatement* sel) {
   if (!c->ConsumeKeyword("select")) return c->Expect("SELECT");
   if (c->ConsumeKeyword("top")) {
     const Token& n = c->Peek();
     if (n.kind != Token::Kind::kNumber) return c->Expect("number after TOP");
-    sel.top = static_cast<int64_t>(n.number);
+    if (!(n.number < kTopLimit)) return c->Expect("TOP count below 2^63");
+    sel->top = static_cast<int64_t>(n.number);
     c->Next();
   }
   c->ConsumeKeyword("distinct");  // accepted, treated as a no-op for layout
   do {
-    DBLAYOUT_ASSIGN_OR_RETURN(SelectItem item, ParseSelectItem(c));
-    sel.items.push_back(std::move(item));
-  } while (c->ConsumePunct(","));
+    DBLAYOUT_RETURN_NOT_OK(ParseSelectItem(c, &sel->items.emplace_back()));
+  } while (c->ConsumePunct(','));
   if (!c->ConsumeKeyword("from")) return c->Expect("FROM");
   do {
-    TableRef ref;
-    DBLAYOUT_ASSIGN_OR_RETURN(ref.table, ParseIdent(c, "table name"));
-    if (c->ConsumeKeyword("as")) {
-      DBLAYOUT_ASSIGN_OR_RETURN(ref.alias, ParseIdent(c, "table alias"));
-    } else if (c->Peek().kind == Token::Kind::kIdent && !IsReserved(c->Peek().text)) {
-      DBLAYOUT_ASSIGN_OR_RETURN(ref.alias, ParseIdent(c, "table alias"));
+    TableRef& ref = sel->from.emplace_back();
+    DBLAYOUT_RETURN_NOT_OK(ParseIdent(c, "table name", &ref.table));
+    if (c->ConsumeKeyword("as") ||
+        (c->Peek().kind == Token::Kind::kIdent && !c->Peek().reserved)) {
+      DBLAYOUT_RETURN_NOT_OK(ParseIdent(c, "table alias", &ref.alias));
     }
-    sel.from.push_back(std::move(ref));
-  } while (c->ConsumePunct(","));
-  DBLAYOUT_ASSIGN_OR_RETURN(sel.where, ParseWhere(c));
+  } while (c->ConsumePunct(','));
+  DBLAYOUT_RETURN_NOT_OK(ParseWhere(c, &sel->where));
   if (c->ConsumeKeyword("group")) {
     if (!c->ConsumeKeyword("by")) return c->Expect("BY after GROUP");
     do {
-      DBLAYOUT_ASSIGN_OR_RETURN(ColumnRef col, ParseColumnRef(c));
-      sel.group_by.push_back(std::move(col));
-    } while (c->ConsumePunct(","));
+      DBLAYOUT_RETURN_NOT_OK(ParseColumnRef(c, &sel->group_by.emplace_back()));
+    } while (c->ConsumePunct(','));
   }
   if (c->ConsumeKeyword("order")) {
     if (!c->ConsumeKeyword("by")) return c->Expect("BY after ORDER");
     do {
-      OrderItem item;
-      DBLAYOUT_ASSIGN_OR_RETURN(item.column, ParseColumnRef(c));
+      OrderItem& item = sel->order_by.emplace_back();
+      DBLAYOUT_RETURN_NOT_OK(ParseColumnRef(c, &item.column));
       if (c->ConsumeKeyword("desc")) {
         item.descending = true;
       } else {
         c->ConsumeKeyword("asc");
       }
-      sel.order_by.push_back(std::move(item));
-    } while (c->ConsumePunct(","));
+    } while (c->ConsumePunct(','));
   }
-  return sel;
+  return Status::OK();
 }
 
-Result<SqlStatement> ParseStatement(Cursor* c) {
-  SqlStatement stmt;
+Status ParseStatement(TokenCursor* c, SqlStatement* stmt) {
+  // Scratch for the parts the AST does not keep: INSERT's column list and
+  // values, UPDATE's SET right-hand sides.
+  std::string ident;
+  Literal literal;
+  ColumnRef column;
   if (c->PeekKeyword("select")) {
-    stmt.kind = SqlStatement::Kind::kSelect;
-    DBLAYOUT_ASSIGN_OR_RETURN(stmt.select, ParseSelect(c));
+    stmt->kind = SqlStatement::Kind::kSelect;
+    DBLAYOUT_RETURN_NOT_OK(ParseSelect(c, &stmt->select));
   } else if (c->ConsumeKeyword("insert")) {
-    stmt.kind = SqlStatement::Kind::kInsert;
+    stmt->kind = SqlStatement::Kind::kInsert;
     if (!c->ConsumeKeyword("into")) return c->Expect("INTO after INSERT");
-    DBLAYOUT_ASSIGN_OR_RETURN(stmt.insert.table, ParseIdent(c, "table name"));
-    if (c->ConsumePunct("(")) {  // optional column list
+    DBLAYOUT_RETURN_NOT_OK(ParseIdent(c, "table name", &stmt->insert.table));
+    if (c->ConsumePunct('(')) {  // optional column list
       do {
-        DBLAYOUT_ASSIGN_OR_RETURN(std::string col, ParseIdent(c, "column name"));
-        (void)col;
-      } while (c->ConsumePunct(","));
-      if (!c->ConsumePunct(")")) return c->Expect("')' closing column list");
+        DBLAYOUT_RETURN_NOT_OK(ParseIdent(c, "column name", &ident));
+      } while (c->ConsumePunct(','));
+      if (!c->ConsumePunct(')')) return c->Expect("')' closing column list");
     }
     if (!c->ConsumeKeyword("values")) return c->Expect("VALUES");
     // One or more parenthesized tuples; each counts as one row.
     int64_t rows = 0;
     do {
-      if (!c->ConsumePunct("(")) return c->Expect("'(' starting VALUES tuple");
+      if (!c->ConsumePunct('(')) return c->Expect("'(' starting VALUES tuple");
       do {
-        DBLAYOUT_ASSIGN_OR_RETURN(Literal lit, ParseLiteral(c));
-        (void)lit;
-      } while (c->ConsumePunct(","));
-      if (!c->ConsumePunct(")")) return c->Expect("')' closing VALUES tuple");
+        DBLAYOUT_RETURN_NOT_OK(ParseLiteral(c, &literal));
+      } while (c->ConsumePunct(','));
+      if (!c->ConsumePunct(')')) return c->Expect("')' closing VALUES tuple");
       ++rows;
-    } while (c->ConsumePunct(","));
-    stmt.insert.num_rows = rows;
+    } while (c->ConsumePunct(','));
+    stmt->insert.num_rows = rows;
   } else if (c->ConsumeKeyword("update")) {
-    stmt.kind = SqlStatement::Kind::kUpdate;
-    DBLAYOUT_ASSIGN_OR_RETURN(stmt.update.table, ParseIdent(c, "table name"));
+    stmt->kind = SqlStatement::Kind::kUpdate;
+    DBLAYOUT_RETURN_NOT_OK(ParseIdent(c, "table name", &stmt->update.table));
     if (!c->ConsumeKeyword("set")) return c->Expect("SET");
     do {
-      DBLAYOUT_ASSIGN_OR_RETURN(std::string col, ParseIdent(c, "column name"));
-      if (!c->ConsumePunct("=")) return c->Expect("'=' in SET");
+      DBLAYOUT_RETURN_NOT_OK(
+          ParseIdent(c, "column name", &stmt->update.set_columns.emplace_back()));
+      if (!c->ConsumePunct('=')) return c->Expect("'=' in SET");
       // RHS: literal or column (arithmetic not modeled).
       const Token& rhs = c->Peek();
-      if (rhs.kind == Token::Kind::kIdent && !IsReserved(rhs.text)) {
-        DBLAYOUT_ASSIGN_OR_RETURN(ColumnRef ref, ParseColumnRef(c));
-        (void)ref;
-      } else {
-        DBLAYOUT_ASSIGN_OR_RETURN(Literal lit, ParseLiteral(c));
-        (void)lit;
-      }
-      stmt.update.set_columns.push_back(std::move(col));
-    } while (c->ConsumePunct(","));
-    DBLAYOUT_ASSIGN_OR_RETURN(stmt.update.where, ParseWhere(c));
+      DBLAYOUT_RETURN_NOT_OK(rhs.kind == Token::Kind::kIdent && !rhs.reserved
+                                 ? ParseColumnRef(c, &column)
+                                 : ParseLiteral(c, &literal));
+    } while (c->ConsumePunct(','));
+    DBLAYOUT_RETURN_NOT_OK(ParseWhere(c, &stmt->update.where));
   } else if (c->ConsumeKeyword("delete")) {
-    stmt.kind = SqlStatement::Kind::kDelete;
+    stmt->kind = SqlStatement::Kind::kDelete;
     c->ConsumeKeyword("from");
-    DBLAYOUT_ASSIGN_OR_RETURN(stmt.del.table, ParseIdent(c, "table name"));
-    DBLAYOUT_ASSIGN_OR_RETURN(stmt.del.where, ParseWhere(c));
+    DBLAYOUT_RETURN_NOT_OK(ParseIdent(c, "table name", &stmt->del.table));
+    DBLAYOUT_RETURN_NOT_OK(ParseWhere(c, &stmt->del.where));
   } else {
     return c->Expect("SELECT, INSERT, UPDATE or DELETE");
   }
-  c->ConsumePunct(";");
-  return stmt;
+  c->ConsumePunct(';');
+  return Status::OK();
 }
 
 }  // namespace
 
 Result<SqlStatement> ParseSql(const std::string& sql) {
   DBLAYOUT_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  Cursor c(std::move(tokens));
-  DBLAYOUT_ASSIGN_OR_RETURN(SqlStatement stmt, ParseStatement(&c));
+  TokenCursor c(std::move(tokens), "");
+  SqlStatement stmt;
+  DBLAYOUT_RETURN_NOT_OK(ParseStatement(&c, &stmt));
   if (!c.AtEnd()) return c.Expect("end of statement");
   return stmt;
 }
@@ -426,12 +345,11 @@ Result<std::vector<SqlStatement>> ParseSqlScript(const std::string& script) {
     }
   }
   DBLAYOUT_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(normalized));
-  Cursor c(std::move(tokens));
+  TokenCursor c(std::move(tokens), "");
   std::vector<SqlStatement> out;
   while (!c.AtEnd()) {
-    if (c.ConsumePunct(";")) continue;
-    DBLAYOUT_ASSIGN_OR_RETURN(SqlStatement stmt, ParseStatement(&c));
-    out.push_back(std::move(stmt));
+    if (c.ConsumePunct(';')) continue;
+    DBLAYOUT_RETURN_NOT_OK(ParseStatement(&c, &out.emplace_back()));
   }
   return out;
 }
