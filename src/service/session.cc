@@ -240,23 +240,8 @@ Status Session::ProcessWindow() {
   // 3. Fold the window into the accumulated profile (degraded sessions
   // freeze theirs — monitoring continues, learning stops).
   if (mode_ == SessionMode::kActive) {
-    for (StatementProfile& s : window_profile.statements) {
-      StatementProfile copy;
-      copy.sql = s.sql;
-      copy.weight = s.weight;
-      copy.stream = s.stream;
-      copy.subplans = s.subplans;  // plan not needed by cost model / search
-      profile_.statements.push_back(std::move(copy));
-    }
-    profile_ = CompressProfile(profile_);
-    profile_statements_.clear();
-    profile_statements_.reserve(profile_.statements.size());
-    for (const StatementProfile& s : profile_.statements) {
-      StatementSnapshot snap;
-      snap.sql = s.sql;
-      snap.weight = s.weight;
-      snap.stream = s.stream;
-      profile_statements_.push_back(std::move(snap));
+    for (const StatementProfile& s : window_profile.statements) {
+      compressor_.Fold(s, &profile_);
     }
     if (static_cast<int>(profile_.statements.size()) >
         std::max(1, config_.max_profile_statements)) {
@@ -381,7 +366,10 @@ SessionSnapshot Session::Snapshot() const {
   snapshot.rollbacks = rollbacks_;
   snapshot.deadline_misses = deadline_misses_;
   snapshot.degraded_reason = degraded_reason_;
-  snapshot.profile = profile_statements_;
+  snapshot.profile.reserve(profile_.statements.size());
+  for (const StatementProfile& s : profile_.statements) {
+    snapshot.profile.push_back(StatementSnapshot{s.sql, s.weight, s.stream});
+  }
   snapshot.pending = pending_;
   const std::vector<std::string> names = ObjectNames(db_);
   snapshot.active_csv = active_.ToCsv(names, fleet_);
@@ -436,9 +424,10 @@ Result<Session> Session::Restore(const SessionSnapshot& snapshot,
     session.candidate_ = std::move(candidate);
   }
 
-  // Rebuild the accumulated profile by re-analyzing the checkpointed
-  // compressed representatives — exactly cost-equivalent to the original
-  // (cost is a pure function of the access signature; see checkpoint.h).
+  // Rebuild the accumulated profile, and the compressor's signature index,
+  // by re-analyzing and folding the checkpointed compressed representatives
+  // — exactly cost-equivalent to the original (cost is a pure function of
+  // the access signature; see checkpoint.h).
   // Strict analysis: these statements planned before, so any failure here
   // means the checkpoint does not match the live schema.
   if (!snapshot.profile.empty()) {
@@ -454,8 +443,9 @@ Result<Session> Session::Restore(const SessionSnapshot& snapshot,
     }
     DBLAYOUT_ASSIGN_OR_RETURN(WorkloadProfile profile,
                               AnalyzeWorkload(db, workload));
-    session.profile_ = CompressProfile(profile);
-    session.profile_statements_ = snapshot.profile;
+    for (const StatementProfile& s : profile.statements) {
+      session.compressor_.Fold(s, &session.profile_);
+    }
   }
   return session;
 }

@@ -5,8 +5,11 @@
 //   1. analyze the window (lenient — unplannable statements are journaled
 //      and skipped) and compute its realized cost under the active,
 //      candidate, and last-good layouts;
-//   2. fold the window into the accumulated profile (CompressProfile keeps
-//      it bounded: identical access signatures collapse exactly);
+//   2. fold the window's plannable statements into the accumulated
+//      compressed profile (ProfileCompressor): a repeated access signature
+//      adds its weight to the existing representative, a new one appends.
+//      The cost grows with the window, not with the profile, and the result
+//      is bit-identical to CompressProfile over every window so far;
 //   3. re-advise incrementally (LayoutAdvisor::RecommendFromProfile with the
 //      active layout as the current one, under the movement budget) when the
 //      per-object access shares drifted past threshold since the last
@@ -77,6 +80,8 @@ class Session {
   int advises() const { return advises_; }
   int promotions() const { return promotions_; }
   int rollbacks() const { return rollbacks_; }
+  /// The accumulated compressed profile (frozen while degraded).
+  const WorkloadProfile& profile() const { return profile_; }
 
   /// Checkpoint round-trip. Restore validates layouts against (db, fleet)
   /// and rebuilds the accumulated profile by re-analyzing the snapshot's
@@ -110,10 +115,10 @@ class Session {
 
   /// Pending statements of the open window, as ingested.
   std::vector<StatementSnapshot> pending_;
-  /// Accumulated compressed profile and the (sql, weight, stream) triplets
-  /// that regenerate it (the checkpointable form).
+  /// Accumulated compressed profile; its (sql, weight, stream) triplets are
+  /// the checkpointable form. compressor_ indexes its representatives.
   WorkloadProfile profile_;
-  std::vector<StatementSnapshot> profile_statements_;
+  ProfileCompressor compressor_;
 
   Layout active_;
   std::optional<Layout> candidate_;

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -81,10 +82,29 @@ WorkloadProfile MergeConcurrentStreams(const WorkloadProfile& profile);
 /// queries of APB-800) are collapsed into one statement with the summed
 /// weight. The cost model and access graph are *exactly* invariant under
 /// this transformation, while the search evaluates far fewer statements.
-/// Synthesized statements carry a null plan. Statements with positive
-/// stream tags are left uncompressed (they matter individually for
-/// concurrency merging).
+/// Synthesized statements carry a null plan and stream 0. Statements with
+/// positive stream tags are left uncompressed (they matter individually for
+/// concurrency merging). This is ProfileCompressor run from an empty start.
 WorkloadProfile CompressProfile(const WorkloadProfile& profile);
+
+/// CompressProfile's fold, kept open so that statements can arrive over
+/// time (the service folds each window into its accumulated profile). In
+/// statement order, a positive stream tag or a new signature appends a
+/// representative to `out`; a repeated signature adds its weight to the
+/// existing one. A compressed profile never holds two representatives with
+/// one signature, so folding the statements of several profiles one after
+/// another adds the same weights in the same order as compressing their
+/// concatenation: the result is bit-identical.
+class ProfileCompressor {
+ public:
+  /// Folds `statement` into `out`, which must hold exactly the statements
+  /// this compressor folded so far.
+  void Fold(const StatementProfile& statement, WorkloadProfile* out);
+
+ private:
+  std::unordered_map<std::string, size_t> index_of_;  ///< signature -> out index
+  std::string signature_;                             ///< scratch, reused
+};
 
 /// Stable text encoding of a statement's sub-plan access structure: the
 /// object ids, block counts (rounded so float noise does not defeat
