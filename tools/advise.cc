@@ -285,7 +285,16 @@ int RunAdvise(const Args& args) {
 
   // Unusable *inputs* (unreadable or malformed files) exit 2, like usage
   // errors, so scripts can tell "your input is broken" (2) apart from "the
-  // advisor failed on well-formed inputs" (1).
+  // advisor failed on well-formed inputs" (1). Every input is read before
+  // the search, so a broken one fails fast.
+  std::optional<FaultPlan> fault_plan;
+  if (!fault_plan_path.empty()) {
+    auto plan_text = ReadFile(fault_plan_path);
+    if (!plan_text.ok()) return Fail("fault-plan", plan_text.status(), kExitUsage);
+    auto plan = FaultPlan::FromSpec(plan_text.value(), fault_plan_path);
+    if (!plan.ok()) return Fail("fault-plan", plan.status(), kExitUsage);
+    fault_plan = std::move(plan.value());
+  }
   Result<Database> db = tpch ? benchdata::MakeTpchDatabase(tpch_scale)
                              : LoadSchema(in.schema);
   if (!db.ok()) return Fail("schema", db.status(), kExitUsage);
@@ -315,6 +324,15 @@ int RunAdvise(const Args& args) {
   auto fleet = LoadFleet(in.disks);
   if (!fleet.ok()) return Fail("disks", fleet.status(), kExitUsage);
   std::printf("drives:\n%s\n", fleet->ToString().c_str());
+  std::optional<Layout> manual;
+  if (!in.evaluate.empty()) {
+    auto parsed = LoadLayout(in.evaluate, db.value(), fleet.value());
+    if (!parsed.ok()) return Fail("evaluate", parsed.status(), kExitUsage);
+    if (Status st = parsed->Validate(db->ObjectSizes(), fleet.value()); !st.ok()) {
+      return Fail("evaluate: invalid layout", st, kExitUsage);
+    }
+    manual = std::move(parsed.value());
+  }
 
   // Decision journal: this run owns the run_start/run_end envelope; the
   // advisor, search and evaluator emit the events in between (see
@@ -404,14 +422,7 @@ int RunAdvise(const Args& args) {
     }
     std::printf("recommended layout written to %s\n\n", save_layout_path.c_str());
   }
-  std::optional<Layout> manual;
-  if (!in.evaluate.empty()) {
-    auto parsed = LoadLayout(in.evaluate, db.value(), fleet.value());
-    if (!parsed.ok()) return Fail("evaluate", parsed.status(), kExitUsage);
-    if (Status st = parsed->Validate(db->ObjectSizes(), fleet.value()); !st.ok()) {
-      return Fail("evaluate: invalid layout", st, kExitUsage);
-    }
-    manual = std::move(parsed.value());
+  if (manual) {
     const CostModel cm(fleet.value());
     std::printf("evaluated layout %s: estimated cost %.0f ms "
                 "(recommended %.0f ms, full striping %.0f ms)\n\n",
@@ -435,13 +446,9 @@ int RunAdvise(const Args& args) {
                 RenderResilienceReport(resilience.value()).c_str());
   }
 
-  if (!fault_plan_path.empty() && !interrupted) {
-    auto plan_text = ReadFile(fault_plan_path);
-    if (!plan_text.ok()) return Fail("fault-plan", plan_text.status(), kExitUsage);
-    auto plan = FaultPlan::FromSpec(plan_text.value(), fault_plan_path);
-    if (!plan.ok()) return Fail("fault-plan", plan.status(), kExitUsage);
+  if (fault_plan && !interrupted) {
     auto impact = EvaluateFaultPlanCost(db.value(), fleet.value(), profile.value(),
-                                        subject, plan.value());
+                                        subject, *fault_plan);
     if (!impact.ok()) return Fail("fault-plan", impact.status());
     std::printf("fault plan %s against %s layout:\n"
                 "  healthy workload cost %.0f ms, degraded %.0f ms (+%.1f%%)\n",

@@ -13,7 +13,7 @@
 #   5. an expired search budget (--time-budget-ms 0) still yields a valid
 #      recommendation, flagged as best-so-far rather than converged
 #   6. unusable inputs (missing or malformed fault plans) exit 2 with
-#      file:line context
+#      file:line context, before anything is printed to stdout
 #
 # Usage: tools/run_resilience.sh --bin PATH_TO_dblayout
 set -euo pipefail
@@ -84,14 +84,19 @@ set +e
 bad="$(mktemp)"
 # A NaN scale passes a range check written `v < lo || v > hi`; it must not
 # pass the reader.
+# The plan is read with the other inputs, before the search: a bad one
+# prints no recommendation, nothing at all on stdout.
+stdout_file="$(mktemp)"
 for plan in "data1 wobbly" "data2 degraded transfer=nan"; do
   echo "${plan}" > "${bad}"
-  msg="$("${BIN}" advise --tpch 0.1 --disks "${DATA}/disks.txt" --fault-plan "${bad}" 2>&1)"
+  msg="$("${BIN}" advise --tpch 0.1 --disks "${DATA}/disks.txt" --fault-plan "${bad}" \
+    2>&1 >"${stdout_file}")"
   code=$?
   [[ ${code} -eq 2 ]] || fail "fault plan '${plan}' did not exit 2"
   grep -q ":1:" <<<"${msg}" || fail "'${plan}' error lacks file:line context: ${msg}"
+  [[ ! -s "${stdout_file}" ]] || fail "fault plan '${plan}' printed to stdout before failing"
 done
-rm -f "${bad}"
+rm -f "${bad}" "${stdout_file}"
 set -e
 
 printf '\nRESILIENCE DRIVER OK\n'
