@@ -44,14 +44,10 @@ double SimulateDiskStreams(const DiskDrive& d, const std::vector<DiskStream>& st
   // Random streams: every block is a scattered access; read-ahead cannot
   // help, and their seeks dominate any interleaving effects.
   std::vector<const DiskStream*> sequential;
-  auto rate_of = [&](const DiskStream& s) {
-    if (s.rmw) return d.ReadMsPerBlock() + d.WriteMsPerBlock();
-    return s.write ? d.WriteMsPerBlock() : d.ReadMsPerBlock();
-  };
   for (const auto& s : streams) {
     if (s.blocks <= 0) continue;
     ++local.streams;
-    const double ms_per_block = rate_of(s);
+    const double ms_per_block = d.AccessMsPerBlock(s.write, s.rmw);
     if (s.random) {
       ++local.random_streams;
       local.seeks += s.blocks;
@@ -71,10 +67,11 @@ double SimulateDiskStreams(const DiskDrive& d, const std::vector<DiskStream>& st
   // Single sequential stream: one positioning seek, then pure transfer.
   if (sequential.size() == 1) {
     const DiskStream& s = *sequential[0];
-    time_ms += d.seek_ms + static_cast<double>(s.blocks) * rate_of(s);
+    const double ms_per_block = d.AccessMsPerBlock(s.write, s.rmw);
+    time_ms += d.seek_ms + static_cast<double>(s.blocks) * ms_per_block;
     local.seeks += 1;
     local.seek_ms += d.seek_ms;
-    local.transfer_ms += static_cast<double>(s.blocks) * rate_of(s);
+    local.transfer_ms += static_cast<double>(s.blocks) * ms_per_block;
     if (stats != nullptr) *stats = local;
     return ApplyRetryInflation(time_ms, streams, options);
   }
@@ -102,7 +99,7 @@ double SimulateDiskStreams(const DiskDrive& d, const std::vector<DiskStream>& st
         static_cast<double>(s->blocks) / static_cast<double>(min_blocks);
     a.quantum = std::max<int64_t>(1, static_cast<int64_t>(std::llround(
                                          static_cast<double>(chunk) * ratio)));
-    a.ms_per_block = rate_of(*s);
+    a.ms_per_block = d.AccessMsPerBlock(s->write, s->rmw);
     active.push_back(a);
   }
 

@@ -147,10 +147,7 @@ double SimulateQueueDisk(const DiskDrive& d, const std::vector<QueueStream>& str
                    k_seek * std::sqrt(static_cast<double>(dist) / capacity) +
                    rotation_ms;
       }
-      const double ms_per_block =
-          st->spec->rmw ? d.ReadMsPerBlock() + d.WriteMsPerBlock()
-          : st->spec->write ? d.WriteMsPerBlock()
-                            : d.ReadMsPerBlock();
+      const double ms_per_block = d.AccessMsPerBlock(st->spec->write, st->spec->rmw);
       time_ms += static_cast<double>(size) * ms_per_block;
       if (retry.active()) {
         // Each service attempt may fail; a failed attempt backs off

@@ -51,11 +51,8 @@ inline DriveTerm SubplanDriveTerm(const SubplanAccess& subplan, const Layout& la
     const double frac = layout.x(a.object_id, j);
     if (frac <= 0) continue;
     const double blocks_on_disk = frac * a.blocks;
-    const double ms_per_block =
-        a.read_modify_write ? d.ReadMsPerBlock() + d.WriteMsPerBlock()
-        : a.is_write        ? d.WriteMsPerBlock()
-                            : d.ReadMsPerBlock();
-    const double transfer = blocks_on_disk * ms_per_block;
+    const double transfer =
+        blocks_on_disk * d.AccessMsPerBlock(a.is_write, a.read_modify_write);
     t.transfer += transfer;
     on_access(ai, transfer);
     min_blocks_on_disk = std::min(min_blocks_on_disk, blocks_on_disk);

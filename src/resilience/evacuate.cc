@@ -54,26 +54,23 @@ Status ForceEvict(const Database& db, const DiskFleet& fleet,
             "no eligible drive can host object '%s' off the failed drive",
             db.Objects()[static_cast<size_t>(i)].name.c_str()));
       }
+      // Each prefix is tested on the row AssignProportional writes. The
+      // prefix is fastest first, so when its first drive has no read rate
+      // no prefix has a rate to apportion by.
+      const bool has_rate = fleet.disk(allowed.front()).read_mb_s > 0;
       bool placed = false;
-      for (size_t width = 1; width <= allowed.size() && !placed; ++width) {
+      for (size_t width = 1; has_rate && width <= allowed.size() && !placed; ++width) {
         const std::vector<int> prefix(allowed.begin(),
                                       allowed.begin() + static_cast<long>(width));
-        double rate_sum = 0;
-        for (int j : prefix) rate_sum += fleet.disk(j).read_mb_s;
-        if (rate_sum <= 0) continue;
-        bool fits = true;
+        start->AssignProportional(i, prefix, fleet);
+        placed = true;
         for (int j : prefix) {
-          const double share =
-              fleet.disk(j).read_mb_s / rate_sum * static_cast<double>(size);
-          if (used[static_cast<size_t>(j)] + share >
+          if (used[static_cast<size_t>(j)] + start->FractionalBlocks(i, j, size) >
               kCapacityMargin * static_cast<double>(fleet.disk(j).capacity_blocks)) {
-            fits = false;
+            placed = false;
             break;
           }
         }
-        if (!fits) continue;
-        start->AssignProportional(i, prefix, fleet);
-        placed = true;
       }
       if (!placed) {
         return Status::CapacityExceeded(StrFormat(

@@ -49,6 +49,13 @@ struct DiskDrive {
   /// Milliseconds to service one written block, including the redundancy
   /// penalty.
   double WriteMsPerBlock() const { return MsPerBlock(write_mb_s) * WritePenalty(); }
+  /// Milliseconds to service one block of an access: a read, a write, or a
+  /// read-modify-write (read plus write back). The one choice of rate the
+  /// §5 cost model and both I/O simulators make.
+  double AccessMsPerBlock(bool write, bool read_modify_write) const {
+    if (read_modify_write) return ReadMsPerBlock() + WriteMsPerBlock();
+    return write ? WriteMsPerBlock() : ReadMsPerBlock();
+  }
   /// Capacity in gigabytes (decimal GB).
   double CapacityGb() const {
     return static_cast<double>(capacity_blocks) * kBlockBytes / 1e9;
