@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) of the hot paths the paper's
 // scalability depends on: the analytic cost model (invoked thousands of
 // times by the search), access-graph construction, max-cut partitioning,
-// workload analysis, join-order planning and the full TS-GREEDY search.
+// the SQL front end, workload analysis, join-order planning and the full
+// TS-GREEDY search.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "io/queue_sim.h"
 #include "layout/search.h"
 #include "optimizer/optimizer.h"
+#include "sql/parser.h"
 #include "workload/analyzer.h"
 
 namespace dblayout {
@@ -42,6 +44,29 @@ void BM_CostModelWorkloadCost(benchmark::State& state) {
 }
 BENCHMARK(BM_CostModelWorkloadCost)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
 
+// The SQL front end alone (Tokenize + ParseSql) over every statement text of
+// a workload; items/s counts statements.
+void BM_ParseSql(benchmark::State& state, Result<Workload> (*make)(const Database&),
+                 const Database* db) {
+  const Workload wl = make(*db).value();
+  std::vector<std::string> texts;
+  for (const WorkloadStatement& s : wl.statements()) texts.push_back(s.sql);
+  for (auto _ : state) {
+    for (const std::string& sql : texts) benchmark::DoNotOptimize(ParseSql(sql).ok());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(texts.size()));
+}
+const Database& SalesDb() {
+  static const Database db = benchdata::MakeSalesDatabase();
+  return db;
+}
+BENCHMARK_CAPTURE(BM_ParseSql, tpch22,
+                  [](const Database& db) { return benchdata::MakeTpch22Workload(db); },
+                  &TpchDb());
+BENCHMARK_CAPTURE(BM_ParseSql, sales45,
+                  [](const Database& db) { return benchdata::MakeSales45Workload(db); },
+                  &SalesDb());
+
 void BM_AnalyzeWorkload(benchmark::State& state) {
   auto wl = benchdata::MakeTpch22Workload(TpchDb()).value();
   for (auto _ : state) {
@@ -54,7 +79,7 @@ BENCHMARK(BM_AnalyzeWorkload);
 // Optimizer::Plan alone over SALES-45's 5- to 10-table joins, where the
 // join-order DP is most of an advise.
 void BM_PlanSales45(benchmark::State& state) {
-  static const Database db = benchdata::MakeSalesDatabase();
+  const Database& db = SalesDb();
   const Workload wl = benchdata::MakeSales45Workload(db).value();
   const Optimizer optimizer(db);
   for (auto _ : state) {
