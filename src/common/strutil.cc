@@ -49,6 +49,17 @@ std::string ToLower(const std::string& s) {
   return out;
 }
 
+bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(a[i])) !=
+        std::tolower(static_cast<unsigned char>(b[i]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::string ToUpper(const std::string& s) {
   std::string out = s;
   for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));

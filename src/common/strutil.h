@@ -6,6 +6,7 @@
 #define DBLAYOUT_COMMON_STRUTIL_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dblayout {
@@ -21,6 +22,9 @@ std::vector<std::string> Split(const std::string& s, char sep);
 
 /// ASCII-lowercases `s`.
 std::string ToLower(const std::string& s);
+
+/// ToLower(a) == ToLower(b), without the copies.
+bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 /// ASCII-uppercases `s`.
 std::string ToUpper(const std::string& s);

@@ -5,6 +5,11 @@
 // advisor consumes plans, never runs queries.
 //
 // Design notes:
+//  - Binding: the planner reads the caller's statement through a flattened
+//    view (EXISTS / IN subqueries become semi-joined tables) and resolves
+//    tables, columns, leading-column indexes and object sizes through the
+//    catalog's name -> id maps. Sort keys are interned (bind name, column)
+//    pairs; plan strings are built only for the nodes of the chosen plan.
 //  - Access paths: heap/clustered scan, clustered-index seek, non-clustered
 //    index seek + RID lookup, chosen by estimated block cost.
 //  - Join order: left-deep dynamic programming over table subsets (System R)
@@ -59,7 +64,7 @@ class Optimizer {
       : db_(db), options_(options) {}
 
   /// Produces the physical plan for `stmt`. Binding errors (unknown table or
-  /// column) are reported as InvalidArgument.
+  /// column) are reported as NotFound.
   Result<std::unique_ptr<PlanNode>> Plan(const SqlStatement& stmt) const;
 
   const Database& database() const { return db_; }
