@@ -2,7 +2,8 @@
 // message it returns, against goldens under tests/testdata/. PlanDigestTest
 // pins plans, but plans read only some AST fields: aliases, literal texts,
 // LIKE patterns and error offsets are pinned only here. The same corpus
-// seeds a bounded mutation test of the three readers.
+// seeds a bounded mutation test of the three readers and of the workload
+// script reader built on them.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "common/strutil.h"
 #include "sql/ddl.h"
 #include "sql/parser.h"
+#include "workload/workload.h"
 
 namespace dblayout {
 namespace {
@@ -537,10 +539,11 @@ TEST(ParserTest, TopCountOutsideInt64IsAParseError) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded, seeded mutation test: ParseSql, ParseSqlScript and
-// ParseSchemaScript must return a value or a Status for arbitrary bytes,
-// never crash. Run under the sanitizer build, it also checks for undefined
-// behaviour and out-of-bounds reads.
+// Bounded, seeded mutation test: ParseSql, ParseSqlScript,
+// ParseSchemaScript and Workload::FromScript / FromScriptLenient must return
+// a value or a Status for arbitrary bytes, never crash. Run under the
+// sanitizer build, it also checks for undefined behaviour and out-of-bounds
+// reads.
 
 /// Fragments spliced into inputs: quotes, comments, brackets, non-finite
 /// and overflowing numbers, and keywords that steer the parsers into their
@@ -632,6 +635,54 @@ TEST(ReaderMutationTest, ParseSqlScriptReturnsStatus) {
         << r.status().ToString();
     return r.ok();
   });
+}
+
+/// Mutate, then one to three insertions of a quote, a ';' or a `--`: the
+/// bytes that decide where Workload's script reader ends a statement.
+std::string MutateScript(const std::vector<std::string>& seeds, Rng* rng) {
+  static const char* const kSplitters[] = {"'", ";", "--"};
+  std::string s = Mutate(seeds, rng);
+  for (int k = static_cast<int>(rng->UniformInt(1, 3)); k > 0; --k) {
+    s.insert(s.empty() ? 0 : rng->Index(s.size() + 1), kSplitters[rng->Index(3)]);
+  }
+  return s;
+}
+
+TEST(ReaderMutationTest, WorkloadFromScriptReturnsStatus) {
+  std::vector<std::string> seeds = {ReadFile(ExamplePath("workload.sql")), kGoScript,
+                                    "-- weight: 3\nSELECT a FROM t WHERE b = 'x;y';\n"
+                                    "-- stream: 2\nSELECT a FROM t -- c; d\n;\n"
+                                    "SELECT a FROM t WHERE b = 'multi\nline''s; --'\n"};
+  for (const std::string& bad : BadScripts()) seeds.push_back(bad);
+  const std::vector<std::string> sql = SqlSeeds();
+  for (size_t i = 0; i + 1 < sql.size(); i += 2) {
+    seeds.push_back("-- weight: 2\n" + sql[i] + ";\n" + sql[i + 1] + "\nGO\n");
+  }
+  Rng rng(404);
+  int ok = 0;
+  constexpr int kMutants = 5000;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string script =
+        i % 2 == 0 ? Mutate(seeds, &rng) : MutateScript(seeds, &rng);
+    auto strict = Workload::FromScript("fuzz.sql", script);
+    EXPECT_TRUE(strict.ok() || strict.status().message().rfind("fuzz.sql:", 0) == 0)
+        << strict.status().ToString();
+    std::vector<Workload::ScriptError> errors;
+    const Workload lenient = Workload::FromScriptLenient("fuzz.sql", script, &errors);
+    // The two readers walk alike: strict fails exactly when lenient reports
+    // a problem, and both keep the same statements until then.
+    EXPECT_EQ(strict.ok(), errors.empty());
+    if (strict.ok()) {
+      ASSERT_EQ(strict->size(), lenient.size());
+      for (size_t k = 0; k < lenient.size(); ++k) {
+        EXPECT_EQ(strict->statement(k).sql, lenient.statement(k).sql);
+      }
+    }
+    for (const Workload::ScriptError& e : errors) EXPECT_GE(e.line, 1);
+    ok += strict.ok() ? 1 : 0;
+  }
+  EXPECT_GT(ok, kMutants / 200);
+  EXPECT_LT(ok, kMutants - kMutants / 200);
 }
 
 TEST(ReaderMutationTest, ParseSchemaScriptReturnsStatus) {
