@@ -431,6 +431,7 @@ class LayoutCoaccessSharedDiskRule : public LintRule {
     const DiskFleet& fleet = *ctx.input.fleet;
     const double total_edge_weight = ctx.access_graph.TotalEdgeWeight();
     if (total_edge_weight <= 0) return;
+    const std::vector<double> node_blocks = ctx.profile.NodeBlockTotals();
     for (const GraphEdge& e : ctx.access_graph.SortedEdges()) {
       if (e.weight < kCoaccessMinEdgeFraction * total_edge_weight) {
         continue;
@@ -443,8 +444,8 @@ class LayoutCoaccessSharedDiskRule : public LintRule {
       // The pair as one sub-plan reading each whole object, so its seek on
       // a shared drive is the Section 5 term with k = 2.
       SubplanAccess pair;
-      pair.accesses = {ObjectAccess{u, ctx.profile.NodeBlocks(u)},
-                       ObjectAccess{v, ctx.profile.NodeBlocks(v)}};
+      pair.accesses = {ObjectAccess{u, node_blocks[e.u]},
+                       ObjectAccess{v, node_blocks[e.v]}};
       for (int j = 0; j < fleet.num_disks(); ++j) {
         const double xu = layout.x(u, j);
         const double xv = layout.x(v, j);
@@ -566,13 +567,13 @@ class LayoutSinglePointOfFailureRule : public LintRule {
     if (!LayoutUsable(ctx) || ctx.input.fleet == nullptr) return;
     const Layout& layout = *ctx.input.layout;
     const DiskFleet& fleet = *ctx.input.fleet;
+    // LayoutUsable: the layout has one row per profiled object.
+    const std::vector<double> node_blocks = ctx.profile.NodeBlockTotals();
     double total_blocks = 0;
-    for (int i = 0; i < layout.num_objects(); ++i) {
-      total_blocks += ctx.profile.NodeBlocks(i);
-    }
+    for (const double blocks : node_blocks) total_blocks += blocks;
     if (total_blocks <= 0) return;
     for (int i = 0; i < layout.num_objects(); ++i) {
-      const double share = ctx.profile.NodeBlocks(i) / total_blocks;
+      const double share = node_blocks[static_cast<size_t>(i)] / total_blocks;
       if (share < ctx.options.spof_min_workload_share) continue;
       if (layout.Width(i) != 1) continue;
       const int j = layout.DisksOf(i).front();

@@ -79,12 +79,9 @@ Status Session::Flush() {
 }
 
 std::vector<double> Session::AccessShares() const {
-  std::vector<double> shares(profile_.num_objects, 0.0);
+  std::vector<double> shares = profile_.NodeBlockTotals();
   double total = 0;
-  for (size_t i = 0; i < profile_.num_objects; ++i) {
-    shares[i] = profile_.NodeBlocks(static_cast<int>(i));
-    total += shares[i];
-  }
+  for (const double s : shares) total += s;
   if (total > 0) {
     for (double& s : shares) s /= total;
   }

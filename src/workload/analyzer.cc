@@ -11,16 +11,18 @@
 
 namespace dblayout {
 
-double WorkloadProfile::NodeBlocks(int obj) const {
-  double total = 0;
+std::vector<double> WorkloadProfile::NodeBlockTotals() const {
+  std::vector<double> totals(num_objects, 0.0);
   for (const auto& s : statements) {
     for (const auto& sp : s.subplans) {
       for (const auto& a : sp.accesses) {
-        if (a.object_id == obj) total += s.weight * a.blocks;
+        if (a.object_id >= 0 && static_cast<size_t>(a.object_id) < num_objects) {
+          totals[static_cast<size_t>(a.object_id)] += s.weight * a.blocks;
+        }
       }
     }
   }
-  return total;
+  return totals;
 }
 
 Result<WorkloadProfile> AnalyzeWorkload(const Database& db, const Workload& workload,

@@ -36,8 +36,11 @@ struct WorkloadProfile {
   std::vector<StatementProfile> statements;
   size_t num_objects = 0;
 
-  /// Total blocks accessed of object `obj` across the workload (weighted).
-  double NodeBlocks(int obj) const;
+  /// Total blocks accessed of each object across the workload (weighted),
+  /// indexed by object id, in one pass. Each total adds its object's terms
+  /// in statement, sub-plan and access order. Accesses of ids outside
+  /// [0, num_objects) are ignored.
+  std::vector<double> NodeBlockTotals() const;
 };
 
 /// Analyzes `workload` against `db`. Fails if any statement does not bind.

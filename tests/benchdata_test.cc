@@ -129,7 +129,7 @@ TEST(TpchTest, WkCtrl1TouchesNearlyAllData) {
   ASSERT_TRUE(profile.ok());
   const int li = db.ObjectIdOfTable("lineitem").value();
   // lineitem appears in 4 of 5 queries, scanned fully each time.
-  EXPECT_GE(profile->NodeBlocks(li),
+  EXPECT_GE(profile->NodeBlockTotals()[static_cast<size_t>(li)],
             3.9 * static_cast<double>(db.Objects()[static_cast<size_t>(li)].size_blocks));
 }
 
