@@ -76,19 +76,31 @@ void BM_AnalyzeWorkload(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeWorkload);
 
-// Optimizer::Plan alone over SALES-45's 5- to 10-table joins, where the
-// join-order DP is most of an advise.
-void BM_PlanSales45(benchmark::State& state) {
-  const Database& db = SalesDb();
-  const Workload wl = benchdata::MakeSales45Workload(db).value();
+// Optimizer::Plan alone over every statement of `wl`; items/s counts
+// statements.
+void PlanEvery(benchmark::State& state, const Database& db, const Workload& wl) {
   const Optimizer optimizer(db);
   for (auto _ : state) {
     for (const WorkloadStatement& s : wl.statements()) {
       benchmark::DoNotOptimize(optimizer.Plan(s.parsed).ok());
     }
   }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(wl.size()));
+}
+
+// SALES-45's 5- to 10-table joins, where the join-order DP is most of an
+// advise.
+void BM_PlanSales45(benchmark::State& state) {
+  PlanEvery(state, SalesDb(), benchdata::MakeSales45Workload(SalesDb()).value());
 }
 BENCHMARK(BM_PlanSales45)->Unit(benchmark::kMillisecond);
+
+// TPC-H-22's 1- to 8-table queries, where binding and building the plan
+// outweigh the join search.
+void BM_PlanTpch22(benchmark::State& state) {
+  PlanEvery(state, TpchDb(), benchdata::MakeTpch22Workload(TpchDb()).value());
+}
+BENCHMARK(BM_PlanTpch22)->Unit(benchmark::kMicrosecond);
 
 void BM_BuildAccessGraph(benchmark::State& state) {
   for (auto _ : state) {
