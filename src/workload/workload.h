@@ -35,7 +35,10 @@ class Workload {
   Status Add(const std::string& sql, double weight = 1.0, int stream = 0);
 
   /// Parses a workload script: statements separated by ';' or GO lines.
-  /// Line comments of the form `-- weight: <w>` and `-- stream: <n>`
+  /// A ';' inside a quoted literal or a `--` comment ends no statement; a GO
+  /// line ends one even inside a literal (the statement then fails as
+  /// unterminated, its error naming the line the literal opened on). Line
+  /// comments of the form `-- weight: <w>` and `-- stream: <n>`
   /// immediately before a statement set that statement's weight / stream.
   /// Parse failures carry `name:line:` context (pass the file path as
   /// `name` when loading from a file).
