@@ -1,8 +1,11 @@
 #include "common/strutil.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
+
+#include "common/logging.h"
 
 namespace dblayout {
 
@@ -20,6 +23,16 @@ std::string StrFormat(const char* fmt, ...) {
   }
   va_end(ap2);
   return out;
+}
+
+void AppendDouble(std::string* out, double v, int precision) {
+  // 32 bytes hold "-1.7976931348623157e+308" and the widest fixed form at
+  // 17 digits ("-0.00012345678901234567").
+  char buf[32];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, precision);
+  DBLAYOUT_DCHECK(r.ec == std::errc());
+  out->append(buf, static_cast<size_t>(r.ptr - buf));
 }
 
 std::string Join(const std::vector<std::string>& parts, const std::string& sep) {

@@ -1,6 +1,6 @@
-// Small string utilities: printf-style formatting into std::string, join,
-// split, case folding, and fixed-width table rendering used by the bench
-// harnesses to print paper-style tables.
+// Small string utilities: printf-style formatting into std::string, the one
+// "%.*g" number writer, join, split, case folding, and fixed-width table
+// rendering used by the bench harnesses to print paper-style tables.
 
 #ifndef DBLAYOUT_COMMON_STRUTIL_H_
 #define DBLAYOUT_COMMON_STRUTIL_H_
@@ -13,6 +13,11 @@ namespace dblayout {
 
 /// printf-style formatting returning a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// Appends what printf("%.*g", precision, v) prints, for precision in
+/// [1, 17], through std::to_chars(..., chars_format::general, precision),
+/// which the standard defines as that printf conversion.
+void AppendDouble(std::string* out, double v, int precision);
 
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, const std::string& sep);

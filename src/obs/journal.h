@@ -32,6 +32,7 @@
 
 #include "common/mutex.h"
 #include "common/result.h"
+#include "obs/json.h"
 
 namespace dblayout::obs {
 
@@ -40,17 +41,8 @@ namespace dblayout::obs {
 inline constexpr int kJournalSchemaVersion = 1;
 
 /// (key, already-serialized JSON value) pairs, emitted in order. Use the
-/// Json* helpers below for values.
+/// Json* writers of obs/json.h (included here) for values.
 using JournalFields = std::vector<std::pair<std::string, std::string>>;
-
-// JSON value serialization helpers (deterministic formatting).
-std::string JsonString(const std::string& s);  ///< quoted + escaped
-std::string JsonInt(int64_t v);
-std::string JsonBool(bool v);
-/// Shortest representation that round-trips a double ("%.17g" with a "%g"
-/// fast path when it already round-trips) — deterministic, diff-friendly.
-std::string JsonDouble(double v);
-std::string JsonIntArray(const std::vector<int>& v);
 
 struct JournalOptions {
   /// Include wall-clock timestamps: "t_us" (microseconds since the journal

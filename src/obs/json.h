@@ -1,9 +1,11 @@
-// Minimal recursive-descent JSON parser for the observability tooling:
-// dblayout report reads journal JSONL lines and BENCH_*.json files, and the
-// journal tests re-parse every emitted line. Objects preserve key order
-// (journals are order-significant for diffing); numbers are doubles with an
-// exact-int fast path. Not a general-purpose library — no streaming, no
-// \uXXXX surrogate pairs beyond BMP passthrough.
+// JSON for the observability tooling and the service checkpoint: the value
+// writers every journal line, report, bench record and checkpoint is built
+// from, and a minimal recursive-descent parser (dblayout report reads
+// journal JSONL lines and BENCH_*.json files, the journal tests re-parse
+// every emitted line, --resume reads checkpoints). Objects preserve key
+// order (journals are order-significant for diffing); numbers are doubles
+// with an exact-int fast path. Not a general-purpose library — no
+// streaming, no \uXXXX surrogate pairs beyond BMP passthrough.
 
 #ifndef DBLAYOUT_OBS_JSON_H_
 #define DBLAYOUT_OBS_JSON_H_
@@ -11,12 +13,35 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/result.h"
 
 namespace dblayout::obs {
+
+// Value writers (deterministic formatting). Each Append* form appends to
+// `out`; the string forms return what it would append.
+
+/// Quoted, with '"', '\\', \n, \r and \t escaped as two characters and the
+/// other bytes below 0x20 as \u00xx. Every other byte is copied as is.
+void AppendJsonString(std::string* out, std::string_view s);
+std::string JsonString(std::string_view s);
+
+void AppendJsonInt(std::string* out, int64_t v);
+std::string JsonInt(int64_t v);
+
+std::string JsonBool(bool v);
+
+/// The first of "%.6g", "%.15g", "%.16g" and "%.17g" that reads back as
+/// `v` (every finite double reads back from "%.17g"), so short values stay
+/// short and diff-friendly. JSON has no NaN or infinity: NaN is written as
+/// null, and values beyond ±1.7e308 (infinities included) as ±1e308.
+void AppendJsonDouble(std::string* out, double v);
+std::string JsonDouble(double v);
+
+std::string JsonIntArray(const std::vector<int>& v);
 
 class JsonValue {
  public:

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/strutil.h"
-#include "obs/journal.h"
 #include "obs/json.h"
 
 namespace dblayout {
@@ -16,15 +15,38 @@ using obs::JsonValue;
 
 void AppendStatementArray(const std::vector<StatementSnapshot>& statements,
                           std::string* out) {
-  *out += "[";
+  out->push_back('[');
   for (size_t i = 0; i < statements.size(); ++i) {
-    if (i > 0) *out += ",";
+    if (i > 0) out->push_back(',');
     const StatementSnapshot& s = statements[i];
-    *out += "{\"sql\":" + obs::JsonString(s.sql) +
-            ",\"weight\":" + obs::JsonDouble(s.weight) +
-            ",\"stream\":" + obs::JsonInt(s.stream) + "}";
+    out->append("{\"sql\":");
+    obs::AppendJsonString(out, s.sql);
+    out->append(",\"weight\":");
+    obs::AppendJsonDouble(out, s.weight);
+    out->append(",\"stream\":");
+    obs::AppendJsonInt(out, s.stream);
+    out->push_back('}');
   }
-  *out += "]";
+  out->push_back(']');
+}
+
+/// Bytes the serialized snapshot takes, give or take its escapes: the
+/// texts plus a bound on every number and key.
+size_t SerializedSizeHint(const ServiceSnapshot& snapshot) {
+  constexpr size_t kStatementBytes = 64;  // keys, weight, stream
+  constexpr size_t kSessionBytes = 512;   // keys and counters
+  size_t bytes = 256 + snapshot.config_fingerprint.size();
+  for (const SessionSnapshot& s : snapshot.sessions) {
+    bytes += kSessionBytes + s.degraded_reason.size() + s.active_csv.size() +
+             s.last_good_csv.size() + s.candidate_csv.size() +
+             25 * s.adopted_shares.size();
+    for (const auto* statements : {&s.profile, &s.pending}) {
+      for (const StatementSnapshot& statement : *statements) {
+        bytes += kStatementBytes + statement.sql.size();
+      }
+    }
+  }
+  return bytes;
 }
 
 Result<std::vector<StatementSnapshot>> ParseStatementArray(
@@ -53,42 +75,69 @@ Result<std::vector<StatementSnapshot>> ParseStatementArray(
 }  // namespace
 
 std::string SerializeCheckpoint(const ServiceSnapshot& snapshot) {
-  std::string out = "{";
-  out += "\"v\":" + obs::JsonInt(snapshot.version);
-  out += ",\"tool\":\"dblayout-serve\"";
-  out += ",\"config\":" + obs::JsonString(snapshot.config_fingerprint);
-  out += ",\"statements_consumed\":" + obs::JsonInt(snapshot.statements_consumed);
-  out += ",\"windows_closed\":" + obs::JsonInt(snapshot.windows_closed);
-  out += ",\"sessions\":[";
+  std::string out;
+  out.reserve(SerializedSizeHint(snapshot));
+  // Appends ,"name": ahead of a value.
+  const auto key = [&out](const char* name) {
+    out.append(",\"");
+    out.append(name);
+    out.append("\":");
+  };
+  out.append("{\"v\":");
+  obs::AppendJsonInt(&out, snapshot.version);
+  out.append(",\"tool\":\"dblayout-serve\"");
+  key("config");
+  obs::AppendJsonString(&out, snapshot.config_fingerprint);
+  key("statements_consumed");
+  obs::AppendJsonInt(&out, snapshot.statements_consumed);
+  key("windows_closed");
+  obs::AppendJsonInt(&out, snapshot.windows_closed);
+  key("sessions");
+  out.push_back('[');
   for (size_t i = 0; i < snapshot.sessions.size(); ++i) {
-    if (i > 0) out += ",";
+    if (i > 0) out.push_back(',');
     const SessionSnapshot& s = snapshot.sessions[i];
-    out += "{\"id\":" + obs::JsonInt(s.id);
-    out += ",\"mode\":" + obs::JsonString(s.mode);
-    out += ",\"stage\":" + obs::JsonString(s.stage);
-    out += ",\"streak\":" + obs::JsonInt(s.streak);
-    out += ",\"windows_closed\":" + obs::JsonInt(s.windows_closed);
-    out += ",\"statements_ingested\":" + obs::JsonInt(s.statements_ingested);
-    out += ",\"advises\":" + obs::JsonInt(s.advises);
-    out += ",\"promotions\":" + obs::JsonInt(s.promotions);
-    out += ",\"rollbacks\":" + obs::JsonInt(s.rollbacks);
-    out += ",\"deadline_misses\":" + obs::JsonInt(s.deadline_misses);
-    out += ",\"degraded_reason\":" + obs::JsonString(s.degraded_reason);
-    out += ",\"profile\":";
+    out.append("{\"id\":");
+    obs::AppendJsonInt(&out, s.id);
+    key("mode");
+    obs::AppendJsonString(&out, s.mode);
+    key("stage");
+    obs::AppendJsonString(&out, s.stage);
+    key("streak");
+    obs::AppendJsonInt(&out, s.streak);
+    key("windows_closed");
+    obs::AppendJsonInt(&out, s.windows_closed);
+    key("statements_ingested");
+    obs::AppendJsonInt(&out, s.statements_ingested);
+    key("advises");
+    obs::AppendJsonInt(&out, s.advises);
+    key("promotions");
+    obs::AppendJsonInt(&out, s.promotions);
+    key("rollbacks");
+    obs::AppendJsonInt(&out, s.rollbacks);
+    key("deadline_misses");
+    obs::AppendJsonInt(&out, s.deadline_misses);
+    key("degraded_reason");
+    obs::AppendJsonString(&out, s.degraded_reason);
+    key("profile");
     AppendStatementArray(s.profile, &out);
-    out += ",\"pending\":";
+    key("pending");
     AppendStatementArray(s.pending, &out);
-    out += ",\"active_csv\":" + obs::JsonString(s.active_csv);
-    out += ",\"last_good_csv\":" + obs::JsonString(s.last_good_csv);
-    out += ",\"candidate_csv\":" + obs::JsonString(s.candidate_csv);
-    out += ",\"adopted_shares\":[";
+    key("active_csv");
+    obs::AppendJsonString(&out, s.active_csv);
+    key("last_good_csv");
+    obs::AppendJsonString(&out, s.last_good_csv);
+    key("candidate_csv");
+    obs::AppendJsonString(&out, s.candidate_csv);
+    key("adopted_shares");
+    out.push_back('[');
     for (size_t j = 0; j < s.adopted_shares.size(); ++j) {
-      if (j > 0) out += ",";
-      out += obs::JsonDouble(s.adopted_shares[j]);
+      if (j > 0) out.push_back(',');
+      obs::AppendJsonDouble(&out, s.adopted_shares[j]);
     }
-    out += "]}";
+    out.append("]}");
   }
-  out += "]}\n";
+  out.append("]}\n");
   return out;
 }
 

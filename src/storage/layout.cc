@@ -228,10 +228,16 @@ std::string Layout::ToCsv(const std::vector<std::string>& object_names,
   }
   out += '\n';
   for (int i = 0; i < n_; ++i) {
-    out += i < static_cast<int>(object_names.size())
-               ? object_names[static_cast<size_t>(i)]
-               : StrFormat("R%d", i + 1);
-    for (int j = 0; j < m_; ++j) out += StrFormat(",%.17g", x(i, j));
+    if (i < static_cast<int>(object_names.size())) {
+      out += object_names[static_cast<size_t>(i)];
+    } else {
+      out += 'R';
+      out += std::to_string(i + 1);
+    }
+    for (int j = 0; j < m_; ++j) {
+      out += ',';
+      AppendDouble(&out, x(i, j), 17);
+    }
     out += '\n';
   }
   return out;
