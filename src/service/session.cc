@@ -159,14 +159,16 @@ Status Session::AdviseWithRetry() {
 
     if (!rec.value().layout.ApproxEquals(active_)) {
       candidate_ = std::move(rec.value().layout);
-      JournalEvent(
-          "serve_candidate",
-          {{"window", obs::JsonInt(windows_closed_)},
-           {"est_cost_ms", obs::JsonDouble(rec.value().estimated_cost_ms)},
-           {"active_cost_ms", obs::JsonDouble(rec.value().current_cost_ms)},
-           {"moved_blocks",
-            obs::JsonDouble(Layout::DataMovementBlocks(
-                active_, *candidate_, db_.ObjectSizes()))}});
+      if (journal_ != nullptr) {
+        JournalEvent(
+            "serve_candidate",
+            {{"window", obs::JsonInt(windows_closed_)},
+             {"est_cost_ms", obs::JsonDouble(rec.value().estimated_cost_ms)},
+             {"active_cost_ms", obs::JsonDouble(rec.value().current_cost_ms)},
+             {"moved_blocks",
+              obs::JsonDouble(Layout::DataMovementBlocks(
+                  active_, *candidate_, db_.ObjectSizes()))}});
+      }
     } else {
       // The incremental search says the active layout is (still) the best
       // reachable one; drop any stale candidate from an older profile.
@@ -281,28 +283,29 @@ Status Session::ProcessWindow() {
     case GuardrailAction::kPromote: {
       ++promotions_;
       DBLAYOUT_OBS_COUNT("service/promotions", 1);
-      const double moved = Layout::DataMovementBlocks(active_, *candidate_,
-                                                      db_.ObjectSizes());
+      const double moved =
+          journal_ != nullptr
+              ? Layout::DataMovementBlocks(active_, *candidate_, db_.ObjectSizes())
+              : 0;
       last_good_ = std::move(active_);
       active_ = std::move(*candidate_);
       candidate_.reset();
+      if (journal_ == nullptr) break;
       JournalEvent("serve_promote",
                    {{"window", obs::JsonInt(window_index)},
                     {"benefit_pct", obs::JsonDouble(guardrail_.last_benefit_pct())},
                     {"moved_blocks", obs::JsonDouble(moved)}});
       // Benefit attribution of the newly promoted layout: which statements
-      // and objects the win comes from, built only for a journal (run
-      // reports read it there). Queue sampling off — the serve loop stays
-      // deterministic and cheap.
-      if (journal_ != nullptr) {
-        obs::AttributionOptions attr_options;
-        attr_options.sample_queues = false;
-        Result<obs::CostAttribution> attribution =
-            obs::AttributeCost(profile_, active_, fleet_, db_.ObjectSizes(),
-                               ObjectNames(db_), attr_options);
-        if (attribution.ok()) {
-          obs::AppendAttributionEvents(attribution.value(), journal_, 5);
-        }
+      // and objects the win comes from (run reports read it in the
+      // journal). Queue sampling off — the serve loop stays deterministic
+      // and cheap.
+      obs::AttributionOptions attr_options;
+      attr_options.sample_queues = false;
+      Result<obs::CostAttribution> attribution =
+          obs::AttributeCost(profile_, active_, fleet_, db_.ObjectSizes(),
+                             ObjectNames(db_), attr_options);
+      if (attribution.ok()) {
+        obs::AppendAttributionEvents(attribution.value(), journal_, 5);
       }
       break;
     }
@@ -336,16 +339,19 @@ Status Session::ProcessWindow() {
     }
   }
 
-  JournalEvent("serve_window",
-               {{"window", obs::JsonInt(window_index)},
-                {"statements", obs::JsonInt(plannable)},
-                {"skipped", obs::JsonInt(unparsable +
-                                         static_cast<int>(analysis_errors.size()))},
-                {"active_cost_ms", obs::JsonDouble(signal.active_cost_ms)},
-                {"drift", obs::JsonDouble(drift)},
-                {"advised", obs::JsonBool(advised)},
-                {"stage", obs::JsonString(GuardrailStageName(guardrail_.stage()))},
-                {"mode", obs::JsonString(SessionModeName(mode_))}});
+  if (journal_ != nullptr) {
+    JournalEvent(
+        "serve_window",
+        {{"window", obs::JsonInt(window_index)},
+         {"statements", obs::JsonInt(plannable)},
+         {"skipped",
+          obs::JsonInt(unparsable + static_cast<int>(analysis_errors.size()))},
+         {"active_cost_ms", obs::JsonDouble(signal.active_cost_ms)},
+         {"drift", obs::JsonDouble(drift)},
+         {"advised", obs::JsonBool(advised)},
+         {"stage", obs::JsonString(GuardrailStageName(guardrail_.stage()))},
+         {"mode", obs::JsonString(SessionModeName(mode_))}});
+  }
   DBLAYOUT_OBS_COUNT("service/windows_closed", 1);
   return Status::OK();
 }

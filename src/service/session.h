@@ -100,6 +100,9 @@ class Session {
   /// profile (the drift coordinate system).
   std::vector<double> AccessShares() const;
   void Degrade(const std::string& reason);
+  /// Appends a "session"-prefixed event when a journal is attached. Its
+  /// fields are built before the call, so the per-window events test
+  /// journal_ first.
   void JournalEvent(const char* type,
                     std::vector<std::pair<std::string, std::string>> fields);
 
