@@ -25,7 +25,8 @@ inline constexpr int64_t kBlockBytes = kPageBytes * kPagesPerBlock;
 /// non-empty object).
 inline int64_t BytesToBlocks(int64_t bytes) {
   if (bytes <= 0) return 0;
-  return (bytes + kBlockBytes - 1) / kBlockBytes;
+  // Rounds up without adding to `bytes`, which may be close to INT64_MAX.
+  return bytes / kBlockBytes + (bytes % kBlockBytes != 0 ? 1 : 0);
 }
 
 /// Milliseconds to transfer one block at `mb_per_sec` megabytes per second.

@@ -84,7 +84,15 @@ Result<DiskFleet> DiskFleet::FromSpec(const std::string& text,
           StrFormat("%s:%d: non-positive drive characteristic", source.c_str(),
                     lineno));
     }
-    d.capacity_blocks = BytesToBlocks(static_cast<int64_t>(capacity_gb * 1e9));
+    // The byte count must convert to int64_t: a larger one (1e10 GB is
+    // 1e19 bytes, 1e300 GB overflows to inf) is an undefined cast.
+    const double capacity_bytes = capacity_gb * 1e9;
+    if (!(capacity_bytes < 0x1p63)) {
+      return Status::InvalidArgument(
+          StrFormat("%s:%d: drive capacity %g GB is not below 2^63 bytes",
+                    source.c_str(), lineno, capacity_gb));
+    }
+    d.capacity_blocks = BytesToBlocks(static_cast<int64_t>(capacity_bytes));
     if (ls >> avail) {
       avail = ToLower(avail);
       if (avail == "none") {

@@ -65,6 +65,35 @@ TEST(DiskTest, FromSpecErrors) {
             StatusCode::kInvalidArgument);
 }
 
+// A capacity whose byte count does not fit in int64_t used to be an
+// undefined float-to-int cast; it is an InvalidArgument naming file:line.
+TEST(DiskTest, FromSpecRejectsCapacityOf2To63BytesOrMore) {
+  for (const char* capacity : {"1e10", "1e300"}) {
+    auto fleet = DiskFleet::FromSpec(
+        StrFormat("ok 12 9 40 32\nbig %s 9 40 32\n", capacity), "disks.txt");
+    ASSERT_FALSE(fleet.ok()) << capacity;
+    EXPECT_EQ(fleet.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(fleet.status().message().rfind("disks.txt:2: drive capacity", 0), 0u)
+        << fleet.status().message();
+  }
+  // The largest capacity in GB whose byte count stays below 2^63 is
+  // accepted, and the next double up is not.
+  double largest = 0x1p63 / 1e9;
+  while (!(largest * 1e9 < 0x1p63)) largest = std::nextafter(largest, 0.0);
+  const double kInf = std::numeric_limits<double>::infinity();
+  while (std::nextafter(largest, kInf) * 1e9 < 0x1p63) {
+    largest = std::nextafter(largest, kInf);
+  }
+  auto fleet = DiskFleet::FromSpec(StrFormat("big %.17g 9 40 32\n", largest));
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  EXPECT_EQ(fleet->disk(0).capacity_blocks,
+            BytesToBlocks(static_cast<int64_t>(largest * 1e9)));
+  EXPECT_GT(fleet->disk(0).capacity_blocks, int64_t{1} << 46);
+  auto next = DiskFleet::FromSpec(
+      StrFormat("big %.17g 9 40 32\n", std::nextafter(largest, kInf)));
+  EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(DiskTest, ByDecreasingTransferRate) {
   DiskFleet fleet;
   DiskDrive a, b, c;
