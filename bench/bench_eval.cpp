@@ -20,8 +20,10 @@
 // Every scored total must be bit-identical to the full recomputation (that
 // is the evaluator's contract): the bench compares bit patterns and exits 1
 // on any difference, so the speedup columns are a pure wall-clock story. A
-// final case runs the whole TS-GREEDY search with 1 and 8 scoring threads
-// and checks the results are identical (exit 1 otherwise).
+// final case runs the whole TS-GREEDY search with 1 and 8 scoring threads,
+// and once more with a decision journal, which folds every candidate
+// exactly where the others fold only those whose bound may still win; it
+// checks the three results are identical (exit 1 otherwise).
 
 #include <algorithm>
 #include <bit>
@@ -33,6 +35,7 @@
 #include "common/thread_pool.h"
 #include "layout/evaluator.h"
 #include "layout/search.h"
+#include "obs/journal.h"
 
 using namespace dblayout;
 using namespace dblayout::bench;
@@ -309,7 +312,8 @@ int main() {
   }
 
   // Whole-search determinism: the same recommendation, bit for bit, with 1
-  // and 8 scoring threads.
+  // and 8 scoring threads, and with a journal (every candidate folded
+  // exactly) at 1.
   {
     SearchOptions opts;
     Workload wl = Unwrap(benchdata::MakeTpch22Workload(db), "tpch-22");
@@ -321,14 +325,30 @@ int main() {
     opts.num_threads = 8;
     SearchResult eight = Unwrap(
         TsGreedySearch(db, fleet, opts).Run(profile, constraints), "search t8");
-    bool identical = one.cost == eight.cost &&
-                     one.telemetry.cost_trajectory ==
-                         eight.telemetry.cost_trajectory;
-    for (int i = 0; identical && i < one.layout.num_objects(); ++i) {
-      for (int j = 0; j < one.layout.num_disks(); ++j) {
-        if (one.layout.x(i, j) != eight.layout.x(i, j)) identical = false;
+    obs::EventJournal journal;
+    opts.num_threads = 1;
+    opts.journal = &journal;
+    SearchResult journaled = Unwrap(
+        TsGreedySearch(db, fleet, opts).Run(profile, constraints), "search journaled");
+    // Cost, trajectory and layout matrix, bit for bit.
+    const auto same = [](const SearchResult& a, const SearchResult& b) {
+      if (a.layout.num_objects() != b.layout.num_objects() ||
+          a.layout.num_disks() != b.layout.num_disks() ||
+          a.telemetry.cost_trajectory.size() != b.telemetry.cost_trajectory.size()) {
+        return false;
       }
-    }
+      int mismatches = BitMismatches({a.cost}, {b.cost}) +
+                       BitMismatches(a.telemetry.cost_trajectory,
+                                     b.telemetry.cost_trajectory);
+      for (int i = 0; i < a.layout.num_objects(); ++i) {
+        for (int j = 0; j < a.layout.num_disks(); ++j) {
+          mismatches += BitMismatches({a.layout.x(i, j)}, {b.layout.x(i, j)});
+        }
+      }
+      return mismatches == 0;
+    };
+    const bool identical = same(one, eight);
+    const bool journal_identical = same(one, journaled);
     std::printf("\nsearch determinism (1 vs 8 threads): %s (cost %.3f ms, "
                 "%d iterations, %lld evals = %lld full + %lld delta)\n",
                 identical ? "IDENTICAL" : "MISMATCH", one.cost,
@@ -342,8 +362,15 @@ int main() {
               {"layouts_evaluated",
                StrFormat("%lld", static_cast<long long>(one.layouts_evaluated))}},
              &one.telemetry);
+    std::printf("search with a journal (every candidate folded): %s\n",
+                journal_identical ? "IDENTICAL" : "MISMATCH");
     if (!identical) {
       std::fprintf(stderr, "FAIL: parallel search result differs\n");
+      json.Write();
+      return 1;
+    }
+    if (!journal_identical) {
+      std::fprintf(stderr, "FAIL: unjournaled search result differs from the journaled one\n");
       json.Write();
       return 1;
     }

@@ -2,7 +2,8 @@
 // scalability depends on: the analytic cost model (invoked thousands of
 // times by the search), access-graph construction, max-cut partitioning,
 // the SQL front end, workload analysis, join-order planning and the full
-// TS-GREEDY search; and of the service's checkpoint, layer by layer: the
+// TS-GREEDY search (TPC-H-22 at m = 4, 8, 16, and the 352-query qgen4-m16
+// shape); and of the service's checkpoint, layer by layer: the
 // number writer, a layout CSV, a supervisor snapshot and its serialization.
 
 #include <benchmark/benchmark.h>
@@ -143,6 +144,29 @@ void BM_TsGreedySearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TsGreedySearch)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
+
+// The search of pipebench's qgen4-m16 shape at one scoring thread: TPCH1G-4
+// (32 objects) with 352 qgen-style queries on 16 drives, ~1,500 candidates
+// per iteration. Only the search is timed; the profile is built once.
+void BM_TsGreedySearchQgen4M16(benchmark::State& state) {
+  static const Database db = benchdata::MakeTpchDatabase(1.0, 4);
+  static const WorkloadProfile profile = [] {
+    auto wl = benchdata::MakeTpchQgenWorkload(db, 352, 4, 3);
+    auto p = AnalyzeWorkload(db, wl.value());
+    return std::move(p).value();
+  }();
+  const DiskFleet fleet = DiskFleet::Heterogeneous(16, 0.3, 42);
+  ResolvedConstraints rc;
+  rc.required_avail.assign(db.Objects().size(), std::nullopt);
+  SearchOptions options;
+  options.num_threads = 1;
+  TsGreedySearch search(db, fleet, options);
+  for (auto _ : state) {
+    auto result = search.Run(profile, rc);
+    benchmark::DoNotOptimize(result.ok());
+  }
+}
+BENCHMARK(BM_TsGreedySearchQgen4M16)->Unit(benchmark::kMillisecond);
 
 void BM_QueueSimMergeScan(benchmark::State& state) {
   // Request-level simulation of two co-accessed 2000-block streams.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -162,6 +164,32 @@ LayoutEvaluator::LayoutEvaluator(const WorkloadProfile& profile,
       }
     }
   }
+
+  // The bound's inputs (see LowerBound): W_c, and the counts of its error
+  // factor.
+  class_weight_.assign(subplan_rep_.size(), 0.0);
+  std::vector<int64_t> occurrences(subplan_rep_.size(), 0);
+  size_t flat = 0;
+  int64_t max_subplans = 0;
+  bound_ok_ = true;
+  for (const StatementProfile& s : profile.statements) {
+    bound_ok_ = bound_ok_ && std::isfinite(s.weight) && s.weight >= 0;
+    max_subplans = std::max(max_subplans, static_cast<int64_t>(s.subplans.size()));
+    for (size_t p = 0; p < s.subplans.size(); ++p, ++flat) {
+      const auto c = static_cast<size_t>(subplan_class_[flat]);
+      class_weight_[c] += s.weight;
+      ++occurrences[c];
+    }
+  }
+  const int64_t max_occurrences =
+      occurrences.empty() ? 0 : *std::max_element(occurrences.begin(), occurrences.end());
+  bound_terms_ = static_cast<int64_t>(profile.statements.size()) + max_subplans +
+                 max_occurrences + 2;
+  // The derivation drops terms of order (count * 2^-53)^2 and needs the
+  // underflow errors of every product below DBL_MIN; both hold far below
+  // 2^40 operations.
+  bound_ok_ = bound_ok_ && bound_terms_ + static_cast<int64_t>(subplan_rep_.size()) <
+                               (int64_t{1} << 40);
   AuditClasses();
 }
 
@@ -314,8 +342,9 @@ void LayoutEvaluator::RestoreScratchRows(const std::vector<int>& objects,
 }
 
 template <typename ApplyFn>
-void LayoutEvaluator::ScoreCore(std::span<const Lane> lanes, const ApplyFn& apply,
-                                Scratch* scratch, double* totals) const {
+void LayoutEvaluator::ScoreCore(Pass pass, std::span<const Lane> lanes,
+                                const ApplyFn& apply, Scratch* scratch,
+                                double* out) const {
   DBLAYOUT_DCHECK(bound_);
   DBLAYOUT_DCHECK_LE(lanes.size(), kLaneCount);
   Scratch& s = *scratch;
@@ -386,6 +415,10 @@ void LayoutEvaluator::ScoreCore(std::span<const Lane> lanes, const ApplyFn& appl
     reference[k] = ReferenceTotal(&s);
 #endif
 
+    if (pass == Pass::kBound) {
+      out[k] = LowerBound(s);
+      continue;
+    }
     // Re-fold the lane's affected statement classes into its lane.
     for (int32_t c : s.affected) {
       for (int32_t sc : class_statements_[static_cast<size_t>(c)]) {
@@ -398,30 +431,38 @@ void LayoutEvaluator::ScoreCore(std::span<const Lane> lanes, const ApplyFn& appl
     }
   }
 
-  // Lockstep fold: one term per statement, in statement order, into each
-  // lane's own accumulator — WorkloadCost's association order, per lane.
-  // Unused lanes fold cached terms and are ignored.
-  const std::array<double, kLaneCount> acc = FoldLanes(statement_class_, s.terms);
-  std::copy_n(acc.begin(), lanes.size(), totals);
-  // Back to the cached terms for the next pass.
-  for (const int32_t slot : s.patched) {
-    s.terms[static_cast<size_t>(slot)] =
-        statement_term_[static_cast<size_t>(slot) / kLaneCount];
+  if (pass != Pass::kBound) {
+    // Lockstep fold: one term per statement, in statement order, into each
+    // lane's own accumulator — WorkloadCost's association order, per lane.
+    // Unused lanes fold cached terms and are ignored.
+    const std::array<double, kLaneCount> acc = FoldLanes(statement_class_, s.terms);
+    std::copy_n(acc.begin(), lanes.size(), out);
+    // Back to the cached terms for the next pass.
+    for (const int32_t slot : s.patched) {
+      s.terms[static_cast<size_t>(slot)] =
+          statement_term_[static_cast<size_t>(slot) / kLaneCount];
+    }
+    s.patched.clear();
   }
-  s.patched.clear();
 
 #if DBLAYOUT_DCHECK_IS_ON()
   for (size_t k = 0; k < lanes.size(); ++k) {
-    DBLAYOUT_DCHECK(Bits(totals[k]) == Bits(reference[k]));
+    if (pass == Pass::kBound) {
+      DBLAYOUT_DCHECK(!(out[k] > reference[k]));
+    } else {
+      DBLAYOUT_DCHECK(Bits(out[k]) == Bits(reference[k]));
+    }
   }
 #endif
 
-  const auto n = static_cast<int64_t>(lanes.size());
-  delta_evals_.fetch_add(n, std::memory_order_relaxed);
-  cost_model_.NoteExternalWorkloadEvaluations(n);
-  DBLAYOUT_OBS_COUNT("evaluator/delta_evals", n);
-  if (memo_hits > 0) {
-    DBLAYOUT_OBS_COUNT("evaluator/memo_hits", memo_hits);
+  if (pass != Pass::kFold) {
+    const auto n = static_cast<int64_t>(lanes.size());
+    delta_evals_.fetch_add(n, std::memory_order_relaxed);
+    cost_model_.NoteExternalWorkloadEvaluations(n);
+    DBLAYOUT_OBS_COUNT("evaluator/delta_evals", n);
+    if (memo_hits > 0) {
+      DBLAYOUT_OBS_COUNT("evaluator/memo_hits", memo_hits);
+    }
   }
   if (misses > 0) {
     DBLAYOUT_OBS_COUNT("evaluator/subplans_recosted", recosted);
@@ -429,10 +470,39 @@ void LayoutEvaluator::ScoreCore(std::span<const Lane> lanes, const ApplyFn& appl
   }
 }
 
+double LayoutEvaluator::LowerBound(const Scratch& scratch) const {
+  // T' = T + sum_c W_c (cost'_c - cost_c) in exact arithmetic; DESIGN §10
+  // bounds how far the folds and this sum round from it.
+  double delta = 0;
+  double mass = 0;
+  bool changed = false;
+  for (const int32_t c : scratch.affected) {
+    const auto i = static_cast<size_t>(c);
+    const double now = class_cost_[i];
+    const double next = scratch.override_cost[i];
+    if (Bits(next) == Bits(now)) continue;
+    changed = true;
+    delta += class_weight_[i] * (next - now);
+    mass += class_weight_[i] * (next + now);
+  }
+  // Every term the fold would add is then bit-equal to its cached one.
+  if (!changed) return total_;
+  constexpr double kUlps = 4 * 0x1p-53;
+  const double error =
+      kUlps * static_cast<double>(bound_terms_ +
+                                  static_cast<int64_t>(scratch.affected.size())) *
+          (2 * total_ + mass + std::fabs(delta)) +
+      std::numeric_limits<double>::min();
+  const double bound = (total_ + delta) - error;
+  // An infinite cost, weight or total makes `bound` inf or NaN.
+  return bound_ok_ && std::isfinite(bound) ? bound
+                                           : -std::numeric_limits<double>::infinity();
+}
+
 void LayoutEvaluator::ScoreProportionalMoves(
     std::span<const ProportionalMove> moves, Scratch* scratch,
-    std::span<double> totals) const {
-  DBLAYOUT_CHECK(totals.size() == moves.size());
+    std::span<double> out, Pass pass) const {
+  DBLAYOUT_CHECK(out.size() == moves.size());
   for (size_t begin = 0; begin < moves.size(); begin += kLaneCount) {
     const size_t n = std::min(moves.size() - begin, kLaneCount);
     std::array<Lane, kLaneCount> lanes;
@@ -440,7 +510,7 @@ void LayoutEvaluator::ScoreProportionalMoves(
       lanes[k] = Lane{moves[begin + k].objects, moves[begin + k].memo};
     }
     ScoreCore(
-        std::span<const Lane>(lanes.data(), n),
+        pass, std::span<const Lane>(lanes.data(), n),
         [&](size_t k, Layout& l) {
           const ProportionalMove& move = moves[begin + k];
           for (int i : *move.objects) {
@@ -451,7 +521,7 @@ void LayoutEvaluator::ScoreProportionalMoves(
             }
           }
         },
-        scratch, totals.data() + begin);
+        scratch, out.data() + begin);
   }
 }
 
@@ -470,8 +540,8 @@ double LayoutEvaluator::DeltaCore(const std::vector<int>& objects,
   staged_valid_ = false;
   const Lane lane{&objects, nullptr};
   double total = 0;
-  ScoreCore({&lane, 1}, [&apply](size_t, Layout& l) { apply(l); }, &staging_,
-            &total);
+  ScoreCore(Pass::kExact, {&lane, 1}, [&apply](size_t, Layout& l) { apply(l); },
+            &staging_, &total);
 
   // Capture the candidate: its re-costed classes (still in the staging
   // scratch's overrides), its rows (applied once more, then put back), and

@@ -49,6 +49,25 @@
 // lane through a scalar walk over the flat statements and sub-plans and
 // require the same bits.
 //
+// Bounds. A pass can instead write a lower bound on each candidate's total,
+// priced exactly as above but with no re-fold and no lockstep fold (Pass::
+// kBound). With W_c the summed weight of sub-plan class c's occurrences
+// (fixed at construction), T = TotalCost() and D = sum over the affected
+// classes of W_c * (cost'_c - cost_c), the bound is T + D minus a bound on
+// the rounding of both folds, of the weights' sums and of D itself:
+//   4 * (S + P_max + n_max + A + 2) * 2^-53 * (2T + sum_c W_c (cost'_c +
+//   cost_c) + |D|) + DBL_MIN,
+// where S is the number of statements, P_max the most sub-plans in one,
+// n_max the most occurrences of one class and A the affected classes (DESIGN
+// §10 derives it). When every affected class prices bit-equal to its cached
+// cost, every term is unchanged and the bound is T itself, bit for bit. A
+// non-finite cost, a negative or non-finite weight, or a non-finite result
+// gives -inf. The greedy search then folds exactly (Pass::kFold) only the
+// candidates whose bound could still win: a kFold pass reads back what the
+// kBound pass priced, from the candidates' memos, and counts no
+// evaluation. DCHECK builds check every bound against the scalar reference
+// fold below.
+//
 // Score memo. A caller that scores the same candidate move again after other
 // moves were committed can pass a Memo: the candidate's re-costed sub-plan
 // class costs, kept across Commits. Commit() bumps a per-object generation
@@ -169,14 +188,29 @@ class LayoutEvaluator {
   // Pure w.r.t. the evaluator: a candidate is "the bound layout with every
   // object of its `objects` re-assigned", applied inside `scratch` and
   // undone before returning. Each candidate counts one (delta) workload
-  // evaluation.
+  // evaluation, except in a kFold pass.
 
-  /// Scores `moves` into `totals` (same length), kLanes candidates per
-  /// pass. Each move's memo, when given, is reused when still fresh and
-  /// refilled otherwise; the caller must pass the same Memo only for the
-  /// same objects moving to the same rows.
+  /// What a scoring pass writes per move (see the header comment).
+  enum class Pass {
+    /// The exact total.
+    kExact,
+    /// A lower bound on the exact total, from the move's re-costed
+    /// sub-plan classes alone; TotalCost() itself when none of them prices
+    /// differently. Prices, fills memos and counts as kExact does.
+    kBound,
+    /// The exact total of a move that a kBound pass priced since the last
+    /// Bind or Commit, read back from its memo (re-costed if it has none).
+    /// Counts no evaluation and no memo hit: the kBound pass counted them.
+    kFold,
+  };
+
+  /// Scores `moves` into `out` (same length) as `pass` says, kLanes
+  /// candidates per evaluator pass. Each move's memo, when given, is reused
+  /// when still fresh and refilled otherwise; the caller must pass the same
+  /// Memo only for the same objects moving to the same rows.
   void ScoreProportionalMoves(std::span<const ProportionalMove> moves,
-                              Scratch* scratch, std::span<double> totals) const;
+                              Scratch* scratch, std::span<double> out,
+                              Pass pass = Pass::kExact) const;
 
   /// One candidate: every object of `objects` assigned proportionally
   /// across `disks` (Layout::AssignProportional arithmetic, bit-identical).
@@ -246,16 +280,22 @@ class LayoutEvaluator {
     Memo* memo = nullptr;
   };
 
-  /// The one scoring core. Scores up to kLanes candidates into `totals`:
-  /// per lane, finds the affected sub-plan classes, takes their costs from
-  /// a fresh memo or re-costs them with the rows `apply(lane, layout)`
-  /// writes (refilling the memo when given), and re-folds the affected
-  /// statement classes into the lane; then folds every lane in lockstep.
-  /// Every path — memo hit or miss, batches, single calls, parallel
-  /// scoring, staging — goes through here.
+  /// The one scoring core. Scores up to kLanes candidates into `out`: per
+  /// lane, finds the affected sub-plan classes and takes their costs from a
+  /// fresh memo or re-costs them with the rows `apply(lane, layout)` writes
+  /// (refilling the memo when given). A kBound pass then writes each lane's
+  /// LowerBound; the others re-fold the affected statement classes into the
+  /// lane and fold every lane in lockstep. Every path — memo hit or miss,
+  /// bounds, batches, single calls, parallel scoring, staging — goes
+  /// through here.
   template <typename ApplyFn>
-  void ScoreCore(std::span<const Lane> lanes, const ApplyFn& apply,
-                 Scratch* scratch, double* totals) const;
+  void ScoreCore(Pass pass, std::span<const Lane> lanes, const ApplyFn& apply,
+                 Scratch* scratch, double* out) const;
+
+  /// The lower bound on the total of the candidate `scratch` has just
+  /// priced (its current-epoch overrides of `scratch->affected`), as the
+  /// header comment defines it.
+  double LowerBound(const Scratch& scratch) const;
 
   /// Backs up `scratch`'s rows for `objects`, then applies the candidate's.
   template <typename ApplyFn>
@@ -309,6 +349,15 @@ class LayoutEvaluator {
   std::vector<StatementClass> statement_classes_;
   std::vector<int32_t> class_seq_;        ///< statement classes' class sequences
   std::vector<int32_t> statement_class_;  ///< statement -> statement class
+  /// Per sub-plan class, its occurrences' weights summed in WorkloadCost's
+  /// order: W_c of the header comment.
+  std::vector<double> class_weight_;
+  /// S + P_max + n_max + 2 of the bound's error factor.
+  int64_t bound_terms_ = 0;
+  /// Every weight is finite and non-negative, and the operation counts are
+  /// small enough for the error bound (see LowerBound); else every bound is
+  /// -inf.
+  bool bound_ok_ = false;
 
   Layout layout_;                    ///< currently bound layout
   std::vector<double> class_cost_;   ///< cached cost per sub-plan class

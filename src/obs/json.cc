@@ -156,9 +156,35 @@ double JsonValue::NumberOr(const std::string& key, double fallback) const {
   return (v != nullptr && v->is_number()) ? v->number_value() : fallback;
 }
 
-int64_t JsonValue::IntOr(const std::string& key, int64_t fallback) const {
+std::optional<int64_t> JsonValue::int_value(int64_t min, int64_t max) const {
+  if (!is_number()) return std::nullopt;
+  int64_t v = exact_;
+  if (!has_exact_) {
+    // -2^63 and 2^63 are doubles: every double in between, and no other,
+    // converts to int64_t. NaN fails the comparison.
+    if (!(number_ >= -0x1p63 && number_ < 0x1p63) || std::trunc(number_) != number_) {
+      return std::nullopt;
+    }
+    v = static_cast<int64_t>(number_);
+  }
+  if (v < min || v > max) return std::nullopt;
+  return v;
+}
+
+Result<int64_t> JsonValue::IntOr(const std::string& key, int64_t fallback,
+                                 int64_t min, int64_t max) const {
   const JsonValue* v = Find(key);
-  return (v != nullptr && v->is_number()) ? v->int_value() : fallback;
+  if (v == nullptr) return fallback;
+  if (const std::optional<int64_t> i = v->int_value(min, max)) return *i;
+  const std::string range = StrFormat("an integer in [%lld, %lld]",
+                                      static_cast<long long>(min),
+                                      static_cast<long long>(max));
+  if (!v->is_number()) {
+    return Status::InvalidArgument(
+        StrFormat("field '%s' is not a number; expected %s", key.c_str(), range.c_str()));
+  }
+  return Status::InvalidArgument(StrFormat("field '%s' is %g; expected %s", key.c_str(),
+                                           v->number_value(), range.c_str()));
 }
 
 std::string JsonValue::StringOr(const std::string& key,
@@ -184,6 +210,13 @@ JsonValue JsonValue::Number(double v) {
   JsonValue out;
   out.kind_ = Kind::kNumber;
   out.number_ = v;
+  return out;
+}
+
+JsonValue JsonValue::Integer(double number, int64_t exact) {
+  JsonValue out = Number(number);
+  out.has_exact_ = true;
+  out.exact_ = exact;
   return out;
 }
 
@@ -452,7 +485,13 @@ class Parser {
       pos_ = start;
       return Error("malformed number '" + token + "'");
     }
-    *out = JsonValue::Number(value);
+    // An integer literal in int64_t's range also keeps its exact value.
+    int64_t exact = 0;
+    const char* first = token.data();
+    const char* last = first + token.size();
+    const std::from_chars_result as_int = std::from_chars(first, last, exact);
+    *out = as_int.ec == std::errc() && as_int.ptr == last ? JsonValue::Integer(value, exact)
+                                                          : JsonValue::Number(value);
     return Status::OK();
   }
 

@@ -11,7 +11,9 @@
 #define DBLAYOUT_OBS_JSON_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -59,7 +61,13 @@ class JsonValue {
 
   bool bool_value() const { return bool_; }
   double number_value() const { return number_; }
-  int64_t int_value() const { return static_cast<int64_t>(number_); }
+  /// The number as an integer in [min, max]: nullopt unless it is finite,
+  /// integral and in that range (by default int64_t's). An integer literal
+  /// that fits int64_t reads exactly, beyond a double's 53 bits; any other
+  /// number reads through its double, range-checked before the conversion.
+  std::optional<int64_t> int_value(
+      int64_t min = std::numeric_limits<int64_t>::min(),
+      int64_t max = std::numeric_limits<int64_t>::max()) const;
   const std::string& string_value() const { return string_; }
   const std::vector<JsonValue>& array() const { return array_; }
   const std::vector<std::pair<std::string, JsonValue>>& object() const {
@@ -72,13 +80,21 @@ class JsonValue {
 
   /// Convenience accessors with fallbacks for optional fields.
   double NumberOr(const std::string& key, double fallback) const;
-  int64_t IntOr(const std::string& key, int64_t fallback) const;
+  /// Member `key` as int_value(min, max) reads it: `fallback` when absent,
+  /// an InvalidArgument naming `key` when present and not such an integer
+  /// (a non-number included).
+  Result<int64_t> IntOr(const std::string& key, int64_t fallback,
+                        int64_t min = std::numeric_limits<int64_t>::min(),
+                        int64_t max = std::numeric_limits<int64_t>::max()) const;
   std::string StringOr(const std::string& key, std::string fallback) const;
   bool BoolOr(const std::string& key, bool fallback) const;
 
   static JsonValue Null() { return JsonValue(); }
   static JsonValue Bool(bool v);
   static JsonValue Number(double v);
+  /// A number read from an integer literal that fits int64_t: `number`
+  /// is its double, `exact` the integer itself.
+  static JsonValue Integer(double number, int64_t exact);
   static JsonValue String(std::string v);
   static JsonValue Array(std::vector<JsonValue> v);
   static JsonValue Object(std::vector<std::pair<std::string, JsonValue>> v);
@@ -87,6 +103,8 @@ class JsonValue {
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double number_ = 0;
+  bool has_exact_ = false;  ///< read from an integer literal; see Integer
+  int64_t exact_ = 0;
   std::string string_;
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/strutil.h"
@@ -49,6 +50,18 @@ size_t SerializedSizeHint(const ServiceSnapshot& snapshot) {
   return bytes;
 }
 
+/// Reads member `key` of `v` into `*out` as an integer in T's range:
+/// `fallback` when absent, an InvalidArgument naming `key` when present and
+/// not such an integer.
+template <typename T>
+Status ReadInt(const JsonValue& v, const char* key, T fallback, T* out) {
+  const Result<int64_t> i =
+      v.IntOr(key, fallback, std::numeric_limits<T>::min(), std::numeric_limits<T>::max());
+  if (!i.ok()) return Status::InvalidArgument("checkpoint " + i.status().message());
+  *out = static_cast<T>(*i);
+  return Status::OK();
+}
+
 Result<std::vector<StatementSnapshot>> ParseStatementArray(
     const JsonValue& parent, const std::string& key) {
   const JsonValue* arr = parent.Find(key);
@@ -66,7 +79,7 @@ Result<std::vector<StatementSnapshot>> ParseStatementArray(
     StatementSnapshot s;
     s.sql = v.StringOr("sql", "");
     s.weight = v.NumberOr("weight", 1.0);
-    s.stream = static_cast<int>(v.IntOr("stream", 0));
+    DBLAYOUT_RETURN_NOT_OK(ReadInt(v, "stream", 0, &s.stream));
     out.push_back(std::move(s));
   }
   return out;
@@ -152,15 +165,16 @@ Result<ServiceSnapshot> ParseCheckpoint(const std::string& text) {
         "checkpoint has no schema version field 'v'");
   }
   ServiceSnapshot snapshot;
-  snapshot.version = static_cast<int>(version->int_value());
+  DBLAYOUT_RETURN_NOT_OK(ReadInt(root, "v", 0, &snapshot.version));
   if (snapshot.version != kCheckpointSchemaVersion) {
     return Status::InvalidArgument(StrFormat(
         "checkpoint schema version %d is not the supported version %d",
         snapshot.version, kCheckpointSchemaVersion));
   }
   snapshot.config_fingerprint = root.StringOr("config", "");
-  snapshot.statements_consumed = root.IntOr("statements_consumed", -1);
-  snapshot.windows_closed = root.IntOr("windows_closed", 0);
+  DBLAYOUT_RETURN_NOT_OK(
+      ReadInt<int64_t>(root, "statements_consumed", -1, &snapshot.statements_consumed));
+  DBLAYOUT_RETURN_NOT_OK(ReadInt<int64_t>(root, "windows_closed", 0, &snapshot.windows_closed));
   if (snapshot.statements_consumed < 0) {
     return Status::InvalidArgument(
         "checkpoint is missing 'statements_consumed'");
@@ -174,19 +188,20 @@ Result<ServiceSnapshot> ParseCheckpoint(const std::string& text) {
       return Status::InvalidArgument("checkpoint session is not an object");
     }
     SessionSnapshot s;
-    s.id = static_cast<int>(v.IntOr("id", -1));
+    DBLAYOUT_RETURN_NOT_OK(ReadInt(v, "id", -1, &s.id));
     if (s.id < 0) {
       return Status::InvalidArgument("checkpoint session has no 'id'");
     }
     s.mode = v.StringOr("mode", "active");
     s.stage = v.StringOr("stage", "idle");
-    s.streak = static_cast<int>(v.IntOr("streak", 0));
-    s.windows_closed = static_cast<int>(v.IntOr("windows_closed", 0));
-    s.statements_ingested = v.IntOr("statements_ingested", 0);
-    s.advises = static_cast<int>(v.IntOr("advises", 0));
-    s.promotions = static_cast<int>(v.IntOr("promotions", 0));
-    s.rollbacks = static_cast<int>(v.IntOr("rollbacks", 0));
-    s.deadline_misses = static_cast<int>(v.IntOr("deadline_misses", 0));
+    DBLAYOUT_RETURN_NOT_OK(ReadInt(v, "streak", 0, &s.streak));
+    DBLAYOUT_RETURN_NOT_OK(ReadInt(v, "windows_closed", 0, &s.windows_closed));
+    DBLAYOUT_RETURN_NOT_OK(
+        ReadInt<int64_t>(v, "statements_ingested", 0, &s.statements_ingested));
+    DBLAYOUT_RETURN_NOT_OK(ReadInt(v, "advises", 0, &s.advises));
+    DBLAYOUT_RETURN_NOT_OK(ReadInt(v, "promotions", 0, &s.promotions));
+    DBLAYOUT_RETURN_NOT_OK(ReadInt(v, "rollbacks", 0, &s.rollbacks));
+    DBLAYOUT_RETURN_NOT_OK(ReadInt(v, "deadline_misses", 0, &s.deadline_misses));
     s.degraded_reason = v.StringOr("degraded_reason", "");
     DBLAYOUT_ASSIGN_OR_RETURN(s.profile, ParseStatementArray(v, "profile"));
     DBLAYOUT_ASSIGN_OR_RETURN(s.pending, ParseStatementArray(v, "pending"));

@@ -93,6 +93,13 @@ Result<DiskFleet> DiskFleet::FromSpec(const std::string& text,
                     source.c_str(), lineno, capacity_gb));
     }
     d.capacity_blocks = BytesToBlocks(static_cast<int64_t>(capacity_bytes));
+    // A positive capacity below one byte truncates to a drive of 0 blocks,
+    // which the search could only report as over capacity.
+    if (d.capacity_blocks == 0) {
+      return Status::InvalidArgument(
+          StrFormat("%s:%d: drive capacity %g GB is below one byte", source.c_str(),
+                    lineno, capacity_gb));
+    }
     if (ls >> avail) {
       avail = ToLower(avail);
       if (avail == "none") {

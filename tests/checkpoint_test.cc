@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -192,6 +193,50 @@ TEST(CheckpointTest, ParseRejectsMissingFields) {
   EXPECT_FALSE(ParseCheckpoint("not json").ok());
   EXPECT_FALSE(
       ParseCheckpoint("{\"v\":1,\"statements_consumed\":0}").ok());
+}
+
+// Every integer field must hold an integer in its field's range: int64_t
+// for the counts that may exceed 2^31, int for the rest.
+TEST(CheckpointTest, ParseRejectsNonIntegerCounts) {
+  const std::string text = SerializeCheckpoint(SampleSnapshot());
+  struct Field {
+    const char* key;
+    const char* written;  ///< the key and value SampleSnapshot writes
+    bool is_int;
+  };
+  const Field fields[] = {
+      {"v", "\"v\":1", true},
+      {"statements_consumed", "\"statements_consumed\":11", false},
+      {"windows_closed", "\"windows_closed\":5", false},
+      {"id", "\"id\":3", true},
+      {"streak", "\"streak\":1", true},
+      {"windows_closed", "\"windows_closed\":4", true},
+      {"statements_ingested", "\"statements_ingested\":9", false},
+      {"advises", "\"advises\":2", true},
+      {"promotions", "\"promotions\":1", true},
+      {"rollbacks", "\"rollbacks\":1", true},
+      {"deadline_misses", "\"deadline_misses\":1", true},
+      {"stream", "\"stream\":2", true},
+  };
+  ASSERT_EQ(kCheckpointSchemaVersion, 1);
+  for (const Field& f : fields) {
+    const size_t pos = text.find(f.written);
+    ASSERT_NE(pos, std::string::npos) << f.written;
+    ASSERT_EQ(text.find(f.written, pos + 1), std::string::npos) << f.written;
+    std::vector<std::string> bad = {"1e300", "-1e300", "1e19", "2.5"};
+    if (f.is_int) bad.push_back("3e9");
+    for (const std::string& value : bad) {
+      std::string edited = text;
+      edited.replace(pos, std::strlen(f.written),
+                     StrFormat("\"%s\":%s", f.key, value.c_str()));
+      const auto parsed = ParseCheckpoint(edited);
+      ASSERT_FALSE(parsed.ok()) << f.written << " -> " << value;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(parsed.status().message().find(StrFormat("field '%s'", f.key)),
+                std::string::npos)
+          << parsed.status().message();
+    }
+  }
 }
 
 // --- File round-trip --------------------------------------------------------

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "benchdata/tpch.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "layout/evaluator.h"
@@ -621,6 +622,193 @@ TEST(EvaluatorTest, AccountingCountsEveryEvaluationOnce) {
   // layouts_evaluated stays uniform across full and delta paths.
   EXPECT_EQ(cm.WorkloadEvaluations() - before,
             evaluator.full_evaluations() + evaluator.delta_evaluations());
+}
+
+/// A seeded micro instance: drives with drawn seek times, rates and RAID
+/// levels; statements of drawn weight (some 0) over 1-3 sub-plans of 1-3
+/// accesses with drawn block counts, writes, read-modify-writes and random
+/// reads (an object may appear twice in one sub-plan, or in none); and the
+/// objects cut into co-location groups of 1-3 that move together.
+struct MicroInstance {
+  DiskFleet fleet;
+  WorkloadProfile profile;
+  std::vector<std::vector<int>> groups;
+};
+
+MicroInstance DrawMicroInstance(Rng* rng) {
+  MicroInstance inst;
+  const int m = static_cast<int>(rng->UniformInt(1, 5));
+  for (int j = 0; j < m; ++j) {
+    DiskDrive d;
+    d.name = "d" + std::to_string(j);
+    d.capacity_blocks = int64_t{1} << 30;
+    d.seek_ms = rng->UniformDouble(1.0, 15.0);
+    d.read_mb_s = rng->UniformDouble(10.0, 400.0);
+    d.write_mb_s = rng->UniformDouble(8.0, 300.0);
+    d.avail = static_cast<Availability>(rng->UniformInt(0, 2));
+    inst.fleet.Add(d);
+  }
+  const int n = static_cast<int>(rng->UniformInt(1, 7));
+  inst.profile.num_objects = static_cast<size_t>(n);
+  const int statements = static_cast<int>(rng->UniformInt(1, 9));
+  for (int q = 0; q < statements; ++q) {
+    StatementProfile s;
+    s.weight = rng->Bernoulli(0.1) ? 0.0 : rng->UniformDouble(0.01, 50.0);
+    const int subplans = static_cast<int>(rng->UniformInt(1, 3));
+    for (int p = 0; p < subplans; ++p) {
+      SubplanAccess sp;
+      const int accesses = static_cast<int>(rng->UniformInt(1, 3));
+      for (int a = 0; a < accesses; ++a) {
+        ObjectAccess access;
+        access.object_id = static_cast<int>(rng->UniformInt(0, n - 1));
+        access.blocks = rng->Bernoulli(0.3)
+                            ? static_cast<double>(rng->UniformInt(1, 100'000))
+                            : rng->UniformDouble(0.5, 1e6);
+        access.is_write = rng->Bernoulli(0.3);
+        access.read_modify_write = access.is_write && rng->Bernoulli(0.3);
+        access.random = rng->Bernoulli(0.3);
+        sp.accesses.push_back(access);
+      }
+      s.subplans.push_back(std::move(sp));
+    }
+    inst.profile.statements.push_back(std::move(s));
+  }
+  std::vector<int> order(static_cast<size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  rng->Shuffle(&order);
+  for (size_t i = 0; i < order.size();) {
+    const size_t size = std::min(order.size() - i,
+                                 static_cast<size_t>(rng->UniformInt(1, 3)));
+    inst.groups.emplace_back(order.begin() + static_cast<std::ptrdiff_t>(i),
+                             order.begin() + static_cast<std::ptrdiff_t>(i + size));
+    i += size;
+  }
+  return inst;
+}
+
+/// Whether every sub-plan that reads an object of `group` costs the same
+/// bits under `candidate` as under `base`: the oracle's view of "no
+/// affected class cost changed".
+bool NoAffectedCostChanged(const CostModel& cm, const WorkloadProfile& profile,
+                           const std::vector<int>& group, const Layout& base,
+                           const Layout& candidate) {
+  for (const StatementProfile& s : profile.statements) {
+    for (const SubplanAccess& sp : s.subplans) {
+      const bool reads = std::any_of(
+          sp.accesses.begin(), sp.accesses.end(), [&](const ObjectAccess& a) {
+            return std::find(group.begin(), group.end(), a.object_id) != group.end();
+          });
+      if (reads && Bits(cm.SubplanCost(sp, base)) != Bits(cm.SubplanCost(sp, candidate))) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Property test of Pass::kBound on seeded micro instances: after random
+/// committed moves, every group's moves (to its own drives, a no-op, and to
+/// random drive sets) get a bound no larger than the move's exact total,
+/// within 1e-9 of it, and equal to TotalCost() bit for bit whenever no
+/// affected sub-plan prices differently; a kFold pass over the same memos
+/// gives the exact totals and counts no evaluation.
+TEST(EvaluatorTest, BoundNeverExceedsTheExactTotal) {
+  Rng rng(20261020);
+  int unchanged = 0;
+  int changed = 0;
+  for (int instance = 0; instance < 300; ++instance) {
+    const MicroInstance inst = DrawMicroInstance(&rng);
+    const CostModel cm(inst.fleet);
+    const int m = inst.fleet.num_disks();
+    LayoutEvaluator evaluator(inst.profile, cm);
+    Layout start(static_cast<int>(inst.profile.num_objects), m);
+    for (const std::vector<int>& group : inst.groups) {
+      const std::vector<int> disks = RandomDiskSet(m, &rng);
+      for (int i : group) start.AssignProportional(i, disks, inst.fleet);
+    }
+    evaluator.Bind(start);
+    for (int step = 0; step < 4; ++step) {
+      std::vector<const std::vector<int>*> groups;
+      std::vector<std::vector<int>> disk_sets;
+      for (const std::vector<int>& group : inst.groups) {
+        groups.push_back(&group);
+        disk_sets.push_back(evaluator.layout().DisksOf(group[0]));
+        for (int extra = 0; extra < 2; ++extra) {
+          groups.push_back(&group);
+          disk_sets.push_back(RandomDiskSet(m, &rng));
+        }
+      }
+      std::vector<LayoutEvaluator::Memo> memos(groups.size());
+      std::vector<LayoutEvaluator::ProportionalMove> moves;
+      for (size_t c = 0; c < groups.size(); ++c) {
+        moves.push_back({groups[c], &disk_sets[c], &memos[c]});
+      }
+      LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
+      std::vector<double> bounds(moves.size());
+      std::vector<double> folded(moves.size());
+      int64_t evals = evaluator.delta_evaluations();
+      evaluator.ScoreProportionalMoves(moves, &scratch, bounds,
+                                       LayoutEvaluator::Pass::kBound);
+      EXPECT_EQ(evaluator.delta_evaluations() - evals,
+                static_cast<int64_t>(moves.size()));
+      evals = evaluator.delta_evaluations();
+      evaluator.ScoreProportionalMoves(moves, &scratch, folded,
+                                       LayoutEvaluator::Pass::kFold);
+      EXPECT_EQ(evaluator.delta_evaluations(), evals);
+      for (size_t c = 0; c < moves.size(); ++c) {
+        const double exact =
+            evaluator.ScoreProportionalMove(*groups[c], disk_sets[c], &scratch);
+        EXPECT_EQ(Bits(folded[c]), Bits(exact)) << "instance " << instance << " move " << c;
+        EXPECT_FALSE(bounds[c] > exact)
+            << "instance " << instance << " step " << step << " move " << c << ": bound "
+            << bounds[c] << " above the total " << exact;
+        EXPECT_GE(bounds[c], exact - 1e-9 * (1 + exact + evaluator.TotalCost()))
+            << "instance " << instance << " move " << c;
+        Layout candidate = evaluator.layout();
+        for (int i : *groups[c]) candidate.AssignProportional(i, disk_sets[c], inst.fleet);
+        if (NoAffectedCostChanged(cm, inst.profile, *groups[c], evaluator.layout(),
+                                  candidate)) {
+          ++unchanged;
+          EXPECT_EQ(Bits(bounds[c]), Bits(evaluator.TotalCost()))
+              << "instance " << instance << " move " << c;
+        } else {
+          ++changed;
+        }
+      }
+      const size_t pick = rng.Index(moves.size());
+      evaluator.DeltaForProportionalMove(*groups[pick], disk_sets[pick]);
+      evaluator.Commit();
+    }
+  }
+  EXPECT_GT(unchanged, 1000);
+  EXPECT_GT(changed, 1000);
+}
+
+/// Outside the bound's domain, a negative or non-finite weight, a changed
+/// candidate's bound is -inf; an unchanged one's is still TotalCost().
+TEST(EvaluatorTest, BoundIsMinusInfinityForAWeightOutsideItsDomain) {
+  if (DBLAYOUT_DCHECK_IS_ON()) {
+    GTEST_SKIP() << "DCHECK builds reject such a weight at Bind (AuditWorkloadTotal)";
+  }
+  const DiskFleet fleet = DiskFleet::Heterogeneous(4, 0.3, 11);
+  const CostModel cm(fleet);
+  for (const double weight : {-0.5, std::numeric_limits<double>::infinity()}) {
+    WorkloadProfile profile = MemoProfile();
+    profile.statements[1].weight = weight;
+    LayoutEvaluator evaluator(profile, cm);
+    Layout start(4, fleet.num_disks());
+    for (int i = 0; i < 4; ++i) start.AssignProportional(i, {0, 1}, fleet);
+    evaluator.Bind(start);
+    const std::vector<int> moved = {0}, same = {0, 1}, wider = {0, 1, 2};
+    const LayoutEvaluator::ProportionalMove moves[] = {{&moved, &same, nullptr},
+                                                       {&moved, &wider, nullptr}};
+    LayoutEvaluator::Scratch scratch = evaluator.MakeScratch();
+    double bounds[2];
+    evaluator.ScoreProportionalMoves(moves, &scratch, bounds,
+                                     LayoutEvaluator::Pass::kBound);
+    EXPECT_EQ(Bits(bounds[0]), Bits(evaluator.TotalCost())) << "weight " << weight;
+    EXPECT_EQ(bounds[1], -std::numeric_limits<double>::infinity()) << "weight " << weight;
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForVisitsEveryIndexExactlyOnce) {

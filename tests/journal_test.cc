@@ -172,7 +172,7 @@ TEST(JournalTest, WallClockModeAddsTimestamps) {
   auto parsed = obs::ParseJson(text.substr(0, text.find('\n')));
   ASSERT_TRUE(parsed.ok());
   EXPECT_NE(parsed.value().Find("t_us"), nullptr);
-  EXPECT_EQ(parsed.value().IntOr("k", 0), 1);
+  EXPECT_EQ(parsed.value().IntOr("k", 0).value(), 1);
 }
 
 TEST(JournalTest, ValueSerializationIsDeterministicJson) {

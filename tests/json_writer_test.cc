@@ -217,5 +217,47 @@ TEST(JsonWriterTest, AppendFormsAppend) {
   EXPECT_EQ(out, "[-42,0.1,\"a\\\"b\",0.33333333333333331]");
 }
 
+/// `{"k": <literal>}` parsed, and its "k" read by IntOr in [min, max].
+Result<int64_t> ReadK(const std::string& literal,
+                      int64_t min = std::numeric_limits<int64_t>::min(),
+                      int64_t max = std::numeric_limits<int64_t>::max()) {
+  Result<obs::JsonValue> v = obs::ParseJson("{\"k\":" + literal + "}");
+  EXPECT_TRUE(v.ok()) << literal;
+  return v.ok() ? v->IntOr("k", -7, min, max) : Result<int64_t>(v.status());
+}
+
+// Integer reads check the value before any conversion (the asan-ubsan
+// build's float-cast-overflow check would catch one that did not).
+TEST(JsonReaderTest, IntegersAreCheckedBeforeTheyConvert) {
+  for (const char* bad : {"1e300", "-1e300", "1e19", "-1e19", "2.5", "-0.5",
+                          "9223372036854775808", "1e999", "true", "\"3\"", "null"}) {
+    const Result<int64_t> r = ReadK(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(r.status().message().find("field 'k'"), std::string::npos)
+        << r.status().message();
+  }
+  // In an int field, 3e9 is out of range too.
+  constexpr int64_t kIntMin = std::numeric_limits<int>::min();
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  for (const char* bad : {"3e9", "-3e9", "2147483648"}) {
+    EXPECT_FALSE(ReadK(bad, kIntMin, kIntMax).ok()) << bad;
+  }
+  EXPECT_EQ(ReadK("2147483647", kIntMin, kIntMax).value(), kIntMax);
+  EXPECT_EQ(ReadK("-2147483648", kIntMin, kIntMax).value(), kIntMin);
+  EXPECT_EQ(ReadK("3e9").value(), 3'000'000'000);
+  EXPECT_EQ(ReadK("4.0").value(), 4);
+  EXPECT_EQ(ReadK("-0").value(), 0);
+  EXPECT_EQ(ReadK("1e18").value(), 1'000'000'000'000'000'000);
+  // Integer literals that fit int64_t read exactly, past a double's 53 bits.
+  EXPECT_EQ(ReadK("9223372036854775807").value(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(ReadK("-9223372036854775808").value(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(ReadK("9007199254740993").value(), 9'007'199'254'740'993);
+  // An absent field reads as the fallback.
+  Result<obs::JsonValue> empty = obs::ParseJson("{}");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->IntOr("k", -7).value(), -7);
+}
+
 }  // namespace
 }  // namespace dblayout

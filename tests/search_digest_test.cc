@@ -5,7 +5,10 @@
 // decision, so any change to enumeration, pruning, scoring arithmetic or
 // tie-breaking shows up as a digest mismatch; the result's cost and layout
 // matrix are recorded as hex floats next to it. Every case runs at 1 and 4
-// scoring threads against the same golden lines.
+// scoring threads against the same golden lines, and again at both without
+// a journal: that search folds only the candidates whose bound may still
+// win, and must give the same result and row lines, trajectory and move
+// counts as the journaled one, which folds every candidate.
 //
 // Regenerate (only when a search change is intended):
 //   SEARCH_DIGEST_UPDATE_GOLDEN=1 build/tests/dblayout_tests --gtest_filter='SearchDigestTest.*'
@@ -18,6 +21,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "benchdata/sales.h"
@@ -50,28 +54,36 @@ std::vector<std::string> ReadLines(const std::string& path) {
 }
 
 /// One search run rendered as golden lines, plus its journal for the
-/// coverage checks.
+/// coverage checks and its telemetry: the cost trajectory and the
+/// considered/accepted counts per move kind.
 struct Rendered {
   std::vector<std::string> lines;
   std::string journal;
+  std::string telemetry;
 };
 
+/// Runs the search at `threads`, with an in-memory journal when `journaled`
+/// (which folds every candidate exactly) and without one otherwise (which
+/// folds only the candidates whose bound may still win). Only a journaled
+/// run renders the "journal" line.
 Rendered RunSearch(const std::string& name, const Database& db,
                    const DiskFleet& fleet, const WorkloadProfile& profile,
-                   const ResolvedConstraints& rc, int threads) {
+                   const ResolvedConstraints& rc, int threads, bool journaled) {
   obs::EventJournal journal;
   SearchOptions options;
   options.num_threads = threads;
-  options.journal = &journal;
+  if (journaled) options.journal = &journal;
   Result<SearchResult> r = TsGreedySearch(db, fleet, options).Run(profile, rc);
   EXPECT_TRUE(r.ok()) << name << ": " << r.status().ToString();
   Rendered out;
   if (!r.ok()) return out;
-  out.journal = journal.Serialize();
-  char digest[17];
-  std::snprintf(digest, sizeof(digest), "%016llx",
-                static_cast<unsigned long long>(testutil::Fnv1a(out.journal)));
-  out.lines.push_back(name + " journal " + digest);
+  if (journaled) {
+    out.journal = journal.Serialize();
+    char digest[17];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(testutil::Fnv1a(out.journal)));
+    out.lines.push_back(name + " journal " + digest);
+  }
   out.lines.push_back(name + " result cost=" + Hex(r->cost) +
                       " iterations=" + std::to_string(r->greedy_iterations) +
                       " layouts_evaluated=" + std::to_string(r->layouts_evaluated) +
@@ -81,19 +93,34 @@ Rendered RunSearch(const std::string& name, const Database& db,
     for (int j = 0; j < r->layout.num_disks(); ++j) row += " " + Hex(r->layout.x(i, j));
     out.lines.push_back(std::move(row));
   }
+  const SearchTelemetry& t = r->telemetry;
+  out.telemetry = "trajectory";
+  for (double c : t.cost_trajectory) out.telemetry += " " + Hex(c);
+  for (const auto& [kind, considered, accepted] :
+       {std::tuple{"widen", t.widen_considered, t.widen_accepted},
+        std::tuple{"jump", t.jump_considered, t.jump_accepted},
+        std::tuple{"narrow", t.narrow_considered, t.narrow_accepted},
+        std::tuple{"migrate", t.migrate_considered, t.migrate_accepted}}) {
+    out.telemetry += std::string(" ") + kind + "=" + std::to_string(considered) + "/" +
+                     std::to_string(accepted);
+  }
   return out;
 }
 
-/// Runs the case at 1 and 4 threads, requires identical renderings, and
-/// compares them with the golden lines prefixed "<name> ". With
+/// Runs the case with a journal at 1 and 4 threads and requires identical
+/// renderings, and compares them with the golden lines prefixed
+/// "<name> ". Then runs it without a journal at 1 and 4 threads: the
+/// result and row lines must equal the same golden lines, and the
+/// trajectory and move counts the journaled run's. With
 /// SEARCH_DIGEST_UPDATE_GOLDEN set, rewrites this case's lines instead.
 /// Returns the 1-thread journal.
 std::string CheckCase(const std::string& name, const Database& db,
                       const DiskFleet& fleet, const WorkloadProfile& profile,
                       const ResolvedConstraints& rc) {
-  const Rendered one = RunSearch(name, db, fleet, profile, rc, 1);
-  const Rendered four = RunSearch(name, db, fleet, profile, rc, 4);
+  const Rendered one = RunSearch(name, db, fleet, profile, rc, 1, true);
+  const Rendered four = RunSearch(name, db, fleet, profile, rc, 4, true);
   EXPECT_EQ(one.lines, four.lines) << name << ": 1 vs 4 scoring threads";
+  EXPECT_EQ(one.telemetry, four.telemetry) << name << ": 1 vs 4 scoring threads";
 
   const std::string prefix = name + " ";
   std::vector<std::string> golden = ReadLines(GoldenPath());
@@ -118,6 +145,18 @@ std::string CheckCase(const std::string& name, const Database& db,
       << " lines (run with SEARCH_DIGEST_UPDATE_GOLDEN=1 to create)";
   for (size_t i = 0; i < std::min(expected.size(), one.lines.size()); ++i) {
     EXPECT_EQ(expected[i], one.lines[i]) << "search changed for " << name;
+  }
+
+  // Unjournaled: the golden lines after the journal line.
+  const std::vector<std::string> unjournaled_golden(
+      expected.begin() + std::min<std::ptrdiff_t>(1, std::ssize(expected)),
+      expected.end());
+  for (const int threads : {1, 4}) {
+    const Rendered bounded = RunSearch(name, db, fleet, profile, rc, threads, false);
+    EXPECT_EQ(unjournaled_golden, bounded.lines)
+        << name << ": unjournaled search at " << threads << " threads";
+    EXPECT_EQ(one.telemetry, bounded.telemetry)
+        << name << ": unjournaled search at " << threads << " threads";
   }
   return one.journal;
 }

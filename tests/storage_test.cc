@@ -94,6 +94,32 @@ TEST(DiskTest, FromSpecRejectsCapacityOf2To63BytesOrMore) {
   EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(DiskTest, FromSpecRejectsCapacityBelowOneByte) {
+  for (const char* capacity : {"1e-12", "4.9e-324", "9.9e-10"}) {
+    auto fleet = DiskFleet::FromSpec(
+        StrFormat("ok 12 9 40 32\ntiny %s 9 40 32\n", capacity), "disks.txt");
+    ASSERT_FALSE(fleet.ok()) << capacity;
+    EXPECT_EQ(fleet.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(fleet.status().message().rfind("disks.txt:2: drive capacity", 0), 0u)
+        << fleet.status().message();
+    EXPECT_NE(fleet.status().message().find("below one byte"), std::string::npos)
+        << fleet.status().message();
+  }
+  // The smallest capacity in GB whose byte count reaches 1 is accepted as a
+  // drive of one block, and the next double down is not.
+  double smallest = 1e-9;
+  while (!(smallest * 1e9 >= 1)) smallest = std::nextafter(smallest, 1.0);
+  while (std::nextafter(smallest, 0.0) * 1e9 >= 1) {
+    smallest = std::nextafter(smallest, 0.0);
+  }
+  auto fleet = DiskFleet::FromSpec(StrFormat("tiny %.17g 9 40 32\n", smallest));
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  EXPECT_EQ(fleet->disk(0).capacity_blocks, 1);
+  auto next = DiskFleet::FromSpec(
+      StrFormat("tiny %.17g 9 40 32\n", std::nextafter(smallest, 0.0)));
+  EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(DiskTest, ByDecreasingTransferRate) {
   DiskFleet fleet;
   DiskDrive a, b, c;

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -45,6 +46,29 @@ struct MoveFunnel {
   int64_t rejected_capacity = 0;   ///< pre-check rejects, never scored
   int64_t rejected_movement = 0;
 };
+
+/// An integer field the report reads, with its accepted range.
+struct IntField {
+  const char* key;
+  int64_t min = std::numeric_limits<int64_t>::min();
+  int64_t max = std::numeric_limits<int64_t>::max();
+};
+
+/// The integer fields the report reads from each event kind. Each is
+/// checked when its line is read, so Int never meets a malformed one.
+std::vector<IntField> IntFields(const std::string& type) {
+  if (type == "run_start") {
+    return {{"v"}, {"seed"}, {"threads"}, {"objects"}, {"drives"}};
+  }
+  if (type == "run_end") return {{"iterations"}, {"evals"}};
+  // The iteration count is the largest iter + 1.
+  if (type == "iter_end") return {{"iter", 0, std::numeric_limits<int>::max()}};
+  if (type == "drive") return {{"queue_depth_max"}};
+  return {};
+}
+
+/// Integer field `key` of an event IntFields checked; 0 when absent.
+int64_t Int(const JsonValue& ev, const char* key) { return ev.IntOr(key, 0).value_or(0); }
 
 std::string Pct(double num, double den) {
   return den > 0 ? StrFormat("%.1f%%", 100.0 * num / den) : std::string("-");
@@ -81,9 +105,14 @@ int RunJournalReport(const std::string& path, int top_k) {
     }
     const JsonValue& ev = parsed.value();
     const std::string type = ev.StringOr("ev", "");
+    for (const IntField& field : IntFields(type)) {
+      if (Result<int64_t> v = ev.IntOr(field.key, 0, field.min, field.max); !v.ok()) {
+        return Fail(StrFormat("journal line %d", lineno), v.status(), kExitUsage);
+      }
+    }
     ++events;
     if (type == "run_start") {
-      const int64_t v = ev.IntOr("v", 0);
+      const int64_t v = Int(ev, "v");
       if (v > obs::kJournalSchemaVersion) {
         return Fail(
             "journal",
@@ -124,7 +153,7 @@ int RunJournalReport(const std::string& path, int top_k) {
         trajectory.push_back(ev.NumberOr("cost", 0));
       }
     } else if (type == "iter_end") {
-      iterations = std::max(iterations, ev.IntOr("iter", 0) + 1);
+      iterations = std::max(iterations, Int(ev, "iter") + 1);
     } else if (type == "attribution") {
       attributed_total_ms = ev.NumberOr("total_ms", -1);
     } else if (type == "statement") {
@@ -146,17 +175,17 @@ int RunJournalReport(const std::string& path, int top_k) {
   std::printf(
       "  tool %s, schema v%lld, seed %lld, threads %lld\n",
       run_start.StringOr("tool", "?").c_str(),
-      static_cast<long long>(run_start.IntOr("v", 0)),
-      static_cast<long long>(run_start.IntOr("seed", 0)),
-      static_cast<long long>(run_start.IntOr("threads", 0)));
+      static_cast<long long>(Int(run_start, "v")),
+      static_cast<long long>(Int(run_start, "seed")),
+      static_cast<long long>(Int(run_start, "threads")));
   std::printf("  build %s (%s, %s)\n",
               run_start.StringOr("git_sha", "unknown").c_str(),
               run_start.StringOr("compiler", "?").c_str(),
               run_start.StringOr("build_type", "?").c_str());
   std::printf("  workload %s: %lld objects on %lld drives\n",
               run_start.StringOr("workload", "?").c_str(),
-              static_cast<long long>(run_start.IntOr("objects", 0)),
-              static_cast<long long>(run_start.IntOr("drives", 0)));
+              static_cast<long long>(Int(run_start, "objects")),
+              static_cast<long long>(Int(run_start, "drives")));
 
   std::printf("\nacceptance funnel (%lld iterations, %lld candidate evals):\n",
               static_cast<long long>(iterations), static_cast<long long>(evals));
@@ -233,7 +262,7 @@ int RunJournalReport(const std::string& path, int top_k) {
                       Pct(d.NumberOr("utilization", 0), 1.0),
                       StrFormat("%.1f/%lld", d.NumberOr("queue_depth_mean", 0),
                                 static_cast<long long>(
-                                    d.IntOr("queue_depth_max", 0)))});
+                                    Int(d, "queue_depth_max")))});
     }
     std::fputs(RenderTable(rows).c_str(), stdout);
   }
@@ -244,8 +273,8 @@ int RunJournalReport(const std::string& path, int top_k) {
                 run_end.StringOr("status", "?").c_str(),
                 run_end.NumberOr("cost", 0),
                 run_end.NumberOr("improvement_pct", 0),
-                static_cast<long long>(run_end.IntOr("iterations", 0)),
-                static_cast<long long>(run_end.IntOr("evals", 0)),
+                static_cast<long long>(Int(run_end, "iterations")),
+                static_cast<long long>(Int(run_end, "evals")),
                 run_end.BoolOr("timed_out", false) ? " (TIMED OUT)" : "");
   } else {
     std::printf("\nWARNING: no run_end envelope — truncated journal?\n");

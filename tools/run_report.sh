@@ -11,7 +11,10 @@
 #   3. `dblayout report --journal` renders the funnel/trajectory/run_end
 #      sections from a default journal, and phase timings from a
 #      --journal-wall-clock journal
-#   4. `dblayout report --compare`: a file against itself exits 0; the seeded
+#   4. a journal whose integer field is not an integer in range (an
+#      iter_end "iter" of 1e300, a run_start "threads" of 2.5) is reported
+#      as malformed, with its line and field, and exits 2
+#   5. `dblayout report --compare`: a file against itself exits 0; the seeded
 #      regression fixture (tests/testdata/report_regressed.json, +16.6% on
 #      one estimated_cost_ms) exits 1 and names the regressed metric;
 #      malformed input exits 2
@@ -78,6 +81,20 @@ grep -q "acceptance funnel" <<<"${out}" || fail "no acceptance funnel in report"
 grep -q "cost trajectory" <<<"${out}" || fail "no cost trajectory in report"
 grep -q "run_end: status ok" <<<"${out}" || fail "no run_end summary in report"
 grep -q "n/a" <<<"${out}" || fail "default journal should render phases as n/a"
+
+log "run report over journals with a malformed integer field exits 2"
+for edit in 's/"ev":"iter_end","iter":0,/"ev":"iter_end","iter":1e300,/' \
+            's/"threads":1,/"threads":2.5,/'; do
+  sed "${edit}" "${J1}" > "${OUT}/malformed.jsonl"
+  cmp -s "${J1}" "${OUT}/malformed.jsonl" && fail "edit ${edit} changed nothing"
+  set +e
+  err="$("${BIN}" report --journal "${OUT}/malformed.jsonl" 2>&1 >/dev/null)"
+  rc=$?
+  set -e
+  [[ ${rc} -eq 2 ]] || fail "malformed journal (${edit}) exited ${rc}, want 2"
+  grep -q "journal line [0-9]*: .*field '\(iter\|threads\)'" <<<"${err}" \
+    || fail "malformed journal error does not name the line and field: ${err}"
+done
 
 log "run report over a wall-clock journal (--journal-wall-clock --report)"
 "${BIN}" advise --tpch 0.1 --disks "${DATA}/disks.txt" --seed 42 \
