@@ -25,8 +25,14 @@ namespace dblayout::benchdata {
 /// TPC-H schema at the given scale (1.0 ~ 1 GB of base data). With
 /// `copies` > 1, every table exists `copies` times; copy c >= 2 is suffixed
 /// "_c<c>" (the paper's TPCH1G-N databases). All tables are clustered on
-/// their primary keys, as in a standard TPC-H install.
+/// their primary keys, as in a standard TPC-H install. `scale` must be one
+/// that TpchScaleFits.
 Database MakeTpchDatabase(double scale = 1.0, int copies = 1);
+
+/// Whether every table's row count at `scale` converts to int64_t: false
+/// for a NaN or infinite scale and for one that gives lineitem, the
+/// largest table, 2^63 rows or more.
+bool TpchScaleFits(double scale);
 
 /// Adds the handful of secondary indexes a tuned TPC-H install carries
 /// (l_shipdate, o_orderdate, c_mktsegment); used by index-aware tests.

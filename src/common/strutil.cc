@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -33,6 +35,58 @@ void AppendDouble(std::string* out, double v, int precision) {
       std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, precision);
   DBLAYOUT_DCHECK(r.ec == std::errc());
   out->append(buf, static_cast<size_t>(r.ptr - buf));
+}
+
+std::optional<double> ParseDouble(std::string_view text) {
+  // strtod reads a NUL-terminated string: copy the token, which is short
+  // on every input path, to the stack.
+  char buf[64];
+  std::string long_text;
+  const char* begin = buf;
+  if (text.size() < sizeof(buf)) {
+    std::memcpy(buf, text.data(), text.size());
+    buf[text.size()] = '\0';
+  } else {
+    long_text.assign(text);
+    begin = long_text.c_str();
+  }
+  char* end = nullptr;
+  const double v = std::strtod(begin, &end);
+  if (text.empty() || end != begin + text.size()) return std::nullopt;
+  return v;
+}
+
+template <typename T>
+std::optional<T> ParseInt(std::string_view text) {
+  const char* p = text.data();
+  const char* const last = p + text.size();
+  while (p != last && std::isspace(static_cast<unsigned char>(*p))) ++p;
+  // from_chars takes the '-' of a signed type and no '+'.
+  if (last - p > 1 && p[0] == '+' && p[1] != '-') ++p;
+  T v{};
+  const std::from_chars_result r = std::from_chars(p, last, v);
+  if (r.ec != std::errc() || r.ptr != last) return std::nullopt;
+  return v;
+}
+
+template std::optional<int> ParseInt<int>(std::string_view);
+template std::optional<int64_t> ParseInt<int64_t>(std::string_view);
+template std::optional<uint64_t> ParseInt<uint64_t>(std::string_view);
+
+std::optional<int64_t> ToInt64(double v) {
+  // -2^63 and 2^63 are doubles: every double in between, and no other,
+  // truncates into int64_t. NaN fails both comparisons.
+  if (!(v >= -0x1p63 && v < 0x1p63)) return std::nullopt;
+  return static_cast<int64_t>(v);
+}
+
+std::string_view NextField(std::string_view s, size_t* pos) {
+  size_t b = *pos;
+  while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
+  size_t e = b;
+  while (e < s.size() && !std::isspace(static_cast<unsigned char>(s[e]))) ++e;
+  *pos = e;
+  return s.substr(b, e - b);
 }
 
 std::string Join(const std::vector<std::string>& parts, const std::string& sep) {

@@ -502,14 +502,21 @@ struct TsGreedySearch::Deadline {
 
   static Deadline FromBudgetMs(double budget_ms,
                                const std::atomic<bool>* cancel_requested) {
+    using Clock = std::chrono::steady_clock;
     Deadline d;
     d.cancel = cancel_requested;
     if (budget_ms >= 0) {
-      d.active = true;
+      // A budget the clock cannot hold from now means no deadline.
+      const std::optional<int64_t> ticks = ToInt64(
+          std::chrono::duration<double, Clock::period>(
+              std::chrono::duration<double, std::milli>(budget_ms))
+              .count());
       // dblayout-check(determinism-taint): the search budget is a contractual wall-clock deadline (SearchOptions::budget_ms); which candidates get scored before it expires is deliberately time-dependent
-      d.at = std::chrono::steady_clock::now() +
-             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                 std::chrono::duration<double, std::milli>(budget_ms));
+      const Clock::time_point now = std::chrono::steady_clock::now();
+      if (ticks && *ticks <= (Clock::time_point::max() - now).count()) {
+        d.active = true;
+        d.at = now + Clock::duration(*ticks);
+      }
     }
     return d;
   }

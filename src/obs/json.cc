@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/strutil.h"
@@ -160,12 +159,10 @@ std::optional<int64_t> JsonValue::int_value(int64_t min, int64_t max) const {
   if (!is_number()) return std::nullopt;
   int64_t v = exact_;
   if (!has_exact_) {
-    // -2^63 and 2^63 are doubles: every double in between, and no other,
-    // converts to int64_t. NaN fails the comparison.
-    if (!(number_ >= -0x1p63 && number_ < 0x1p63) || std::trunc(number_) != number_) {
-      return std::nullopt;
-    }
-    v = static_cast<int64_t>(number_);
+    // An integral double converts when ToInt64 takes it.
+    const std::optional<int64_t> whole = ToInt64(number_);
+    if (!whole || static_cast<double>(*whole) != number_) return std::nullopt;
+    v = *whole;
   }
   if (v < min || v > max) return std::nullopt;
   return v;
@@ -478,20 +475,15 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) return Error("expected a value");
-    std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
+    const std::string_view token(text_.data() + start, pos_ - start);
+    const std::optional<double> value = ParseDouble(token);
+    if (!value) {
       pos_ = start;
-      return Error("malformed number '" + token + "'");
+      return Error("malformed number '" + std::string(token) + "'");
     }
     // An integer literal in int64_t's range also keeps its exact value.
-    int64_t exact = 0;
-    const char* first = token.data();
-    const char* last = first + token.size();
-    const std::from_chars_result as_int = std::from_chars(first, last, exact);
-    *out = as_int.ec == std::errc() && as_int.ptr == last ? JsonValue::Integer(value, exact)
-                                                          : JsonValue::Number(value);
+    const std::optional<int64_t> exact = ParseInt<int64_t>(token);
+    *out = exact ? JsonValue::Integer(*value, *exact) : JsonValue::Number(*value);
     return Status::OK();
   }
 

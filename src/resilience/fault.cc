@@ -1,7 +1,6 @@
 #include "resilience/fault.h"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "common/strutil.h"
 #include "obs/metrics.h"
@@ -13,20 +12,19 @@ namespace {
 Status ParseScalar(const std::string& source, int line, const std::string& key,
                    const std::string& value, double lo, double hi, bool hi_open,
                    double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
+  const std::optional<double> v = ParseDouble(value);
+  if (!v) {
     return Status::ParseError(StrFormat("%s:%d: %s value '%s' is not a number",
                                         source.c_str(), line, key.c_str(),
                                         value.c_str()));
   }
   // Written so that NaN, which every comparison rejects, is out of range.
-  if (!(v >= lo && (hi_open ? v < hi : v <= hi))) {
+  if (!(*v >= lo && (hi_open ? *v < hi : *v <= hi))) {
     return Status::InvalidArgument(
         StrFormat("%s:%d: %s=%g out of range [%g, %g%s", source.c_str(), line,
-                  key.c_str(), v, lo, hi, hi_open ? ")" : "]"));
+                  key.c_str(), *v, lo, hi, hi_open ? ")" : "]"));
   }
-  *out = v;
+  *out = *v;
   return Status::OK();
 }
 

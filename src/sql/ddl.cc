@@ -76,7 +76,9 @@ Status ParseColumn(TokenCursor* c, Column* column) {
     if (c->ConsumeKeyword("distinct")) {
       DBLAYOUT_ASSIGN_OR_RETURN(double d, ParseNumber(c, "DISTINCT count"));
       if (d < 1) return Status::ParseError("schema: DISTINCT must be >= 1");
-      col.distinct_count = static_cast<int64_t>(d);
+      const std::optional<int64_t> count = ToInt64(d);
+      if (!count) return Status::ParseError("schema: DISTINCT must be below 2^63");
+      col.distinct_count = *count;
     } else if (c->ConsumeKeyword("range")) {
       DBLAYOUT_ASSIGN_OR_RETURN(col.min_value, ParseBound(c, col.type));
       DBLAYOUT_ASSIGN_OR_RETURN(col.max_value, ParseBound(c, col.type));
@@ -110,7 +112,9 @@ Status ParseCreateTable(TokenCursor* c, Database* db) {
   if (!c->ConsumeKeyword("rows")) return c->Expect("ROWS <count>");
   DBLAYOUT_ASSIGN_OR_RETURN(double rows, ParseNumber(c, "row count"));
   if (rows < 0) return Status::ParseError("schema: negative ROWS");
-  table.row_count = static_cast<int64_t>(rows);
+  const std::optional<int64_t> row_count = ToInt64(rows);
+  if (!row_count) return Status::ParseError("schema: ROWS must be below 2^63");
+  table.row_count = *row_count;
   if (c->ConsumeKeyword("clustered")) {
     if (!c->ConsumePunct('(')) return c->Expect("'(' after CLUSTERED");
     do {

@@ -1,7 +1,5 @@
 #include "sql/parser.h"
 
-#include <cstdio>
-
 #include "common/strutil.h"
 #include "sql/lexer.h"
 
@@ -26,19 +24,33 @@ const char* CompareOpName(CompareOp op) {
 }
 
 Result<double> ParseDateDays(const std::string& iso_date) {
-  int y = 0, m = 0, d = 0;
-  if (std::sscanf(iso_date.c_str(), "%d-%d-%d", &y, &m, &d) != 3 || m < 1 || m > 12 ||
-      d < 1 || d > 31) {
+  // Y-M-D, each field decimal digits read in place; a leading '-' is the
+  // year's sign.
+  const std::string_view s = iso_date;
+  const size_t month_at = s.find('-', 1);
+  const size_t day_at = month_at == std::string_view::npos
+                            ? std::string_view::npos
+                            : s.find('-', month_at + 1);
+  std::optional<int> year, month, day;
+  if (day_at != std::string_view::npos &&
+      s.find_first_not_of("0123456789-") == std::string_view::npos) {
+    year = ParseInt<int>(s.substr(0, month_at));
+    month = ParseInt<int>(s.substr(month_at + 1, day_at - month_at - 1));
+    day = ParseInt<int>(s.substr(day_at + 1));
+  }
+  if (!year || !month || !day || *month < 1 || *month > 12 || *day < 1 || *day > 31) {
     return Status::ParseError(StrFormat("bad date '%s'", iso_date.c_str()));
   }
-  // Howard Hinnant's days-from-civil algorithm.
-  y -= m <= 2;
-  const int era = (y >= 0 ? y : y - 399) / 400;
+  // Howard Hinnant's days-from-civil algorithm, in 64 bits so that no int
+  // year overflows.
+  const int m = *month;
+  const int64_t y = int64_t{*year} - (m <= 2);
+  const int64_t era = (y >= 0 ? y : y - 399) / 400;
   const unsigned yoe = static_cast<unsigned>(y - era * 400);
   const unsigned doy = (153u * static_cast<unsigned>(m + (m > 2 ? -3 : 9)) + 2u) / 5u +
-                       static_cast<unsigned>(d) - 1u;
+                       static_cast<unsigned>(*day) - 1u;
   const unsigned doe = yoe * 365u + yoe / 4u - yoe / 100u + doy;
-  return static_cast<double>(era * 146097LL + static_cast<int64_t>(doe) - 719468LL);
+  return static_cast<double>(era * 146097 + static_cast<int64_t>(doe) - 719468);
 }
 
 namespace {
@@ -217,16 +229,14 @@ Status ParseSelectItem(TokenCursor* c, SelectItem* item) {
   return Status::OK();
 }
 
-/// TOP counts at or above 2^63 (or not finite) do not fit `top`.
-constexpr double kTopLimit = 9223372036854775808.0;
-
 Status ParseSelect(TokenCursor* c, SelectStatement* sel) {
   if (!c->ConsumeKeyword("select")) return c->Expect("SELECT");
   if (c->ConsumeKeyword("top")) {
     const Token& n = c->Peek();
     if (n.kind != Token::Kind::kNumber) return c->Expect("number after TOP");
-    if (!(n.number < kTopLimit)) return c->Expect("TOP count below 2^63");
-    sel->top = static_cast<int64_t>(n.number);
+    const std::optional<int64_t> top = ToInt64(n.number);
+    if (!top) return c->Expect("TOP count below 2^63");
+    sel->top = *top;
     c->Next();
   }
   c->ConsumeKeyword("distinct");  // accepted, treated as a no-op for layout

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 #include "common/rng.h"
 #include "common/strutil.h"
@@ -62,37 +61,40 @@ DiskFleet DiskFleet::Heterogeneous(int m, double spread, uint64_t seed,
 Result<DiskFleet> DiskFleet::FromSpec(const std::string& text,
                                       const std::string& source) {
   DiskFleet fleet;
-  std::istringstream in(text);
-  std::string line;
   int lineno = 0;
-  while (std::getline(in, line)) {
+  for (const std::string& raw : Split(text, '\n')) {
     ++lineno;
-    line = Trim(line);
+    const std::string line = Trim(raw);
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
+    // name capacity_gb seek_ms read_mb_s write_mb_s [avail], split at white
+    // space. Each number is finite, so only the range checks below remain.
+    size_t pos = 0;
     DiskDrive d;
+    d.name = std::string(NextField(line, &pos));
     double capacity_gb = 0;
-    std::string avail;
-    if (!(ls >> d.name >> capacity_gb >> d.seek_ms >> d.read_mb_s >> d.write_mb_s)) {
-      return Status::ParseError(
-          StrFormat("%s:%d: expected "
-                    "'name capacity_gb seek_ms read_mb_s write_mb_s [avail]'",
-                    source.c_str(), lineno));
+    for (double* field : {&capacity_gb, &d.seek_ms, &d.read_mb_s, &d.write_mb_s}) {
+      const std::optional<double> v = ParseDouble(NextField(line, &pos));
+      if (!v || !std::isfinite(*v)) {
+        return Status::ParseError(
+            StrFormat("%s:%d: expected "
+                      "'name capacity_gb seek_ms read_mb_s write_mb_s [avail]'",
+                      source.c_str(), lineno));
+      }
+      *field = *v;
     }
     if (capacity_gb <= 0 || d.seek_ms < 0 || d.read_mb_s <= 0 || d.write_mb_s <= 0) {
       return Status::InvalidArgument(
           StrFormat("%s:%d: non-positive drive characteristic", source.c_str(),
                     lineno));
     }
-    // The byte count must convert to int64_t: a larger one (1e10 GB is
-    // 1e19 bytes, 1e300 GB overflows to inf) is an undefined cast.
-    const double capacity_bytes = capacity_gb * 1e9;
-    if (!(capacity_bytes < 0x1p63)) {
+    // The byte count must convert to int64_t: 1e10 GB is 1e19 bytes.
+    const std::optional<int64_t> capacity_bytes = ToInt64(capacity_gb * 1e9);
+    if (!capacity_bytes) {
       return Status::InvalidArgument(
           StrFormat("%s:%d: drive capacity %g GB is not below 2^63 bytes",
                     source.c_str(), lineno, capacity_gb));
     }
-    d.capacity_blocks = BytesToBlocks(static_cast<int64_t>(capacity_bytes));
+    d.capacity_blocks = BytesToBlocks(*capacity_bytes);
     // A positive capacity below one byte truncates to a drive of 0 blocks,
     // which the search could only report as over capacity.
     if (d.capacity_blocks == 0) {
@@ -100,8 +102,8 @@ Result<DiskFleet> DiskFleet::FromSpec(const std::string& text,
           StrFormat("%s:%d: drive capacity %g GB is below one byte", source.c_str(),
                     lineno, capacity_gb));
     }
-    if (ls >> avail) {
-      avail = ToLower(avail);
+    if (std::string avail = ToLower(std::string(NextField(line, &pos)));
+        !avail.empty()) {
       if (avail == "none") {
         d.avail = Availability::kNone;
       } else if (avail == "parity") {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 
 #include "common/logging.h"
@@ -293,14 +292,13 @@ Result<Layout> Layout::FromCsv(const std::string& text,
     }
     seen[static_cast<size_t>(obj)] = true;
     for (int j = 0; j < fleet.num_disks(); ++j) {
-      char* end = nullptr;
       const std::string cell = Trim(cells[static_cast<size_t>(j + 1)]);
-      const double v = std::strtod(cell.c_str(), &end);
-      if (cell.empty() || *end != '\0') {
+      const std::optional<double> v = ParseDouble(cell);
+      if (!v) {
         return Status::ParseError(
             StrFormat("layout csv: bad fraction '%s'", cell.c_str()));
       }
-      layout.set_x(obj, j, v);
+      layout.set_x(obj, j, *v);
     }
   }
   for (size_t i = 0; i < seen.size(); ++i) {

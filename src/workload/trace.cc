@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 
 #include "common/strutil.h"
@@ -16,31 +15,29 @@ Result<std::vector<TraceEvent>> ParseTraceEvents(const std::string& text) {
     ++lineno;
     const std::string line = Trim(raw);
     if (line.empty() || line[0] == '#') continue;
-    // timestamp  session  sql-to-end-of-line
-    char* end = nullptr;
-    const double ts = std::strtod(line.c_str(), &end);
-    if (end == line.c_str()) {
+    // timestamp  session  sql-to-end-of-line, split at white space
+    size_t pos = 0;
+    const std::optional<double> ts = ParseDouble(NextField(line, &pos));
+    if (!ts) {
       return Status::ParseError(
           StrFormat("trace line %d: expected timestamp", lineno));
     }
     // The stable_sort below needs a strict weak order, which NaN breaks.
-    if (!std::isfinite(ts)) {
+    if (!std::isfinite(*ts)) {
       return Status::ParseError(
           StrFormat("trace line %d: timestamp is not a finite number", lineno));
     }
-    const char* p = end;
-    char* end2 = nullptr;
-    const long session = std::strtol(p, &end2, 10);
-    if (end2 == p) {
+    const std::optional<int> session = ParseInt<int>(NextField(line, &pos));
+    if (!session) {
       return Status::ParseError(
           StrFormat("trace line %d: expected session id", lineno));
     }
-    std::string sql = Trim(std::string(end2));
+    std::string sql = Trim(line.substr(pos));
     if (!sql.empty() && sql.back() == ';') sql.pop_back();
     if (sql.empty()) {
       return Status::ParseError(StrFormat("trace line %d: empty statement", lineno));
     }
-    events.push_back(TraceEvent{ts, static_cast<int>(session), std::move(sql)});
+    events.push_back(TraceEvent{*ts, *session, std::move(sql)});
   }
   if (events.empty()) {
     return Status::InvalidArgument("trace contains no events");

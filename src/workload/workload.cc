@@ -1,8 +1,6 @@
 #include "workload/workload.h"
 
-#include <climits>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 
 #include "common/logging.h"
@@ -31,27 +29,6 @@ bool Workload::HasConcurrencyStreams() const {
 }
 
 namespace {
-
-/// The value of a `-- weight:` line: a finite positive number, the whole
-/// text after the colon.
-bool ParseWeight(const std::string& text, double* out) {
-  const char* begin = text.c_str();
-  char* end = nullptr;
-  *out = std::strtod(begin, &end);
-  return end != begin && *end == '\0' && std::isfinite(*out) && *out > 0;
-}
-
-/// The value of a `-- stream:` line: a positive int, the whole text after
-/// the colon.
-bool ParseStream(const std::string& text, int* out) {
-  const char* begin = text.c_str();
-  char* end = nullptr;
-  // An out-of-range value saturates to LLONG_MIN or LLONG_MAX, both rejected.
-  const long long v = std::strtoll(begin, &end, 10);
-  if (end == begin || *end != '\0' || v <= 0 || v > INT_MAX) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
 
 /// Shared script walker for FromScript / FromScriptLenient: splits on ';' /
 /// GO while tracking `-- weight:` / `-- stream:` directives and 1-based line
@@ -108,8 +85,13 @@ Status WalkScript(
     // A line that continues a literal is literal text: no directive or
     // comment matches it.
     const std::string lower = in_literal ? std::string() : ToLower(line);
+    // A directive's value is the whole text after its colon: a finite
+    // positive weight, or a positive stream id.
     if (StartsWith(lower, "-- weight:")) {
-      if (!ParseWeight(line.substr(10), &pending_weight)) {
+      const std::optional<double> weight = ParseDouble(std::string_view(line).substr(10));
+      if (weight && std::isfinite(*weight) && *weight > 0) {
+        pending_weight = *weight;
+      } else {
         DBLAYOUT_RETURN_NOT_OK(on_error(
             line, line_no,
             Status::ParseError(StrFormat("bad weight line '%s'", line.c_str()))));
@@ -118,7 +100,10 @@ Status WalkScript(
       continue;
     }
     if (StartsWith(lower, "-- stream:")) {
-      if (!ParseStream(line.substr(10), &pending_stream)) {
+      const std::optional<int> stream = ParseInt<int>(std::string_view(line).substr(10));
+      if (stream && *stream > 0) {
+        pending_stream = *stream;
+      } else {
         DBLAYOUT_RETURN_NOT_OK(on_error(
             line, line_no,
             Status::ParseError(StrFormat("bad stream line '%s'", line.c_str()))));

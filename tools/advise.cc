@@ -253,8 +253,10 @@ int RunAdvise(const Args& args) {
        {"--tpch", &tpch_scale, 1, &tpch}});
   Status st = ParseFlags(args, flags);
   if (st.ok()) st = in.Resolve(tpch);
-  if (st.ok() && tpch && tpch_scale <= 0) {
-    st = Status::InvalidArgument("--tpch scale must be positive");
+  if (st.ok() && tpch && !(tpch_scale > 0 && benchdata::TpchScaleFits(tpch_scale))) {
+    st = Status::InvalidArgument(StrFormat(
+        "--tpch scale must be positive and give tables below 2^63 rows, got %g",
+        tpch_scale));
   }
   if (!st.ok()) return Usage(st, kAdviseUsage);
 

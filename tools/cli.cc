@@ -1,9 +1,6 @@
 #include "cli.h"
 
-#include <cerrno>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <type_traits>
@@ -19,28 +16,24 @@ namespace dblayout::cli {
 namespace {
 
 /// Numbers must parse completely: "4x", "" or "abc" are errors, never a
-/// silent prefix or zero.
+/// silent prefix or zero, and an integer must fit its flag.
 template <typename T>
 Status ParseNumber(const std::string& flag, const std::string& text, T* out) {
-  char* end = nullptr;
-  errno = 0;
-  bool in_range = true;
+  std::optional<T> v;
   if constexpr (std::is_same_v<T, double>) {
-    *out = std::strtod(text.c_str(), &end);
-  } else if constexpr (std::is_same_v<T, uint64_t>) {
-    *out = std::strtoull(text.c_str(), &end, 10);
-    in_range = errno != ERANGE;
+    v = ParseDouble(text);
   } else {
-    const long v = std::strtol(text.c_str(), &end, 10);
-    in_range = errno != ERANGE && v >= INT_MIN && v <= INT_MAX;
-    *out = static_cast<int>(v);
+    v = ParseInt<T>(text);
   }
-  if (text.empty() || *end != '\0' || !in_range) {
-    return Status::InvalidArgument(
-        StrFormat("%s expects %s, got '%s'", flag.c_str(),
-                  std::is_same_v<T, double> ? "a number" : "an integer",
-                  text.c_str()));
+  if (!v) {
+    return Status::InvalidArgument(StrFormat(
+        "%s expects %s, got '%s'", flag.c_str(),
+        std::is_same_v<T, double> ? "a number"
+        : std::is_unsigned_v<T>   ? "a non-negative integer"
+                                  : "an integer",
+        text.c_str()));
   }
+  *out = *v;
   return Status::OK();
 }
 

@@ -117,6 +117,11 @@ int RunServe(const Args& args) {
   if (st.ok() && resume && checkpoint_path.empty()) {
     st = Status::InvalidArgument("--resume requires --checkpoint");
   }
+  const std::optional<int64_t> throttle_us = ToInt64(throttle_ms * 1000);
+  if (st.ok() && !throttle_us) {
+    st = Status::InvalidArgument(StrFormat(
+        "--throttle-ms must be below 2^63 microseconds, got %g", throttle_ms));
+  }
   if (!st.ok()) return Usage(st, kServeUsage);
 
   auto db = LoadSchema(schema_path);
@@ -203,11 +208,10 @@ int RunServe(const Args& args) {
         return Fail("checkpoint", st);
       }
     }
-    if (throttle_ms > 0) {
+    if (*throttle_us > 0) {
       // Pacing knob for the crash-recovery smoke test (gives the kill -9 a
       // window to land mid-stream); never used for correctness.
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(static_cast<int64_t>(throttle_ms * 1000)));
+      std::this_thread::sleep_for(std::chrono::microseconds(*throttle_us));
     }
   }
 
