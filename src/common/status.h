@@ -32,9 +32,9 @@ const char* StatusCodeName(StatusCode code);
 /// A Status holds the outcome of an operation: OK, or an error code with a
 /// message. The OK status carries no allocation.
 ///
-/// [[nodiscard]]: silently dropping a Status hides failures (the
-/// unchecked-status rule in dblayout check is the cross-file complement).
-/// Intentional discards must say so with (void).
+/// [[nodiscard]]: silently dropping a Status hides failures, and a -Werror
+/// build rejects it (the status_discard_* ctests pin this). Intentional
+/// discards must say so with (void).
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

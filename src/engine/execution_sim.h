@@ -75,9 +75,6 @@ class ExecutionSimulator {
   Result<double> ExecuteConcurrentStreams(
       const std::vector<std::vector<const PlanNode*>>& streams, const Layout& layout);
 
-  /// Resets the buffer pool (cold cache).
-  void ResetCache() { pool_.Reset(); }
-
  private:
   double RunSubplans(const std::vector<SubplanAccess>& subplans, const Layout& layout,
                      const BlockMap* map);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/strutil.h"
 #include "layout/cost_model.h"
 #include "layout/evaluator.h"
 #include "obs/metrics.h"
@@ -66,31 +65,6 @@ Result<RollbackPlan> PlanRollback(const Database& db, const DiskFleet& fleet,
   DBLAYOUT_OBS_COUNT("resilience/rollbacks_planned", 1);
   DBLAYOUT_OBS_OBSERVE("resilience/rollback_moved_blocks", plan.moved_blocks);
   return plan;
-}
-
-std::string RenderRollbackPlan(const RollbackPlan& plan, const DiskFleet& fleet) {
-  std::string out;
-  out += StrFormat(
-      "Rollback plan: %zu object moves, %.0f blocks moved; workload cost "
-      "%.0f ms -> %.0f ms (%+.1f%% regression undone)\n",
-      plan.moves.size(), plan.moved_blocks, plan.current_cost_ms,
-      plan.target_cost_ms, plan.RegressionPct());
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back({"object", "moved", "from", "to"});
-  for (const ObjectMove& m : plan.moves) {
-    rows.push_back({m.object_name,
-                    StrFormat("%lld", static_cast<long long>(m.blocks_moved)),
-                    DriveNames(m.from_disks, fleet), DriveNames(m.to_disks, fleet)});
-  }
-  out += RenderTable(rows);
-  int listed = 0;
-  for (const StatementRegression& r : plan.regressions) {
-    if (r.DeltaMs() <= 0) break;
-    if (listed == 0) out += "Top regressed statements:\n";
-    if (++listed > 5) break;
-    out += StrFormat("  %+.0f ms  %s\n", r.DeltaMs(), r.sql.c_str());
-  }
-  return out;
 }
 
 }  // namespace dblayout

@@ -73,10 +73,6 @@ Result<RollbackPlan> PlanRollback(const Database& db, const DiskFleet& fleet,
                                   const WorkloadProfile& profile,
                                   const Layout& current, const Layout& last_good);
 
-/// Human-readable rendering of a rollback plan (summary + move table + top
-/// regressed statements).
-std::string RenderRollbackPlan(const RollbackPlan& plan, const DiskFleet& fleet);
-
 }  // namespace dblayout
 
 #endif  // DBLAYOUT_RESILIENCE_ROLLBACK_H_

@@ -15,21 +15,6 @@ namespace {
 
 using Toks = std::vector<Tok>;
 
-/// Index of the token matching the closer at `close`, scanning backwards.
-/// Returns npos-like 0 on imbalance (callers bound-check).
-size_t MatchBackward(const Toks& toks, size_t close) {
-  int depth = 0;
-  for (size_t i = close + 1; i-- > 0;) {
-    const std::string& t = toks[i].text;
-    if (t == ")" || t == "]" || t == "}") {
-      ++depth;
-    } else if (t == "(" || t == "[" || t == "{") {
-      if (--depth == 0) return i;
-    }
-  }
-  return 0;
-}
-
 bool IsMutatingPunct(const Tok& t) {
   return t.is("++") || t.is("--") || t.is("=") || t.is("+=") || t.is("-=") ||
          t.is("*=") || t.is("/=") || t.is("%=") || t.is("&=") || t.is("|=") ||
@@ -368,70 +353,6 @@ class DcheckSideEffectRule : public CheckRule {
   }
 };
 
-/// unchecked-status: a statement-level call to a function declared to
-/// return Status/Result whose result is dropped on the floor. Complements
-/// the [[nodiscard]] attribute on Status/Result (compiler-enforced) with a
-/// tool-level gate that also reads bench/ and catches declarations the
-/// attribute has not reached yet.
-class UncheckedStatusRule : public CheckRule {
- public:
-  const char* id() const override { return "unchecked-status"; }
-  const char* summary() const override {
-    return "the result of a Status/Result-returning call must be checked, "
-           "propagated, or explicitly discarded with (void)";
-  }
-  LintSeverity severity() const override { return LintSeverity::kError; }
-  void Check(const SourceFile& file, const CheckContext& ctx,
-             std::vector<Diagnostic>* out) const override {
-    const SymbolIndex& index = ctx.index;
-    const Toks& toks = file.lex.tokens;
-    for (size_t i = 0; i + 1 < toks.size(); ++i) {
-      if (toks[i].kind != TokKind::kIdentifier ||
-          index.status_functions.count(toks[i].text) == 0 ||
-          !toks[i + 1].is("(")) {
-        continue;
-      }
-      const size_t close = MatchForward(toks, i + 1);
-      if (close + 1 >= toks.size() || !toks[close + 1].is(";")) continue;
-      // Walk back over the call chain (obj.f, p->f, Ns::f, g(x).f ...) to
-      // the chain's first token.
-      size_t k = i;
-      while (k >= 2 &&
-             (toks[k - 1].is(".") || toks[k - 1].is("->") || toks[k - 1].is("::"))) {
-        if (toks[k - 2].kind == TokKind::kIdentifier) {
-          k -= 2;
-        } else if (toks[k - 2].is(")") || toks[k - 2].is("]")) {
-          const size_t open = MatchBackward(toks, k - 2);
-          if (open == 0) break;
-          k = (open >= 1 && toks[open - 1].kind == TokKind::kIdentifier)
-                  ? open - 1
-                  : open;
-        } else {
-          break;
-        }
-      }
-      if (k == 0) continue;
-      const Tok& before = toks[k - 1];
-      bool discarded = before.is(";") || before.is("{") || before.is("}") ||
-                       before.ident("else") || before.ident("do");
-      if (before.is(")")) {
-        // `(void) f();` is an explicit, sanctioned discard; a `)` from
-        // `if (...) f();` is a statement position.
-        const bool void_cast =
-            k >= 3 && toks[k - 2].ident("void") && toks[k - 3].is("(");
-        discarded = !void_cast;
-      }
-      if (!discarded) continue;
-      out->push_back(MakeDiag(
-          id(), severity(), toks[i].line,
-          StrFormat("result of Status/Result-returning call '%s' is discarded",
-                    toks[i].text.c_str()),
-          "check .ok(), propagate with DBLAYOUT_RETURN_NOT_OK, or cast to "
-          "(void) with a comment"));
-    }
-  }
-};
-
 /// raw-thread: all parallelism must flow through the deterministic
 /// ThreadPool (fixed worker model, index self-scheduling); ad-hoc threads
 /// reintroduce scheduling-dependent results.
@@ -474,7 +395,6 @@ std::vector<std::unique_ptr<CheckRule>> DefaultCheckRules() {
   rules.push_back(std::make_unique<ParallelCaptureRule>());
   rules.push_back(std::make_unique<PointerKeyRule>());
   rules.push_back(std::make_unique<DcheckSideEffectRule>());
-  rules.push_back(std::make_unique<UncheckedStatusRule>());
   rules.push_back(std::make_unique<RawThreadRule>());
   for (auto& r : ScopedCheckRules()) rules.push_back(std::move(r));
   return rules;

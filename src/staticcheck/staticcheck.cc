@@ -65,18 +65,6 @@ size_t SkipDeclaratorNoise(const std::vector<Tok>& toks, size_t i) {
   return i;
 }
 
-/// Builtin return types that definitely are not Status/Result. Class-type
-/// returns (Layout Foo()) are not recognizable lexically and stay out; the
-/// set only needs to cover the overload collisions we can actually detect.
-bool IsBuiltinReturnKeyword(const Tok& t) {
-  if (t.kind != TokKind::kIdentifier) return false;
-  return t.text == "void" || t.text == "bool" || t.text == "double" ||
-         t.text == "float" || t.text == "int" || t.text == "long" ||
-         t.text == "short" || t.text == "unsigned" || t.text == "char" ||
-         t.text == "size_t" || t.text == "int32_t" || t.text == "int64_t" ||
-         t.text == "uint32_t" || t.text == "uint64_t";
-}
-
 bool LooksLikeValueTerminator(const Tok& t) {
   return t.is(";") || t.is("=") || t.is("{") || t.is(",") || t.is(")") ||
          t.is(":");
@@ -121,42 +109,6 @@ void HarvestFile(const SourceFile& f, SymbolIndex* index) {
           index->unordered_element_values.insert(toks[after].text);
         }
       }
-      continue;
-    }
-    // Status NAME( / Status Class::NAME( / Result<T> NAME( declarations,
-    // plus builtin-returning declarations (void NAME( ...) harvested into
-    // nonstatus_functions so overloaded names can be subtracted.
-    const bool is_status = toks[i].ident("Status");
-    const bool is_result = toks[i].ident("Result");
-    const bool is_builtin = IsBuiltinReturnKeyword(toks[i]);
-    if (is_status || is_result || is_builtin) {
-      size_t after = i + 1;
-      if (is_result) {
-        if (!toks[after].is("<")) continue;
-        bool nested = false;
-        after = MatchTemplateClose(toks, after, &nested);
-        if (nested) continue;
-      } else if (after < toks.size() && toks[after].is("::")) {
-        continue;  // Status::OK() etc. — a use, not a return type
-      }
-      after = SkipDeclaratorNoise(toks, after);
-      // Qualified chain: IDENT (:: IDENT)* then '('.
-      std::string name;
-      while (after + 1 < toks.size() && toks[after].kind == TokKind::kIdentifier) {
-        name = toks[after].text;
-        if (toks[after + 1].is("::")) {
-          after += 2;
-          continue;
-        }
-        break;
-      }
-      if (name.empty() || after + 1 >= toks.size() || !toks[after + 1].is("(")) continue;
-      if (name == "if" || name == "while" || name == "for" || name == "switch" ||
-          name == "return" || name == "sizeof") {
-        continue;
-      }
-      (is_builtin ? index->nonstatus_functions : index->status_functions)
-          .insert(name);
     }
   }
 }
@@ -202,12 +154,6 @@ CheckOptions::CheckOptions() {
 SymbolIndex HarvestSymbols(const std::vector<SourceFile>& files) {
   SymbolIndex index;
   for (const SourceFile& f : files) HarvestFile(f, &index);
-  // Ambiguous overload sets (a name declared both Status-returning and
-  // builtin-returning) are unresolvable at token level; drop them rather
-  // than flag calls that may well hit the void overload.
-  for (const std::string& name : index.nonstatus_functions) {
-    index.status_functions.erase(name);
-  }
   return index;
 }
 

@@ -15,8 +15,8 @@
 // Architecture mirrors src/lint/ (rule registry + runner + shared
 // Diagnostic/renderers), but the input is our token-lexed C++ files
 // (cpp_lexer.h). Three analysis layers feed the rules through a CheckContext:
-//   1. SymbolIndex — flat cross-file name harvest (unordered containers,
-//      Status-returning functions), the v1 layer;
+//   1. SymbolIndex — flat cross-file name harvest of unordered containers,
+//      the v1 layer;
 //   2. ProgramModel (scope_parser.h) — per-function bodies, class fields
 //      with DBLAYOUT_GUARDED_BY annotations, and a call graph;
 //   3. TaintAnalysis — interprocedural clock/env/entropy reachability over
@@ -71,15 +71,6 @@ struct SymbolIndex {
   /// elements (e.g. std::vector<std::unordered_map<...>> adj_): iterating
   /// the container is fine, iterating an indexed element is not.
   std::set<std::string> unordered_element_values;
-  /// Functions whose declared return type is Status or Result<T>. Names that
-  /// are *also* declared somewhere with a non-Status return type (overload
-  /// sets like DiskFleet::Add vs Workload::Add) are removed by
-  /// HarvestSymbols: a token-level pass cannot resolve which overload a call
-  /// site hits, and a determinism gate must not cry wolf.
-  std::set<std::string> status_functions;
-  /// Function names declared with a definitely-not-Status builtin return
-  /// type (void, double, ...); used only to subtract ambiguous names above.
-  std::set<std::string> nonstatus_functions;
 };
 
 /// One function the interprocedural taint pass marked as transitively

@@ -114,47 +114,6 @@ TEST(HarvestTest, FindsUnorderedValuesFunctionsAndElements) {
   EXPECT_EQ(index.unordered_values.count("plain_"), 0u);
 }
 
-TEST(HarvestTest, FindsStatusReturningFunctions) {
-  CheckRunner runner;
-  runner.AddSource("a.h",
-                   "Status Validate() const;\n"
-                   "Status Workload::Add(Statement s);\n"
-                   "Result<Layout> InitialLayout(int n);\n"
-                   "Status st = Foo();\n"       // variable, not a function
-                   "return Status::OK();\n");   // a use, not a declaration
-  const SymbolIndex index = HarvestSymbols(runner.files());
-  EXPECT_EQ(index.status_functions.count("Validate"), 1u);
-  EXPECT_EQ(index.status_functions.count("Add"), 1u);
-  EXPECT_EQ(index.status_functions.count("InitialLayout"), 1u);
-  EXPECT_EQ(index.status_functions.count("st"), 0u);
-  EXPECT_EQ(index.status_functions.count("OK"), 0u);
-}
-
-TEST(HarvestTest, AmbiguousOverloadSetsAreDropped) {
-  // `Add` is declared both Status-returning (Workload::Add) and
-  // void-returning (DiskFleet::Add): a token-level pass cannot tell which
-  // overload a call hits, so the name must drop out of status_functions.
-  CheckRunner runner;
-  runner.AddSource("a.h",
-                   "Status Workload::Add(Statement s);\n"
-                   "void Add(DiskDrive d);\n"
-                   "Status Save(const Layout& l);\n");
-  const SymbolIndex index = HarvestSymbols(runner.files());
-  EXPECT_EQ(index.status_functions.count("Add"), 0u);
-  EXPECT_EQ(index.nonstatus_functions.count("Add"), 1u);
-  EXPECT_EQ(index.status_functions.count("Save"), 1u);
-}
-
-TEST(StaticCheckTest, UncheckedStatusQuietOnAmbiguousOverload) {
-  const LintReport report = Check("src/x.cc",
-                                  "Status Workload::Add(Statement s);\n"
-                                  "void JsonWriter::Add(std::string row);\n"
-                                  "void F(JsonWriter& json) {\n"
-                                  "  json.Add(\"row\");\n"
-                                  "}\n");
-  EXPECT_TRUE(ById(report, "unchecked-status").empty());
-}
-
 // --- unordered-accumulation / unordered-iteration-order --------------------
 
 TEST(StaticCheckTest, UnorderedAccumulationFiresOnFloatSum) {
@@ -415,43 +374,6 @@ TEST(StaticCheckTest, DcheckSideEffectQuietOnObservations) {
   EXPECT_TRUE(ById(report, "dcheck-side-effect").empty());
 }
 
-// --- unchecked-status ------------------------------------------------------
-
-TEST(StaticCheckTest, UncheckedStatusFiresOnDiscardedCall) {
-  const LintReport report = Check("src/x.cc",
-                                  "Status Save(const Layout& l);\n"
-                                  "void F(const Layout& l) {\n"
-                                  "  Save(l);\n"
-                                  "}\n");
-  const auto diags = ById(report, "unchecked-status");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].line, 3);
-  EXPECT_NE(diags[0].message.find("Save"), std::string::npos);
-}
-
-TEST(StaticCheckTest, UncheckedStatusFiresOnDiscardedMemberCall) {
-  const LintReport report = Check("src/x.cc",
-                                  "Status Workload::Add(Statement s);\n"
-                                  "void F(Workload& wl, Statement s) {\n"
-                                  "  wl.Add(s);\n"
-                                  "}\n");
-  EXPECT_EQ(ById(report, "unchecked-status").size(), 1u);
-}
-
-TEST(StaticCheckTest, UncheckedStatusQuietWhenChecked) {
-  const LintReport report =
-      Check("src/x.cc",
-            "Status Save(const Layout& l);\n"
-            "Status F(const Layout& l) {\n"
-            "  DBLAYOUT_RETURN_NOT_OK(Save(l));\n"
-            "  if (!Save(l).ok()) return Status::Internal(\"save\");\n"
-            "  const Status st = Save(l);\n"
-            "  (void)Save(l);\n"
-            "  return Save(l);\n"
-            "}\n");
-  EXPECT_TRUE(ById(report, "unchecked-status").empty());
-}
-
 // --- raw-thread ------------------------------------------------------------
 
 TEST(StaticCheckTest, RawThreadFiresOutsideThreadPool) {
@@ -694,7 +616,7 @@ TEST(ReportTest, DiagnosticsSortedAndRulesListed) {
   // Errors (raw-random) sort before warnings (unordered-iteration-order).
   EXPECT_EQ(report.diagnostics[0].rule_id, "raw-random");
   // Rule metadata present and id-sorted, including the meta rule.
-  ASSERT_EQ(report.rules.size(), 12u);
+  ASSERT_EQ(report.rules.size(), 11u);
   for (size_t i = 1; i < report.rules.size(); ++i) {
     EXPECT_LT(report.rules[i - 1].id, report.rules[i].id);
   }
