@@ -9,6 +9,11 @@
 #      instead of running with a truncated or zero value
 #   3. every subcommand reads `--flag value` and `--flag=value` alike: the
 #      same exit code and the same output
+#   4. a number that parses but does not fit its flag (a negative --seed, a
+#      --throttle-ms or --tpch scale whose conversion would overflow, a NaN
+#      scale) exits 2 with a message naming the flag and the value
+#   5. a --time-budget-ms the clock cannot hold means no budget: advise
+#      prints what it prints with no budget
 #
 # Usage: tools/run_flags.sh --bin PATH_TO_dblayout
 set -euo pipefail
@@ -90,5 +95,22 @@ both_forms --evaluate "${DATA}/lint/striped_coaccess.csv" lint "${INPUTS[@]}"
 both_forms --window 4 serve "${STREAM[@]}"
 both_forms --threshold-pct 20 report "${COMPARE[@]}"
 both_forms --jobs 2 check "${SOURCE_DIR}/src/common"
+
+log "numbers must fit their flag"
+malformed "--seed expects a non-negative integer, got '-1'" \
+  advise --tpch 0.05 --disks "${DATA}/disks.txt" --seed -1
+malformed "--throttle-ms must be below 2^63 microseconds, got 1e+300" \
+  serve "${STREAM[@]}" --throttle-ms 1e300
+malformed "--tpch scale must be positive and give tables below 2^63 rows, got nan" \
+  advise --tpch nan --disks "${DATA}/disks.txt"
+malformed "--tpch scale must be positive and give tables below 2^63 rows, got 1e+300" \
+  advise --tpch 1e300 --disks "${DATA}/disks.txt"
+
+log "a budget the clock cannot hold is no budget"
+TPCH=(--tpch 0.1 --disks "${DATA}/disks.txt")
+unbudgeted="$("${BIN}" advise "${TPCH[@]}")"
+budgeted="$("${BIN}" advise "${TPCH[@]}" --time-budget-ms 1e300)"
+[[ "${unbudgeted}" == "${budgeted}" ]] \
+  || fail "advise --time-budget-ms 1e300 prints differently from no budget"
 
 printf '\nFLAGS CHECK OK\n'
