@@ -40,6 +40,20 @@ inline void ExpectMatchesGolden(const std::string& got, const std::string& file)
   EXPECT_EQ(got, want.str()) << "output drifted from " << path;
 }
 
+/// The number spellings the reader golden (reader_golden_test.cc) runs
+/// every reader on, and the field fuzzers plant into numeric fields:
+/// white space, signs, hex, truncated exponents, NaN and infinities,
+/// overflow and underflow, and the first integers past int, uint32_t,
+/// int64_t and uint64_t.
+inline const std::vector<std::string>& NumberSpellings() {
+  static const std::vector<std::string> kSpellings = {
+      "",       " 1",       "+1",         "-0",         "0x1p3",
+      "1e",     "1.2.3",    "nan",        "inf",        "1e308",
+      "1e999",  "-1e999",   "1e-400",     "4.9e-324",   "2147483648",
+      "4294967298", "9223372036854775808", "18446744073709551616"};
+  return kSpellings;
+}
+
 /// 64-bit FNV-1a.
 inline uint64_t Fnv1a(const std::string& s) {
   uint64_t h = 14695981039346656037ULL;

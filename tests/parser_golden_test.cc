@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
@@ -20,10 +21,18 @@
 #include "benchdata/tpch.h"
 #include "common/rng.h"
 #include "common/strutil.h"
+#include "layout/search.h"
+#include "obs/journal.h"
+#include "obs/json.h"
+#include "resilience/fault.h"
+#include "service/checkpoint.h"
 #include "sql/ddl.h"
 #include "sql/parser.h"
 #include "storage/disk.h"
+#include "storage/layout.h"
 #include "tests/golden_test_util.h"
+#include "workload/analyzer.h"
+#include "workload/trace.h"
 #include "workload/workload.h"
 
 namespace dblayout {
@@ -580,15 +589,15 @@ std::string Mutate(const std::vector<std::string>& seeds, Rng* rng) {
   return s;
 }
 
-/// Feeds `count` mutants of `seeds` to `read` (true when it returned a
-/// value) and checks that both outcomes occur, so the mutants neither all
-/// parse nor all fail at the first byte.
-template <typename Read>
+/// Feeds `count` mutants of `seeds` made by `mutate` to `read` (true when
+/// it returned a value) and checks that both outcomes occur, so the
+/// mutants neither all parse nor all fail at the first byte.
+template <typename Read, typename Mutator = decltype(&Mutate)>
 void FuzzReader(const std::vector<std::string>& seeds, uint64_t seed, int count,
-                const Read& read) {
+                const Read& read, Mutator mutate = &Mutate) {
   Rng rng(seed);
   int ok = 0;
-  for (int i = 0; i < count; ++i) ok += read(Mutate(seeds, &rng)) ? 1 : 0;
+  for (int i = 0; i < count; ++i) ok += read(mutate(seeds, &rng)) ? 1 : 0;
   EXPECT_GT(ok, count / 200);
   EXPECT_LT(ok, count - count / 200);
 }
@@ -729,6 +738,155 @@ TEST(ReaderMutationTest, DiskFleetFromSpecReturnsStatus) {
   }
   EXPECT_GT(ok, kMutants / 200);
   EXPECT_LT(ok, kMutants - kMutants / 200);
+}
+
+// ---------------------------------------------------------------------------
+// The number readers' fuzzers: the trace, fault-plan, layout CSV, checkpoint
+// and journal readers, and the numeric fields of DDL and DML, on mutants
+// that alternate between Mutate's edits and a number spelling of the reader
+// golden planted into a numeric field. Run under the sanitizer build with
+// float-cast-overflow, they catch an input number that reaches an integer
+// unchecked.
+
+/// Half the time Mutate; otherwise one number of a seed (a digit run with
+/// its dots and exponent, not starting inside an identifier) replaced by a
+/// spelling of testutil::NumberSpellings().
+std::string MutateNumberField(const std::vector<std::string>& seeds, Rng* rng) {
+  if (rng->Bernoulli(0.5)) return Mutate(seeds, rng);
+  std::string s = seeds[rng->Index(seeds.size())];
+  const auto is_digit = [&](size_t i) {
+    return i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]));
+  };
+  std::vector<std::pair<size_t, size_t>> numbers;
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (!is_digit(i) || (i > 0 && (std::isalnum(static_cast<unsigned char>(s[i - 1])) ||
+                                   s[i - 1] == '_'))) {
+      continue;
+    }
+    size_t end = i;
+    while (is_digit(end) || (end < s.size() && (s[end] == '.' || s[end] == 'e' ||
+                                                s[end] == 'E'))) {
+      ++end;
+      if ((s[end - 1] == 'e' || s[end - 1] == 'E') && end < s.size() &&
+          (s[end] == '-' || s[end] == '+')) {
+        ++end;
+      }
+    }
+    numbers.emplace_back(i, end - i);
+    i = end;
+  }
+  if (numbers.empty()) return s;
+  const auto [at, length] = numbers[rng->Index(numbers.size())];
+  const std::vector<std::string>& spellings = testutil::NumberSpellings();
+  s.replace(at, length, spellings[rng->Index(spellings.size())]);
+  return s;
+}
+
+/// Every mutant either reads or returns a Status with a message.
+template <typename T>
+bool ReadOrStatus(const Result<T>& r) {
+  EXPECT_TRUE(r.ok() || !r.status().message().empty()) << r.status().ToString();
+  return r.ok();
+}
+
+TEST(ReaderMutationTest, ParseTraceEventsReturnsStatus) {
+  const std::vector<std::string> seeds = {
+      ReadFile(ExamplePath("trace.txt")), ReadFile(ExamplePath("serve/stream.txt")),
+      "0 1 SELECT a FROM t\n1.5 2 SELECT b FROM u;\n# note\n2e3 -3 SELECT c FROM v\n"};
+  FuzzReader(seeds, 701, 5000, [](const std::string& text) {
+    return ReadOrStatus(ParseTraceEvents(text));
+  }, &MutateNumberField);
+}
+
+TEST(ReaderMutationTest, FaultPlanFromSpecReturnsStatus) {
+  const std::vector<std::string> seeds = {
+      ReadFile(ExamplePath("resilience/fault_plan.txt")),
+      "D1 fail\nD2 degraded transfer=0.5 seek=2 errors=0.01\n",
+      "# slow drive\nD3 degraded seek=1e3\nD4 degraded errors=0.25 transfer=1\n"};
+  FuzzReader(seeds, 702, 5000, [](const std::string& text) {
+    return ReadOrStatus(FaultPlan::FromSpec(text, "fuzz"));
+  }, &MutateNumberField);
+}
+
+TEST(ReaderMutationTest, LayoutFromCsvReturnsStatus) {
+  const DiskFleet fleet = DiskFleet::Uniform(3);
+  const std::vector<std::string> names = {"a", "b", "c"};
+  Rng rng(703);
+  std::vector<std::string> seeds;
+  for (int k = 0; k < 4; ++k) {
+    Layout layout(3, 3);
+    for (int i = 0; i < 3; ++i) {
+      for (int j = 0; j < 3; ++j) layout.set_x(i, j, rng.UniformDouble(0, 1));
+    }
+    seeds.push_back(layout.ToCsv(names, fleet));
+  }
+  seeds.push_back(Layout::FullStriping(3, fleet).ToCsv(names, fleet));
+  FuzzReader(seeds, 704, 5000, [&](const std::string& text) {
+    return ReadOrStatus(Layout::FromCsv(text, names, fleet));
+  }, &MutateNumberField);
+}
+
+TEST(ReaderMutationTest, ParseCheckpointReturnsStatus) {
+  const std::vector<std::string> seeds = {
+      ReadFile(std::string(DBLAYOUT_TESTDATA_DIR) + "/checkpoint_edge_golden.json")};
+  FuzzReader(seeds, 705, 5000, [](const std::string& text) {
+    return ReadOrStatus(ParseCheckpoint(text));
+  }, &MutateNumberField);
+}
+
+/// Converts every number of `v` to an integer, as the journal readers do.
+void ConvertNumbers(const obs::JsonValue& v) {
+  if (v.is_number()) (void)v.int_value(INT64_MIN, INT64_MAX);
+  for (const obs::JsonValue& e : v.array()) ConvertNumbers(e);
+  for (const auto& [key, e] : v.object()) ConvertNumbers(e);
+}
+
+TEST(ReaderMutationTest, ParseJsonJournalLinesReturnsStatus) {
+  // The journal of a small TPC-H search: one JSON document per line.
+  const Database db = benchdata::MakeTpchDatabase(0.01);
+  auto wl = benchdata::MakeTpch22Workload(db);
+  ASSERT_TRUE(wl.ok()) << wl.status().ToString();
+  auto profile = AnalyzeWorkload(db, *wl);
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  const DiskFleet fleet = DiskFleet::Uniform(4);
+  obs::EventJournal journal;
+  SearchOptions options;
+  options.journal = &journal;
+  ResolvedConstraints rc;
+  rc.required_avail.assign(db.Objects().size(), std::nullopt);
+  ASSERT_TRUE(TsGreedySearch(db, fleet, options).Run(*profile, rc).ok());
+  std::vector<std::string> seeds;
+  for (const std::string& line : Split(journal.Serialize(), '\n')) {
+    if (!line.empty()) seeds.push_back(line);
+  }
+  FuzzReader(seeds, 706, 5000, [](const std::string& line) {
+    auto v = obs::ParseJson(line);
+    if (v.ok()) ConvertNumbers(*v);
+    return ReadOrStatus(v);
+  }, &MutateNumberField);
+}
+
+TEST(ReaderMutationTest, SchemaNumberFieldsReturnStatus) {
+  // Each CREATE statement of the dumps: ROWS, DISTINCT, RANGE, CHAR lengths
+  // and HISTOGRAM fractions.
+  std::vector<std::string> seeds;
+  for (const Database& db :
+       {benchdata::MakeTpchDatabase(0.1), benchdata::MakeSalesDatabase()}) {
+    for (const std::string& create : Split(DumpSchema(db), ';')) {
+      seeds.push_back(create + ";");
+    }
+  }
+  FuzzReader(seeds, 707, 5000, [](const std::string& ddl) {
+    return ReadOrStatus(ParseSchemaScript("fuzz", ddl));
+  }, &MutateNumberField);
+}
+
+TEST(ReaderMutationTest, SqlNumberFieldsReturnStatus) {
+  std::vector<std::string> seeds = SqlSeeds();
+  seeds.push_back("SELECT TOP 5 a FROM t WHERE d < DATE '1995-03-15' AND b > 2.5e3");
+  FuzzReader(seeds, 708, 5000, [](const std::string& sql) {
+    return ReadOrStatus(ParseSql(sql));
+  }, &MutateNumberField);
 }
 
 }  // namespace
