@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+
 #include "common/logging.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -104,6 +110,55 @@ TEST(StrUtilTest, CaseAndTrim) {
   EXPECT_EQ(Trim("\t\n"), "");
   EXPECT_TRUE(StartsWith("-- weight: 3", "--"));
   EXPECT_FALSE(StartsWith("a", "ab"));
+}
+
+TEST(StrUtilTest, ParseDoubleReadsWholeTokensAsStrtod) {
+  EXPECT_EQ(ParseDouble("2.5"), 2.5);
+  EXPECT_EQ(ParseDouble(" +0x1p3"), 8.0);
+  EXPECT_EQ(ParseDouble("1e999"), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(ParseDouble("1e-400"), 0.0);
+  EXPECT_TRUE(std::isnan(*ParseDouble("nan")));
+  EXPECT_TRUE(std::signbit(*ParseDouble("-0")));
+  for (const char* bad : {"", " ", "1e", "1.2.3", "2 ", "x1", "--1"}) {
+    EXPECT_EQ(ParseDouble(bad), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(ParseDouble(std::string_view("1\0", 2)), std::nullopt);
+  EXPECT_EQ(ParseDouble(std::string(100, '0') + "1"), 1.0);
+}
+
+TEST(StrUtilTest, ParseIntFitsItsTypeOrFails) {
+  EXPECT_EQ(ParseInt<int>(" +42"), 42);
+  EXPECT_EQ(ParseInt<int>("-2147483648"), INT32_MIN);
+  EXPECT_EQ(ParseInt<int>("2147483648"), std::nullopt);
+  EXPECT_EQ(ParseInt<int>("4294967298"), std::nullopt);
+  EXPECT_EQ(ParseInt<int64_t>("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(ParseInt<int64_t>("9223372036854775808"), std::nullopt);
+  EXPECT_EQ(ParseInt<uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(ParseInt<uint64_t>("18446744073709551616"), std::nullopt);
+  for (const char* bad : {"-1", "-0", "+-1", "+", "", "1 ", "1e3", "0x10", "1.0"}) {
+    EXPECT_EQ(ParseInt<uint64_t>(bad), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(ParseInt<int>("+-1"), std::nullopt);
+}
+
+TEST(StrUtilTest, ToInt64TakesExactlyTheDoublesBelow2To63) {
+  EXPECT_EQ(ToInt64(-0x1p63), INT64_MIN);
+  EXPECT_EQ(ToInt64(std::nextafter(0x1p63, 0.0)), 9223372036854774784);
+  EXPECT_EQ(ToInt64(-2.9), -2);
+  for (const double bad : {0x1p63, -0x1p64, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(ToInt64(bad), std::nullopt) << bad;
+  }
+}
+
+TEST(StrUtilTest, NextFieldSplitsAtWhiteSpace) {
+  const std::string s = "  ab\tc  d ";
+  size_t pos = 0;
+  EXPECT_EQ(NextField(s, &pos), "ab");
+  EXPECT_EQ(NextField(s, &pos), "c");
+  EXPECT_EQ(s.substr(pos), "  d ");
+  EXPECT_EQ(NextField(s, &pos), "d");
+  EXPECT_EQ(NextField(s, &pos), "");
 }
 
 TEST(StrUtilTest, RenderTableAlignsColumns) {

@@ -1,6 +1,7 @@
 // Differential tests of the number and string writers: AppendDouble against
 // printf's "%.*g", and the JSON writers against the snprintf/strtod and
 // char-at-a-time code they replaced, which is kept here as the reference.
+// Every number they write must also read back through ParseDouble.
 // Journals, checkpoints, layout CSVs and every digest golden are built from
 // these writers, so any difference would change bytes somewhere.
 
@@ -123,6 +124,18 @@ std::vector<double> Samples() {
   return out;
 }
 
+/// Whether ParseDouble reads all of `text`, the writing of `v` at
+/// `precision`, back to `v`'s bits (at precision 17) or to a value that
+/// writes as the same text again (at lower precisions).
+bool ReadsBack(const std::string& text, double v, int precision) {
+  const std::optional<double> back = ParseDouble(text);
+  if (!back) return false;
+  if (precision == 17) return Bits(*back) == Bits(v);
+  std::string again;
+  AppendDouble(&again, *back, precision);
+  return again == text;
+}
+
 TEST(AppendDoubleTest, MatchesPrintfAtEveryJsonPrecision) {
   const std::vector<double> samples = Samples();
   int mismatches = 0;
@@ -134,6 +147,13 @@ TEST(AppendDoubleTest, MatchesPrintfAtEveryJsonPrecision) {
       if (got != want && ++mismatches <= 10) {
         ADD_FAILURE() << "%." << precision << "g of " << Bits(v) << ": got " << got
                       << ", printf gives " << want;
+      }
+      // Below 17 digits, ±DBL_MAX round past the largest double, and strtod
+      // reads the text as ±inf; the JSON writer clamps those values.
+      const bool readable = precision == 17 ? std::isfinite(v) : std::fabs(v) <= 1.7e308;
+      if (readable && !ReadsBack(got, v, precision) && ++mismatches <= 10) {
+        ADD_FAILURE() << "%." << precision << "g of " << Bits(v) << " is " << got
+                      << ", which ParseDouble does not read back";
       }
     }
   }
@@ -147,6 +167,10 @@ TEST(JsonWriterTest, DoubleMatchesTheSnprintfStrtodLoop) {
     const std::string want = ReferenceJsonDouble(v);
     if (got != want && ++mismatches <= 10) {
       ADD_FAILURE() << Bits(v) << ": got " << got << ", the loop gives " << want;
+    }
+    // Every finite double the writer does not clamp reads back bit for bit.
+    if (std::fabs(v) <= 1.7e308 && !ReadsBack(got, v, 17) && ++mismatches <= 10) {
+      ADD_FAILURE() << Bits(v) << " is " << got << ", which ParseDouble does not read back";
     }
   }
   EXPECT_EQ(mismatches, 0);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/rng.h"
@@ -367,6 +369,26 @@ TEST(LayoutCsvTest, RoundTrips) {
   auto back = Layout::FromCsv(csv, names, fleet);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_TRUE(back->ApproxEquals(l, 1e-15));
+  // Random fractions, subnormal and huge ones included, come back bit for bit.
+  Rng rng(2026);
+  for (int trial = 0; trial < 200; ++trial) {
+    Layout r(2, 3);
+    for (int i = 0; i < 2; ++i) {
+      for (int j = 0; j < 3; ++j) {
+        const int exponent = static_cast<int>(rng.UniformInt(-1074, 1000));
+        r.set_x(i, j, std::ldexp(rng.UniformDouble(0, 1), exponent));
+      }
+    }
+    auto read = Layout::FromCsv(r.ToCsv(names, fleet), names, fleet);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    for (int i = 0; i < 2; ++i) {
+      for (int j = 0; j < 3; ++j) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(read->x(i, j)),
+                  std::bit_cast<uint64_t>(r.x(i, j)))
+            << "cell " << i << "," << j << " of trial " << trial;
+      }
+    }
+  }
 }
 
 TEST(LayoutCsvTest, RowsInAnyOrder) {
